@@ -26,7 +26,6 @@ from .spin import (DQBlochPoint, FrameTag, StateVector3, SystemParams,
 from .strain import (EffectiveParams, compensation_ratio, dressing_unitary,
                      effective_params, ey_characteristics, phi_from_times)
 from .synth import SynthesisResult, dq_block, dq_gate_fidelity, synthesize_gate
-from ._kernels import backend as kernel_backend
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "phi_from_times", "compensation_ratio", "effective_params",
     "dressing_unitary", "simulate_odmr", "rabi_extract", "ratio_scan",
     "sequence_to_json", "sequence_from_json", "SEQUENCE_SCHEMA",
-    "kernel_backend",
     # errors
     "NvErcError", "RegimeError", "DomainError", "ResonanceError",
     "AxisDegenerateError", "NoConvergenceError", "ExtractionError",

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .erc import _canonical_method, _interaction_frame
 from .errors import ExtractionError
@@ -74,6 +73,17 @@ class RatioScanResult:
     def to_dict(self) -> dict:
         return {"best_ratio": self.best_ratio, "ratios": list(self.ratios),
                 "depletion": list(self.depletion)}
+
+
+# scipy.optimize costs most of a cold import; it is loaded on first use
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq as _brentq
+    return _brentq(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    from scipy.optimize import minimize_scalar as _minimize_scalar
+    return _minimize_scalar(*args, **kwargs)
 
 
 def simulate_odmr(p: SystemParams) -> OdmrResult:
@@ -195,8 +205,9 @@ def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResul
 
     For each ratio the score is the minimum |0> population over a window
     covering at least one full Rabi cycle; the best ratio refines the grid
-    argmin with a parabolic fit through its neighbours (interior argmin
-    only - a boundary argmin is returned as the closest grid point).
+    argmin by a bounded scalar minimization of the same score between its
+    two neighbours (interior argmin only - a boundary argmin is returned as
+    the closest grid point).
     """
     if p.Ex == 0.0:
         raise ValueError("ratio_scan expects a transverse-x field to compensate")
@@ -210,16 +221,13 @@ def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResul
     depletion = np.array([_min_ground_population(p, r, window, n_grid) for r in ratios])
     i = int(np.argmin(depletion))
     best = float(ratios[i])
-    # an essentially exact zero IS the resonance; the parabola vertex would
-    # only add neighbour noise on top of it
+    # an essentially exact zero IS the resonance; refining would only add
+    # optimizer noise on top of it
     if depletion[i] > 1e-12 and 0 < i < len(ratios) - 1:
-        x0, x1, x2 = ratios[i - 1: i + 2]
-        y0, y1, y2 = depletion[i - 1: i + 2]
-        denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if denom != 0.0:
-            best = float(
-                x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
-            )
+        res = minimize_scalar(lambda r: _min_ground_population(p, r, window, n_grid),
+                              bounds=(ratios[i - 1], ratios[i + 1]), method="bounded",
+                              options={"xatol": 1e-10})
+        best = float(res.x)
     return RatioScanResult(
         best_ratio=best,
         ratios=tuple(float(r) for r in ratios),

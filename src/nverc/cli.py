@@ -2,6 +2,8 @@
 
 Subcommands: trace, robustness, ey-map, ratio-map, synth, calibrate.
 Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N.
+--method selects the propagation method of trace and calibrate; the other
+commands have a fixed evaluation and reject it as a config error.
 Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
 failure.  Log level comes from the NVERC_LOG environment variable.
 
@@ -56,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for grid sweeps (default: cores)")
     parser.add_argument("--method", choices=["analytic", "rwa", "lab"], default=None,
-                        help="override the propagation method from the config")
+                        help="override the propagation method from the config "
+                             "(trace, calibrate; rejected by the others)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized targets / restarts")
     parser.add_argument("--plot-script", action="store_true",

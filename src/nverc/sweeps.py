@@ -301,6 +301,14 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     return {"rows": len(rows), "out": out_path}
 
 
+def _reject_method(command: str, method: str | None, uses: str) -> None:
+    """Commands with a fixed evaluation refuse ``--method`` instead of
+    silently ignoring it."""
+    if method is not None:
+        raise ConfigError(f"{command} always uses {uses}; it does not take "
+                          f"--method (got {method!r})")
+
+
 # ----------------------------------------------------------- robustness ---
 
 def _robustness_row(args):
@@ -317,6 +325,7 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
     """Timing-error landscape: the chosen observable (default: final |-1>
     population) of the two-pulse combination U(t2, pi) U(t1, 0) applied to
     |+1>, over a (t1, t2) grid."""
+    _reject_method("robustness", method, "the closed-form segment unitaries")
     p = system_from_config(cfg)
     q = erc.characteristic_quantities(p)
     n = int(cfg.get("n", 129))
@@ -380,6 +389,7 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
     """Ground-state population against (Ey, t), with the closed-form
     characteristic-time overlays as extra columns (NaN past the validity
     boundary Ey = sqrt(omega^2/4 - muB^2))."""
+    _reject_method("ey-map", method, "rotating-wave spectral evolution")
     p = system_from_config(cfg)
     n_ey = int(cfg.get("n_ey", 41))
     n_t = int(cfg.get("n_t", 201))
@@ -427,6 +437,7 @@ def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = 
     """Ground-state population against (omega_y/omega_x, t) in the presence
     of a transverse field; metadata records the analytic compensation ratio
     and the effective depletion times."""
+    _reject_method("ratio-map", method, "rotating-wave spectral evolution")
     p = system_from_config(cfg)
     if p.Ex == 0.0:
         raise ConfigError("ratio map requires a nonzero Ex in the system block")
@@ -497,6 +508,7 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
               seed: int = 0) -> dict:
     """Synthesize a DQ gate, write the pulse-program JSON and a fidelity
     report with analytic / rotating-wave / lab cross-checks."""
+    _reject_method("synth", method, "all three methods as cross-checks")
     p = system_from_config(cfg)
     target = _target_from_config(cfg, seed)
     result = synth.synthesize_gate(p, target, seed=seed)
@@ -560,7 +572,7 @@ def cmd_calibrate(cfg: dict, out_path: str, jobs: int = 1, method: str | None = 
         "phi": extraction.phi,
         "best_ratio": best_ratio,
         "method": extraction.method,
-        "tolerances": {"root_xtol": 1e-14, "ratio_refine": "parabolic"},
+        "tolerances": {"root_xtol": 1e-14, "ratio_refine": "bounded_minimize"},
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import effective
 from .erc import _interaction_frame, characteristic_quantities, dq_rotation
@@ -52,6 +51,12 @@ TARGET_INFIDELITY = 1e-9
 _RESIDUAL_TOL = 1e-11
 _K_MAX = 16
 _RESTARTS = 16
+
+
+# scipy.optimize costs most of a cold import; it is loaded on first use
+def least_squares(*args, **kwargs):
+    from scipy.optimize import least_squares as _least_squares
+    return _least_squares(*args, **kwargs)
 
 
 def dq_block(m: np.ndarray | Unitary3) -> np.ndarray:

@@ -90,6 +90,14 @@ class TestRatioScan:
         assert abs(res.best_ratio - r_star) < 1e-3
         assert min(res.depletion) < 1e-6
 
+    def test_refinement_exact_on_coarse_grid(self):
+        # the 17-point 0.05 grid of configs/calibrate_ex_compensation.json:
+        # its neighbours lie outside the quadratic region of the depletion,
+        # which a three-point parabola would miss by ~1e-3
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7)
+        res = ratio_scan(p, np.round(np.arange(17) * 0.05, 2))
+        assert abs(res.best_ratio - compensation_ratio(0.7, -0.7)) < 1e-8
+
     def test_pure_x_field_best_ratio_minus_one(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ex=0.5)
         res = ratio_scan(p, np.linspace(-1.4, -0.6, 33))

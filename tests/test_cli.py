@@ -32,6 +32,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("command,doc", [
+        ("robustness", dict(BASE_SYSTEM, n=3)),
+        ("ey-map", dict(BASE_SYSTEM, n_ey=2, n_t=3)),
+        ("ratio-map", {"units": "muB", "n_ratio": 2, "n_t": 3,
+                       "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7}}),
+        ("synth", dict(BASE_SYSTEM, target="X")),
+    ])
+    def test_method_rejected_where_fixed(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "o.csv"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                   "--jobs", "1", "--method", "lab"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ConfigError"
+        assert "--method" in err["error"]["message"]
+        assert not out.exists()
+
     def test_unreadable_config_is_2(self, tmp_path):
         rc = main(["trace", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o.csv")])
@@ -93,6 +110,10 @@ class TestCheckedInConfigs:
         out = tmp_path / "cal.json"
         assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["carrier"] == pytest.approx(500.2)
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        code = "import sys, nverc.cli; sys.exit('scipy.optimize' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_console_entry_point(self, tmp_path):
         # one subprocess round through the installed script path

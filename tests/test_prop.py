@@ -1,17 +1,16 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary3, random_plain_params
 from nverc import (FrameTag, IntegratorConfig, PulseSegment, PulseSequence,
                    StateVector3, SystemParams, Unitary3,
                    characteristic_quantities, erc_unitary, frame_transform,
                    not_gate_sequence, propagate)
-from nverc._kernels import backend, pyfallback
+from nverc import _kernels, prop
 from nverc.ham import lab_drive_operators, static_hamiltonian
 from nverc.spin import KET_0, KET_P1
 
@@ -147,34 +146,143 @@ class TestFrameTransform:
             frame_transform(u, 0.0, 1.0, FrameTag.INTERACTION_D, FrameTag.LAB, P13)
 
 
+def _rk4_stepping(hs, ax, ay, wc, alpha, beta, t0, duration, n_steps, u0):
+    """Reference: step U itself through n_steps classic RK4 steps."""
+    h = duration / n_steps
+    u = np.array(u0, dtype=complex, copy=True)
+
+    def gen(t):
+        return -1j * (hs + math.cos(wc * t - alpha) * ax + math.cos(wc * t - beta) * ay)
+
+    for k in range(n_steps):
+        t = t0 + k * h
+        k1 = gen(t) @ u
+        k2 = gen(t + 0.5 * h) @ (u + (0.5 * h) * k1)
+        k3 = gen(t + 0.5 * h) @ (u + (0.5 * h) * k2)
+        k4 = gen(t + h) @ (u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return u
+
+
+# every transverse term on, so the lab Hamiltonian has no special structure
+P_FULL = SystemParams(D=200.0, muB=1.0, omega_x=3.0, omega_y=0.8, Ex=0.3, Ey=0.2, Ez=0.5)
+T_C = 2 * math.pi / P_FULL.carrier
+SEG_ARGS = (0.4, P_FULL.omega_x, P_FULL.omega_y)
+
+
+def _kernel_args(p, seg):
+    ax, ay = lab_drive_operators(seg)
+    return static_hamiltonian(p), ax, ay, p.carrier, seg.alpha, seg.beta
+
+
+def _stepped_segment(p, seg, t0, spp):
+    """A segment stepped through every one of its N whole periods with spp
+    steps each, then through the remainder at the same step bound."""
+    args = _kernel_args(p, seg)
+    period = 2 * math.pi / p.carrier
+    n = math.floor(seg.duration / period)
+    rest = seg.duration - n * period
+    u = np.eye(3, dtype=complex)
+    if n:
+        u = _rk4_stepping(*args, t0, n * period, n * spp, u)
+    if rest:
+        u = _rk4_stepping(*args, t0 + n * period, rest,
+                          math.ceil(rest / (period / spp) * (1 - 1e-12)), u)
+    return u
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record (duration, n_steps) of every kernel call the propagator makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append((args[7], args[8]))
+        return real(*args)
+
+    real = _kernels.rk4_lab_segment
+    monkeypatch.setattr(_kernels, "rk4_lab_segment", spy)
+    return calls
+
+
+class TestPeriodPower:
+    SPP = 24
+    T0 = 0.71
+
+    def run(self, duration):
+        seg = PulseSegment(duration, *SEG_ARGS)
+        cfg = IntegratorConfig(max_step=T_C / self.SPP)
+        u = prop._lab_segment(P_FULL, seg, self.T0, cfg, np.eye(3, dtype=complex))
+        return u, _stepped_segment(P_FULL, seg, self.T0, self.SPP)
+
+    def test_matches_explicit_stepping(self, kernel_calls):
+        u, ref = self.run(37.3 * T_C)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        # one period and the remainder, whatever the segment length
+        assert [n for _, n in kernel_calls] == [self.SPP, math.ceil(0.3 * self.SPP)]
+
+    @pytest.mark.parametrize("duration,calls", [
+        (0.4 * T_C, [math.ceil(0.4 * SPP)]),    # shorter than a period: no power
+        (5 * T_C, [SPP]),                       # whole periods: no remainder
+        (5 * T_C + 1e-13, [SPP, 1]),            # 1e-13 is above the snap window
+    ])
+    def test_edge_durations(self, kernel_calls, duration, calls):
+        u, ref = self.run(duration)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        assert [n for _, n in kernel_calls] == calls
+
+    @pytest.mark.parametrize("excess", [1e-3, -1e-3])
+    def test_remainder_snapped_within_window(self, kernel_calls, excess):
+        # a remainder within 1e-12 T_c of 0 or of T_c is rounding of the
+        # duration, not evolution: exactly the whole-period result
+        u_snap, _ = self.run(5 * T_C + excess * 1e-12 * T_C)
+        kernel_calls.clear()
+        u_exact, _ = self.run(5 * T_C)
+        assert np.array_equal(u_snap, u_exact)
+        assert kernel_calls == [(T_C, self.SPP)]
+
+    @pytest.mark.parametrize("D", [100.0, 287.0, 500.0, 2870.0])
+    @pytest.mark.parametrize("spp", [1, 3, 7, 20, 80, 160, 1280])
+    def test_max_step_gives_exact_steps_per_period(self, kernel_calls, D, spp):
+        p = SystemParams(D=D, muB=1.0, omega_x=3.0, Ez=0.37)
+        period = 2 * math.pi / p.carrier
+        seq = PulseSequence([PulseSegment(3 * period, 0.2, p.omega_x)], frame=FrameTag.LAB)
+        propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, cfg=lab_cfg(p, spp))
+        assert [n for _, n in kernel_calls] == [spp]
+
+    def test_batched_kernel_matches_stepping(self):
+        seg = PulseSegment(1.0, *SEG_ARGS)
+        args = _kernel_args(P_FULL, seg)
+        rng = np.random.default_rng(3)
+        u0 = haar_unitary3(rng)
+        # 1500 steps spans more than one batch of the kernel
+        for n in (1, 5, 24, 1500):
+            duration = n * T_C / 24
+            u = _kernels.rk4_lab_segment(*args, self.T0, duration, n, u0)
+            ref = _rk4_stepping(*args, self.T0, duration, n, u0)
+            assert np.max(np.abs(u - ref)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.0, 2 * math.pi),
+           frac=st.floats(0.0, 2.0))
+    def test_lab_agrees_with_analytic_within_rwa_bound(self, alpha, frac):
+        # counter-rotating terms move the lab propagator off the rotating-
+        # wave one by O(omega / carrier); the worst seen over random
+        # segments up to 2 T_total is 0.98 omega / carrier
+        q = characteristic_quantities(P13)
+        duration = frac * q.T_total
+        seq = PulseSequence([PulseSegment(duration, alpha, P13.omega_x)])
+        res = propagate(P13, seq, StateVector3(KET_0), frame=FrameTag.LAB,
+                        cfg=lab_cfg(P13, 80))
+        u_int = frame_transform(res.unitary, 0.0, duration,
+                                FrameTag.LAB, FrameTag.INTERACTION_D, P13)
+        err = np.linalg.norm(u_int.m - erc_unitary(P13, duration, alpha).m, 2)
+        assert err < 2.0 * P13.omega_x / P13.carrier
+
+
 class TestKernels:
-    def test_compiled_and_fallback_agree(self):
-        try:
-            from nverc._kernels import _rk4 as compiled
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        p = P13
-        q = characteristic_quantities(p)
-        hs = static_hamiltonian(p)
-        seg = PulseSegment(q.T_prime, 0.4, p.omega_x)
-        ax, ay = lab_drive_operators(seg)
-        args = (hs, ax, ay, p.carrier, seg.alpha, seg.beta, 0.0, seg.duration,
-                4000, np.eye(3, dtype=complex))
-        u_c = compiled.rk4_lab_segment(*args)
-        u_p = pyfallback.rk4_lab_segment(*args)
-        assert np.max(np.abs(u_c - u_p)) < 1e-12
-
-    def test_env_var_forces_fallback(self):
-        code = ("import nverc; import sys; "
-                "sys.exit(0 if nverc.kernel_backend() == 'python' else 1)")
-        env = dict(os.environ, NVERC_PURE_PYTHON="1")
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-    def test_backend_reported(self):
-        assert backend() in ("compiled", "python")
-
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
-            pyfallback.rk4_lab_segment(np.eye(3), np.eye(3), np.eye(3),
-                                       1.0, 0.0, 0.0, 0.0, 1.0, 0,
-                                       np.eye(3, dtype=complex))
+            _kernels.rk4_lab_segment(np.eye(3), np.eye(3), np.eye(3),
+                                     1.0, 0.0, 0.0, 0.0, 1.0, 0,
+                                     np.eye(3, dtype=complex))
