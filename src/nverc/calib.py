@@ -25,8 +25,8 @@ import numpy as np
 
 from .erc import _canonical_method, _interaction_frame
 from .errors import ExtractionError
-from .ham import hamiltonian_rwa, static_hamiltonian
-from .prop import IntegratorConfig, propagate, frame_transform
+from .ham import static_hamiltonian
+from .prop import IntegratorConfig, frame_transform, propagate, rwa_segment_unitary
 from .pulses import PulseSegment, PulseSequence
 from .spin import KET_0, FrameTag, StateVector3, SystemParams
 from .strain import phi_from_times
@@ -102,7 +102,6 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     """Continuous-time real ground-state amplitude Re<0|U(t)|0> for a single
     resonant segment at phase 0."""
     method = _canonical_method(method)
-    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
         mu, om = p.muB_eff(), p.omega_eff()
         obar = math.sqrt(mu * mu + om * om / 4.0)
@@ -110,19 +109,15 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: math.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        h = hamiltonian_rwa(p, seg)
-        w, v = np.linalg.eigh(h)
-        weights = np.abs(v[1, :]) ** 2
-        return lambda t: float(np.real(np.sum(weights * np.exp(-1j * w * t))))
+        seg = PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)
+        return lambda t: float(rwa_segment_unitary(p, seg, t)[1, 1].real)
+    cfg = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0)
 
     def lab_amp(t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        seq = PulseSequence([PulseSegment(t, 0.0, p.omega_x, p.omega_y)], frame=FrameTag.LAB)
-        res = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                        cfg=IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0))
-        u_int = frame_transform(res.unitary, 0.0, t, FrameTag.LAB, _interaction_frame(p), p)
-        return float(np.real(u_int.m[1, 1]))
+        seq = PulseSequence([PulseSegment(t, 0.0, p.omega_x, p.omega_y)])
+        u = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, cfg=cfg).unitary
+        u_int = frame_transform(u, 0.0, t, FrameTag.LAB, _interaction_frame(p), p)
+        return float(u_int.m[1, 1].real)
 
     return lab_amp
 
@@ -180,18 +175,13 @@ def rabi_extract(
 
 def _min_ground_population(p: SystemParams, ratio: float, window: float, n_grid: int = 512):
     """Minimum over time of the |0> population under the two-tone drive."""
-    pr = p.replace(omega_y=ratio * p.omega_x)
-    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=pr.omega_x, omega_y=pr.omega_y)
-    h = hamiltonian_rwa(pr, seg)
-    w, v = np.linalg.eigh(h)
-    c = v[1, :].conj() * v[1, :]  # |<0|k>|^2, real
+    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
 
     def p0(t):
-        a = np.sum(c * np.exp(-1j * w * t))
-        return float(np.abs(a) ** 2)
+        return np.abs(rwa_segment_unitary(p, seg, t)[..., 1, 1]) ** 2
 
     ts = np.linspace(0.0, window, n_grid)
-    vals = np.abs(np.exp(-1j * np.outer(ts, w)) @ c) ** 2
+    vals = p0(ts)
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, n_grid - 1)]

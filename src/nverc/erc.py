@@ -31,12 +31,15 @@ axes whose Bloch-vector separation is 4 phi:
 
 and R(+phi, theta) is the reversed-order analogue.  Both are exactly
 independent of the base phase ``a``.
+
+U(t, a) is evaluated over whole arrays of durations at once, and every
+program, whatever the method, runs once through one walker (``_walk``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,14 +127,26 @@ def bright_dark(p: SystemParams, alpha: float) -> tuple[StateVector3, StateVecto
     return StateVector3(b), StateVector3(d)
 
 
-def _erc_matrix(mu: float, om: float, t: float, alpha: float) -> np.ndarray:
+def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
+    """U(t, alpha) of one constant segment for a scalar or array of
+    durations t >= 0, shape ``t.shape + (3, 3)``; checks and dressing run
+    once per call, not once per duration."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("segment duration must be non-negative")
+    _require_reducible(p)
+    mu, om = p.muB_eff(), p.omega_eff()
     obar = math.sqrt(mu * mu + om * om / 4.0)
     b, d = bright_dark_vectors(mu, om, alpha)
-    pb = np.outer(b, b.conj())
-    pd = np.outer(d, d.conj())
-    pp = np.outer(KET_PLUS, KET_PLUS.conj())
+    pbp = np.outer(b, b.conj()) + np.outer(KET_PLUS, KET_PLUS.conj())
     x = np.outer(b, KET_PLUS.conj()) + np.outer(KET_PLUS, b.conj())
-    return math.cos(obar * t) * (pb + pp) - 1j * math.sin(obar * t) * x + pd
+    c = np.cos(obar * t)[..., None, None]
+    s = np.sin(obar * t)[..., None, None]
+    u = c * pbp - 1j * s * x + np.outer(d, d.conj())
+    if not p.is_plain():
+        g = effective.dressing_matrix(p)
+        u = g @ u @ g.conj().T
+    return u
 
 
 def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
@@ -140,14 +155,7 @@ def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
     Exact solution of the rotating-wave Hamiltonian in the interaction
     frame; dressed systems are handled by conjugating the plain solution.
     """
-    if t < 0.0:
-        raise ValueError("segment duration must be non-negative")
-    _require_reducible(p)
-    u = _erc_matrix(p.muB_eff(), p.omega_eff(), t, alpha)
-    if not p.is_plain():
-        g = effective.dressing_matrix(p)
-        u = g @ u @ g.conj().T
-    return Unitary3(u, _interaction_frame(p))
+    return Unitary3(_erc_matrix(p, t, alpha), _interaction_frame(p))
 
 
 def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
@@ -157,23 +165,17 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
     :func:`erc_unitary` evaluated at the corresponding characteristic time.
     """
     q = characteristic_quantities(p)
-    lam = 2.0 * q.phi
-    ket0 = KET_0
-    ea = np.exp(1j * alpha)
-    if which == "Tprime":
-        u = (
-            ea * np.outer(phi_state(lam).amps, ket0.conj())
-            + ea.conjugate() * np.outer(ket0, phi_state(-lam).amps.conj())
-            - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
-        )
-    elif which == "Tsecond":
-        u = (
-            ea * np.outer(phi_state(-lam).amps, ket0.conj())
-            + ea.conjugate() * np.outer(ket0, phi_state(lam).amps.conj())
-            - np.outer(phi_state(math.pi - lam).amps, phi_state(math.pi + lam).amps.conj())
-        )
-    else:
+    # T'' is T' with the label sign flipped
+    signs = {"Tprime": 1.0, "Tsecond": -1.0}
+    if which not in signs:
         raise ValueError(f"which must be 'Tprime' or 'Tsecond', got {which!r}")
+    lam = signs[which] * 2.0 * q.phi
+    ea = np.exp(1j * alpha)
+    u = (
+        ea * np.outer(phi_state(lam).amps, KET_0.conj())
+        + ea.conjugate() * np.outer(KET_0, phi_state(-lam).amps.conj())
+        - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
+    )
     if not p.is_plain():
         g = effective.dressing_matrix(p)
         u = g @ u @ g.conj().T
@@ -220,23 +222,9 @@ def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:
     return dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, math.pi), alpha)[1]
 
 
-def _segment_params(p: SystemParams, seg: PulseSegment) -> SystemParams:
-    return p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-
-
 def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     """Closed-form propagator of a whole pulse program (analytic method)."""
-    u = np.eye(3, dtype=complex)
-    for seg in seq:
-        if seg.duration == 0.0:
-            continue
-        ps = _segment_params(p, seg)
-        if seg.omega_y != 0.0 and seg.beta != seg.alpha:
-            raise ResonanceError(
-                "analytic propagation requires beta == alpha on two-tone segments"
-            )
-        u = erc_unitary(ps, seg.duration, seg.alpha).m @ u
-    return Unitary3(u, _interaction_frame(p))
+    return Unitary3(_walk(p, seq, [math.inf], "analytic")[0], _interaction_frame(p))
 
 
 def apply_sequence(
@@ -253,18 +241,56 @@ def apply_sequence(
     (full lab-frame integration, counter-rotating terms included, result
     transformed back to the interaction frame).
     """
-    method = _canonical_method(method)
-    if method == "analytic":
-        return sequence_unitary(p, seq).apply(s)
+    return StateVector3(_walk(p, seq, [math.inf], method, s)[0])
+
+
+def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
+          s: StateVector3 | None = None) -> np.ndarray:
+    """States (n, 3) of ``s`` in the interaction frame at n ascending sample
+    times, or without ``s`` (analytic and rwa only) the propagators (n, 3, 3).
+
+    The program runs once: a sample inside a segment continues from the
+    propagator at the segment's start t0, and a lab sample integrates from
+    t0 as the truncated program would.  A sample at most 1e-15 short of a
+    segment's end counts as that end; one past the end (``math.inf``
+    included) gets the whole program.
+    """
     from . import prop  # deferred: prop imports ham only, no cycle
 
-    frame = FrameTag.LAB if method == "lab_numeric" else _interaction_frame(p)
-    res = prop.propagate(p, seq, s, frame=frame)
-    if method == "lab_numeric":
-        return prop.frame_transform(
-            res.state, 0.0, seq.total_duration, FrameTag.LAB, _interaction_frame(p), p
-        )
-    return res.state
+    method = _canonical_method(method)
+    cfg = prop.IntegratorConfig()
+
+    def run(seg, t0, taus, u):
+        if method == "analytic":
+            if seg.omega_y != 0.0 and seg.beta != seg.alpha:
+                raise ResonanceError(
+                    "analytic propagation requires beta == alpha on two-tone segments")
+            ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
+            return _erc_matrix(ps, taus, seg.alpha) @ u
+        if method == "rwa_numeric":
+            return prop.rwa_segment_unitary(p, seg, taus) @ u
+        return np.array([prop._segment_step(p, replace(seg, duration=tau), t0, u, True, cfg)[0]
+                         for tau in taus])
+
+    times = np.asarray(times, dtype=float)
+    out, u, t1 = [], np.eye(3, dtype=complex), 0.0  # (propagator, end time) per sample
+    for t0, seg in prop._timed_segments(seq):
+        if len(out) == len(times):
+            break
+        t1 = t0 + seg.duration
+        taus = times[len(out):np.searchsorted(times, t1 - 1e-15)] - t0
+        inside = taus[taus > 0.0]
+        out += [(u, t0)] * (len(taus) - len(inside))
+        if len(inside):
+            out += zip(run(seg, t0, inside, u), t0 + inside)
+        u = run(seg, t0, np.array([seg.duration]), u)[0]
+    out += [(u, t1)] * (len(times) - len(out))
+    if method != "lab_numeric":
+        us = np.array([m for m, _ in out])
+        return us if s is None else us @ s.amps
+    lab, frame = FrameTag.LAB, _interaction_frame(p)
+    return np.array([prop.frame_transform(StateVector3(m @ s.amps), 0.0, te, lab, frame, p).amps
+                     for m, te in out])
 
 
 def _canonical_method(method: str) -> str:

@@ -4,7 +4,8 @@ Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) with fixed-step RK4 or an adaptive embedded scheme, and
 propagates the time-independent rotating-wave Hamiltonians by exact matrix
-exponentiation per segment.
+exponentiation per segment.  ``rwa_segment_unitary`` is the package's one
+eigendecomposition of H_rwa and evaluates any array of durations at once.
 
 Within one constant-drive segment the lab Hamiltonian is periodic with the
 carrier period T_c = 2 pi / (D + Ez), so a segment of duration N T_c + r
@@ -80,12 +81,15 @@ class PropagationResult:
     norm_drift: float
 
 
-def rwa_segment_unitary(p: SystemParams, seg, duration: float | None = None) -> np.ndarray:
-    """Exact exp(-i H_rwa t) via Hermitian eigendecomposition."""
-    h = hamiltonian_rwa(p, seg)
-    w, v = np.linalg.eigh(h)
-    t = seg.duration if duration is None else duration
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
+    """Exact exp(-i H_rwa t) via Hermitian eigendecomposition, for a scalar
+    or array of durations t (default ``seg.duration``); shape
+    ``t.shape + (3, 3)``."""
+    w, v = np.linalg.eigh(hamiltonian_rwa(p, seg))
+    t = np.asarray(seg.duration if duration is None else duration, dtype=float)
+    vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
+    # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
+    return (vw.reshape(-1, 3) @ v.conj().T).reshape(vw.shape)
 
 
 def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -172,19 +176,29 @@ def propagate(
     frame = FrameTag(frame)
     u = np.eye(3, dtype=complex)
     drift = 0.0
-    t = 0.0
-    for seg in seq:
-        if seg.duration == 0.0:
-            continue
-        if frame == FrameTag.LAB:
-            u = _lab_segment(p, seg, t, cfg, u)
-            u, d = _project_unitary(u)
-            drift = max(drift, d)
-        else:
-            u = rwa_segment_unitary(p, seg) @ u
-        t += seg.duration
+    for t, seg in _timed_segments(seq):
+        u, d = _segment_step(p, seg, t, u, frame == FrameTag.LAB, cfg)
+        drift = max(drift, d)
     uni = Unitary3(u, frame)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
+
+
+def _timed_segments(seq: PulseSequence):
+    """(start time, segment) of every nonzero-duration segment, the start
+    times summed in program order."""
+    t = 0.0
+    for seg in seq:
+        if seg.duration != 0.0:
+            yield t, seg
+        t += seg.duration
+
+
+def _segment_step(p, seg, t0, u, lab, cfg):
+    """``u`` continued over one segment from t0 (lab RK4 and polar projection,
+    or the exact rotating-wave exponential) and the defect projected away."""
+    if lab:
+        return _project_unitary(_lab_segment(p, seg, t0, cfg, u))
+    return rwa_segment_unitary(p, seg) @ u, 0.0
 
 
 def _frame_rate(tag: FrameTag, p: SystemParams) -> float:

@@ -1,12 +1,12 @@
 """Figure-style dataset generation: time traces, 2D maps, synthesis and
-calibration runs, with deterministic CSV output and optional parallelism.
+calibration runs, with deterministic CSV output.
 
 CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
-characteristic times).  Grid rows are computed by one row-function used
-identically by the serial path and by worker processes; workers return
-(index, rows) pairs that are written in index order, so output bytes do
-not depend on the worker count.
+characteristic times).  A trace runs its program once (``erc._walk``);
+a sample at most 1e-15 short of a segment's end gets the state there.  A
+map row is one array operation; rows may be spread over ``jobs`` worker
+processes and are written in order, so the bytes do not depend on jobs.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -20,15 +20,13 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import erc, synth
 from .calib import rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .ham import hamiltonian_rwa
-from .prop import IntegratorConfig, frame_transform, propagate
+from .prop import IntegratorConfig, frame_transform, propagate, rwa_segment_unitary
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import (KET_0, KET_M1, KET_P1, FrameTag, StateVector3,
                    SystemParams)
@@ -56,27 +54,19 @@ _OBS_COLUMN = {"pop_plus1": "p_plus1", "pop_0": "p_0",
                "pop_minus1": "p_minus1", "dq_fidelity": "dq_fidelity"}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated description of one grid sweep: up to two axes of at least
-    two points each, an observable, a method tag and the output path."""
-
-    axes: tuple          # of (name, lo, hi, n)
-    observable: str
-    method: str
-    out_path: str
-
-    def __post_init__(self):
-        if len(self.axes) > 2:
-            raise ConfigError(f"at most 2 sweep axes supported, got {len(self.axes)}")
-        for name, lo, hi, n in self.axes:
-            if n < 2:
-                raise ConfigError(f"axis {name!r} needs n >= 2, got {n}")
-            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-                raise ConfigError(f"axis {name!r} needs a finite increasing range")
-        if self.observable not in OBSERVABLES:
-            raise ConfigError(
-                f"observable must be one of {OBSERVABLES}, got {self.observable!r}")
+def _check_sweep(axes, observable: str) -> None:
+    """Validate one grid sweep: up to two axes (name, lo, hi, n) of at
+    least two points each, and a known observable."""
+    if len(axes) > 2:
+        raise ConfigError(f"at most 2 sweep axes supported, got {len(axes)}")
+    for name, lo, hi, n in axes:
+        if n < 2:
+            raise ConfigError(f"axis {name!r} needs n >= 2, got {n}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ConfigError(f"axis {name!r} needs a finite increasing range")
+    if observable not in OBSERVABLES:
+        raise ConfigError(
+            f"observable must be one of {OBSERVABLES}, got {observable!r}")
 
 
 def _observable_values(name: str, target_amps, states: np.ndarray) -> np.ndarray:
@@ -244,28 +234,6 @@ def _sequence_from_config(p: SystemParams, cfg: dict) -> PulseSequence:
     raise ConfigError("sequence must be 'not_gate' or a list of segments")
 
 
-def _trace_states(p, seq, s0, times, method):
-    """States at the requested times while running the program."""
-    method = erc._canonical_method(method)
-    out = np.empty((len(times), 3), dtype=complex)
-    bounds = np.concatenate([[0.0], np.cumsum([seg.duration for seg in seq])])
-    for i, t in enumerate(times):
-        # truncate the program at time t
-        segs = []
-        for k, seg in enumerate(seq):
-            if t >= bounds[k + 1] - 1e-15:
-                segs.append(seg)
-            elif t > bounds[k]:
-                segs.append(PulseSegment(t - bounds[k], seg.alpha, seg.omega_x,
-                                         seg.omega_y, seg.beta))
-                break
-            else:
-                break
-        sub = PulseSequence(segs, frame=seq.frame)
-        out[i] = erc.apply_sequence(p, sub, s0, method=method).amps
-    return out
-
-
 def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
     """Population time series of a pulse program (three columns of
     populations against time)."""
@@ -286,7 +254,7 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     t_max = float(cfg.get("t_max", t_default))
     s0 = _start_state(cfg)
     times = np.linspace(0.0, t_max, n) if n else np.array([])
-    amps = _trace_states(p, seq, s0, times, method) if n else np.empty((0, 3))
+    amps = erc._walk(p, seq, times, method, s0) if n else np.empty((0, 3))
     rows = [
         (t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2)
         for t, a in zip(times, amps)
@@ -309,15 +277,19 @@ def _reject_method(command: str, method: str | None, uses: str) -> None:
                           f"--method (got {method!r})")
 
 
+def _reject_jobs(command: str, jobs: int) -> None:
+    """Commands without a grid refuse ``--jobs`` other than 1."""
+    if jobs != 1:
+        raise ConfigError(f"{command} runs in one process; it does not take "
+                          f"--jobs (got {jobs})")
+
+
 # ----------------------------------------------------------- robustness ---
 
 def _robustness_row(args):
     (p_dict, t1, t2_list, observable, target) = args
     p = SystemParams(**p_dict)
-    psi1 = erc.erc_unitary(p, t1, 0.0).m @ KET_P1
-    states = np.empty((len(t2_list), 3), dtype=complex)
-    for j, t2 in enumerate(t2_list):
-        states[j] = erc.erc_unitary(p, t2, math.pi).m @ psi1
+    states = erc._erc_matrix(p, t2_list, math.pi) @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1)
     return _observable_values(observable, target, states).tolist()
 
 
@@ -331,8 +303,7 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
     n = int(cfg.get("n", 129))
     t_max = float(cfg.get("t_max", q.T_total))
     observable = cfg.get("observable", "pop_minus1")
-    spec = SweepSpec(axes=(("t1", 0.0, t_max, n), ("t2", 0.0, t_max, n)),
-                     observable=observable, method="analytic", out_path=out_path)
+    _check_sweep((("t1", 0.0, t_max, n), ("t2", 0.0, t_max, n)), observable)
     target = _observable_target(cfg, observable)
     ts = np.linspace(0.0, t_max, n)
     p_dict = _params_meta(p)
@@ -366,10 +337,7 @@ def _argmax_cell(rows_nested, ts):
 def _ground_state_states(p, times):
     """Amplitude trajectories of |0> under the constant two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
-    h = hamiltonian_rwa(p, seg)
-    w, v = np.linalg.eigh(h)
-    modal = v.conj().T @ KET_0
-    return (np.exp(-1j * np.outer(times, w)) * modal) @ v.T
+    return rwa_segment_unitary(p, seg, times)[:, :, 1]
 
 
 def _ey_row(args):
@@ -398,8 +366,7 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
     q0 = erc.characteristic_quantities(p)
     t_max = float(cfg.get("t_max", 1.2 * q0.T_total))
     observable = cfg.get("observable", "pop_0")
-    SweepSpec(axes=(("Ey", 0.0, ey_max, n_ey), ("t", 0.0, t_max, n_t)),
-              observable=observable, method="rwa_numeric", out_path=out_path)
+    _check_sweep((("Ey", 0.0, ey_max, n_ey), ("t", 0.0, t_max, n_t)), observable)
     target = _observable_target(cfg, observable)
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
@@ -453,8 +420,7 @@ def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = 
     q_eff = erc.characteristic_quantities(p_res)
     t_max = float(cfg.get("t_max", 1.2 * q_eff.T_total))
     observable = cfg.get("observable", "pop_0")
-    SweepSpec(axes=(("t", 0.0, t_max, n_t),), observable=observable,
-              method="rwa_numeric", out_path=out_path)
+    _check_sweep((("t", 0.0, t_max, n_t),), observable)
     target = _observable_target(cfg, observable)
     times = np.linspace(0.0, t_max, n_t)
     p_dict = _params_meta(p)
@@ -509,6 +475,7 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     """Synthesize a DQ gate, write the pulse-program JSON and a fidelity
     report with analytic / rotating-wave / lab cross-checks."""
     _reject_method("synth", method, "all three methods as cross-checks")
+    _reject_jobs("synth", jobs)
     p = system_from_config(cfg)
     target = _target_from_config(cfg, seed)
     result = synth.synthesize_gate(p, target, seed=seed)
@@ -546,6 +513,7 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
 
 def cmd_calibrate(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
     """Run the simulated calibration pipeline and write the result JSON."""
+    _reject_jobs("calibrate", jobs)
     p = system_from_config(cfg)
     method = method or cfg.get("method", "analytic")
     odmr = simulate_odmr(p)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nverc.cli import main
+from nverc.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,6 +48,24 @@ class TestExitCodes:
         assert err["error"]["type"] == "ConfigError"
         assert "--method" in err["error"]["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,doc", [
+        ("synth", dict(BASE_SYSTEM, target="X")),
+        ("calibrate", BASE_SYSTEM),
+    ])
+    def test_jobs_rejected_without_grid(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "o.json"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                   "--jobs", "2"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ConfigError"
+        assert "--jobs" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_jobs_defaults_to_one(self):
+        args = build_parser().parse_args(["trace", "--config", "c", "--out", "o"])
+        assert args.jobs == 1
 
     def test_unreadable_config_is_2(self, tmp_path):
         rc = main(["trace", "--config", str(tmp_path / "missing.json"),

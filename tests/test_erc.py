@@ -9,8 +9,8 @@ from conftest import random_plain_params
 from nverc import (DQRotation, PulseSegment, PulseSequence, RegimeError,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    bright_dark, characteristic_quantities, closed_form_unitary,
-                   dq_rotation, erc_unitary, not_gate_sequence, phi_state,
-                   sequence_unitary)
+                   compensation_ratio, dq_rotation, erc, erc_unitary,
+                   not_gate_sequence, phi_state, sequence_unitary)
 from nverc.ham import hamiltonian_rwa
 from nverc.spin import KET_0, KET_M1, KET_P1, KET_PLUS
 
@@ -130,6 +130,30 @@ class TestErcUnitary:
             lhs = erc_unitary(p, t1 + t2, alpha).m
             rhs = erc_unitary(p, t2, alpha).m @ erc_unitary(p, t1, alpha).m
             assert np.linalg.norm(lhs - rhs, 2) < 1e-10
+
+
+class TestBatchedErcMatrix:
+    TS = np.linspace(0.0, 7.5, 41)
+
+    @pytest.mark.parametrize("p", [
+        P13,
+        # dressed: transverse field with the compensating second tone
+        SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.3,
+                     omega_y=compensation_ratio(0.7, -0.3) * 4.5),
+    ])
+    def test_array_form_equals_stacked_scalar_calls(self, p):
+        for alpha in (0.0, 1.1, math.pi):
+            batch = erc._erc_matrix(p, self.TS, alpha)
+            stacked = np.stack([erc_unitary(p, t, alpha).m for t in self.TS])
+            assert batch.shape == (len(self.TS), 3, 3)
+            assert np.max(np.abs(batch - stacked)) < 1e-14
+        grid = erc._erc_matrix(p, self.TS.reshape(41, 1) * [1.0, 0.5], 0.3)
+        assert grid.shape == (41, 2, 3, 3)
+        assert np.max(np.abs(grid[:, 1] - erc._erc_matrix(p, 0.5 * self.TS, 0.3))) < 1e-14
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            erc._erc_matrix(P13, np.array([0.0, 1.0, -1e-12]), 0.0)
 
 
 class TestClosedForms:

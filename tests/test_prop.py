@@ -51,6 +51,22 @@ class TestRwaPropagation:
         assert np.array_equal(res.unitary.m, np.eye(3))
 
 
+class TestBatchedRwaSegment:
+    @pytest.mark.parametrize("p,seg", [
+        (P13, PulseSegment(0.0, 0.4, 3.0)),
+        (SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7),
+         PulseSegment(0.0, 0.2, 4.5, 1.9, beta=-0.6)),
+    ])
+    def test_array_equals_scalar_calls(self, p, seg):
+        ts = np.linspace(0.0, 9.0, 37)
+        batch = prop.rwa_segment_unitary(p, seg, ts)
+        assert batch.shape == (37, 3, 3)
+        for t, u in zip(ts, batch):
+            assert np.max(np.abs(u - prop.rwa_segment_unitary(p, seg, t))) < 1e-14
+        assert np.max(np.abs(batch[5] - prop.rwa_segment_unitary(
+            p, PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)))) < 1e-14
+
+
 class TestLabPropagation:
     def test_population_swap_within_rwa_error(self):
         seq = not_gate_sequence(P13)

@@ -6,6 +6,7 @@ import pytest
 
 from nverc import (ConfigError, PulseSegment, PulseSequence, StateVector3,
                    SystemParams, apply_sequence, characteristic_quantities)
+from nverc import _kernels, erc, spin
 from nverc.spin import KET_P1
 from nverc.sweeps import (cmd_ey_map, cmd_ratio_map, cmd_robustness,
                           cmd_synth, cmd_trace, system_from_config)
@@ -87,6 +88,77 @@ class TestTrace:
         meta, header, rows = read_csv(out)
         assert header == ["t", "p_plus1", "p_0", "p_minus1"]
         assert rows.size == 0
+
+
+def truncated_reference(p, seq, s0, times, method):
+    """States at each time by re-running the program truncated at t from 0."""
+    bounds = np.concatenate([[0.0], np.cumsum([seg.duration for seg in seq])])
+    out = []
+    for t in times:
+        segs = []
+        for k, seg in enumerate(seq):
+            if t >= bounds[k + 1] - 1e-15:
+                segs.append(seg)
+            elif t > bounds[k]:
+                segs.append(PulseSegment(t - bounds[k], seg.alpha, seg.omega_x,
+                                         seg.omega_y, seg.beta))
+                break
+            else:
+                break
+        out.append(apply_sequence(p, PulseSequence(segs), s0, method=method).amps)
+    return np.array(out)
+
+
+class TestProgramWalker:
+    P = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
+    SEQ = PulseSequence([PulseSegment(0.7, 0.0, 3.0), PulseSegment(0.0, 2.0, 3.0),
+                         PulseSegment(1.1, 1.3, 3.0), PulseSegment(0.5, -0.4, 2.5)])
+    # 0, inside, exactly on the first boundary, inside, 5e-16 short of the
+    # second boundary (counts as on it), inside, 3e-16 short of the end,
+    # past the end
+    TIMES = np.array([0.0, 0.3, 0.7, 1.2, (0.7 + 1.1) - 5e-16, 2.0, 2.3, 2.6, 5.0])
+
+    @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
+    def test_matches_restart_from_zero(self, method):
+        s0 = StateVector3(np.array([0.6, 0.48j, 0.64]))
+        got = erc._walk(self.P, self.SEQ, self.TIMES, method, s0)
+        want = truncated_reference(self.P, self.SEQ, s0, self.TIMES, method)
+        assert got.shape == (len(self.TIMES), 3)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(got[0], s0.amps)
+        if method != "lab":
+            # propagators, applied afterwards, give the same states
+            us = erc._walk(self.P, self.SEQ, self.TIMES, method)
+            assert np.max(np.abs(us @ s0.amps - want)) < 1e-12
+
+    def test_lab_trace_work_is_linear(self, tmp_path, monkeypatch):
+        calls = []
+        kernel = _kernels.rk4_lab_segment
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "rk4_lab_segment", counted)
+        segs = [{"duration": 0.7, "alpha": 0.0}, {"duration": 1.1, "alpha": 1.3},
+                {"duration": 0.5, "alpha": -0.4}]
+        n = 40
+        cfg = dict(BASE, sequence=segs, n_points=n, method="lab")
+        cmd_trace(cfg, str(tmp_path / "lab.csv"))
+        assert 0 < len(calls) <= 2 * (n + len(segs))
+
+    def test_robustness_builds_no_unitary_per_cell(self, tmp_path, monkeypatch):
+        built = []
+        init = spin.Unitary3.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spin.Unitary3, "__init__", counted)
+        n = 33
+        cmd_robustness(dict(BASE, n=n), str(tmp_path / "rob.csv"), jobs=1)
+        assert len(built) < n * n
 
 
 class TestRobustness:
