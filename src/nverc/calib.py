@@ -100,24 +100,27 @@ def simulate_odmr(p: SystemParams) -> OdmrResult:
 
 def _ground_amplitude_fn(p: SystemParams, method: str):
     """Continuous-time real ground-state amplitude Re<0|U(t)|0> for a single
-    resonant segment at phase 0."""
+    resonant segment at phase 0; the analytic and rotating-wave forms take
+    arrays of times, the lab form one time per call."""
     method = _canonical_method(method)
+    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
         mu, om = p.muB_eff(), p.omega_eff()
         obar = math.sqrt(mu * mu + om * om / 4.0)
         w_b = (om * om / 4.0) / (obar * obar)
         w_d = (mu * mu) / (obar * obar)
-        return lambda t: math.cos(obar * t) * w_b + w_d
+        return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        seg = PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)
-        return lambda t: float(rwa_segment_unitary(p, seg, t)[1, 1].real)
-    cfg = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0)
+        return lambda t: rwa_segment_unitary(p, seg, t)[..., 1, 1].real
 
     def lab_amp(t: float) -> float:
-        seq = PulseSequence([PulseSegment(t, 0.0, p.omega_x, p.omega_y)])
-        u = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, cfg=cfg).unitary
-        u_int = frame_transform(u, 0.0, t, FrameTag.LAB, _interaction_frame(p), p)
-        return float(u_int.m[1, 1].real)
+        if t == 0.0:
+            return 1.0
+        seq = PulseSequence([PulseSegment(t, 0.0, p.omega_x, p.omega_y)], frame=FrameTag.LAB)
+        res = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB,
+                        cfg=IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0))
+        u_int = frame_transform(res.unitary, 0.0, t, FrameTag.LAB, _interaction_frame(p), p)
+        return float(np.real(u_int.m[1, 1]))
 
     return lab_amp
 
@@ -148,7 +151,10 @@ def rabi_extract(
         )
     amp = _ground_amplitude_fn(p, method)
     ts = np.linspace(0.0, t_max, n_points)
-    vals = np.array([amp(t) for t in ts])
+    if _canonical_method(method) == "lab_numeric":
+        vals = np.array([amp(t) for t in ts])
+    else:
+        vals = amp(ts)
     zeros = []
     for i in range(len(ts) - 1):
         if vals[i] == 0.0:

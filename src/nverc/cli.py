@@ -3,8 +3,9 @@
 Subcommands: trace, robustness, ey-map, ratio-map, synth, calibrate.
 Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N.
 --method selects the propagation method of trace and calibrate; the other
-commands have a fixed evaluation and reject it as a config error.  --jobs
-(default 1) is rejected by synth and calibrate unless it is 1.
+commands have a fixed evaluation and reject it as a config error.  Every
+command runs in one process: trace and the maps ignore --jobs, synth and
+calibrate reject any value but 1.
 Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
 failure.  Log level comes from the NVERC_LOG environment variable.
 
@@ -57,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output path (CSV or JSON)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for grid sweeps (default: 1; "
-                             "rejected by synth and calibrate unless 1)")
+                        help="kept for old scripts: trace and the maps run in "
+                             "one process and ignore it; synth and calibrate "
+                             "reject any value but 1 (default: 1)")
     parser.add_argument("--method", choices=["analytic", "rwa", "lab"], default=None,
                         help="override the propagation method from the config "
                              "(trace, calibrate; rejected by the others)")

@@ -165,17 +165,23 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
     :func:`erc_unitary` evaluated at the corresponding characteristic time.
     """
     q = characteristic_quantities(p)
-    # T'' is T' with the label sign flipped
-    signs = {"Tprime": 1.0, "Tsecond": -1.0}
-    if which not in signs:
-        raise ValueError(f"which must be 'Tprime' or 'Tsecond', got {which!r}")
-    lam = signs[which] * 2.0 * q.phi
+    lam = 2.0 * q.phi
+    ket0 = KET_0
     ea = np.exp(1j * alpha)
-    u = (
-        ea * np.outer(phi_state(lam).amps, KET_0.conj())
-        + ea.conjugate() * np.outer(KET_0, phi_state(-lam).amps.conj())
-        - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
-    )
+    if which == "Tprime":
+        u = (
+            ea * np.outer(phi_state(lam).amps, ket0.conj())
+            + ea.conjugate() * np.outer(ket0, phi_state(-lam).amps.conj())
+            - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
+        )
+    elif which == "Tsecond":
+        u = (
+            ea * np.outer(phi_state(-lam).amps, ket0.conj())
+            + ea.conjugate() * np.outer(ket0, phi_state(lam).amps.conj())
+            - np.outer(phi_state(math.pi - lam).amps, phi_state(math.pi + lam).amps.conj())
+        )
+    else:
+        raise ValueError(f"which must be 'Tprime' or 'Tsecond', got {which!r}")
     if not p.is_plain():
         g = effective.dressing_matrix(p)
         u = g @ u @ g.conj().T
@@ -224,7 +230,8 @@ def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:
 
 def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     """Closed-form propagator of a whole pulse program (analytic method)."""
-    return Unitary3(_walk(p, seq, [math.inf], "analytic")[0], _interaction_frame(p))
+    us, _ = _walk(p, seq, [math.inf], "analytic")
+    return Unitary3(us[0], _interaction_frame(p))
 
 
 def apply_sequence(
@@ -241,13 +248,16 @@ def apply_sequence(
     (full lab-frame integration, counter-rotating terms included, result
     transformed back to the interaction frame).
     """
-    return StateVector3(_walk(p, seq, [math.inf], method, s)[0])
+    states, _ = _walk(p, seq, [math.inf], method, s)
+    return StateVector3(states[0])
 
 
 def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
-          s: StateVector3 | None = None) -> np.ndarray:
+          s: StateVector3 | None = None) -> tuple[np.ndarray, float]:
     """States (n, 3) of ``s`` in the interaction frame at n ascending sample
-    times, or without ``s`` (analytic and rwa only) the propagators (n, 3, 3).
+    times, or without ``s`` (analytic and rwa only) the propagators
+    (n, 3, 3); and the worst unitarity defect that the lab method projected
+    away (0 for the others).
 
     The program runs once: a sample inside a segment continues from the
     propagator at the segment's start t0, and a lab sample integrates from
@@ -259,38 +269,53 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
 
     method = _canonical_method(method)
     cfg = prop.IntegratorConfig()
+    drift = 0.0
 
     def run(seg, t0, taus, u):
+        """``u`` continued from t0 over each duration in ``taus`` of ``seg``."""
+        nonlocal drift
         if method == "analytic":
             if seg.omega_y != 0.0 and seg.beta != seg.alpha:
                 raise ResonanceError(
-                    "analytic propagation requires beta == alpha on two-tone segments")
+                    "analytic propagation requires beta == alpha on two-tone segments"
+                )
             ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
             return _erc_matrix(ps, taus, seg.alpha) @ u
         if method == "rwa_numeric":
             return prop.rwa_segment_unitary(p, seg, taus) @ u
-        return np.array([prop._segment_step(p, replace(seg, duration=tau), t0, u, True, cfg)[0]
-                         for tau in taus])
+        out = []
+        for tau in taus:
+            m = prop._lab_segment(p, replace(seg, duration=tau), t0, cfg, u)
+            m, d = prop._project_unitary(m)
+            drift = max(drift, d)
+            out.append(m)
+        return np.array(out)
 
     times = np.asarray(times, dtype=float)
-    out, u, t1 = [], np.eye(3, dtype=complex), 0.0  # (propagator, end time) per sample
+    found = []  # (propagator, time it ends at) per sample
+    u = np.eye(3, dtype=complex)
+    t1 = 0.0
     for t0, seg in prop._timed_segments(seq):
-        if len(out) == len(times):
+        if len(found) == len(times):
             break
         t1 = t0 + seg.duration
-        taus = times[len(out):np.searchsorted(times, t1 - 1e-15)] - t0
+        taus = times[len(found):np.searchsorted(times, t1 - 1e-15)] - t0
         inside = taus[taus > 0.0]
-        out += [(u, t0)] * (len(taus) - len(inside))
+        # samples at the segment's start (or 1e-15 short of it)
+        found.extend([(u, t0)] * (len(taus) - len(inside)))
         if len(inside):
-            out += zip(run(seg, t0, inside, u), t0 + inside)
+            found.extend(zip(run(seg, t0, inside, u), t0 + inside))
         u = run(seg, t0, np.array([seg.duration]), u)[0]
-    out += [(u, t1)] * (len(times) - len(out))
+    found.extend([(u, t1)] * (len(times) - len(found)))
     if method != "lab_numeric":
-        us = np.array([m for m, _ in out])
-        return us if s is None else us @ s.amps
-    lab, frame = FrameTag.LAB, _interaction_frame(p)
-    return np.array([prop.frame_transform(StateVector3(m @ s.amps), 0.0, te, lab, frame, p).amps
-                     for m, te in out])
+        us = np.array([m for m, _ in found])
+        return (us if s is None else us @ s.amps), drift
+    states = []
+    for m, t_end in found:
+        state = StateVector3(m @ s.amps)
+        state = prop.frame_transform(state, 0.0, t_end, FrameTag.LAB, _interaction_frame(p), p)
+        states.append(state.amps)
+    return np.array(states), drift
 
 
 def _canonical_method(method: str) -> str:

@@ -177,8 +177,12 @@ def propagate(
     u = np.eye(3, dtype=complex)
     drift = 0.0
     for t, seg in _timed_segments(seq):
-        u, d = _segment_step(p, seg, t, u, frame == FrameTag.LAB, cfg)
-        drift = max(drift, d)
+        if frame == FrameTag.LAB:
+            u = _lab_segment(p, seg, t, cfg, u)
+            u, d = _project_unitary(u)
+            drift = max(drift, d)
+        else:
+            u = rwa_segment_unitary(p, seg) @ u
     uni = Unitary3(u, frame)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
 
@@ -191,14 +195,6 @@ def _timed_segments(seq: PulseSequence):
         if seg.duration != 0.0:
             yield t, seg
         t += seg.duration
-
-
-def _segment_step(p, seg, t0, u, lab, cfg):
-    """``u`` continued over one segment from t0 (lab RK4 and polar projection,
-    or the exact rotating-wave exponential) and the defect projected away."""
-    if lab:
-        return _project_unitary(_lab_segment(p, seg, t0, cfg, u))
-    return rwa_segment_unitary(p, seg) @ u, 0.0
 
 
 def _frame_rate(tag: FrameTag, p: SystemParams) -> float:

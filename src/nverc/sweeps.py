@@ -5,8 +5,9 @@ CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``erc._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation; rows may be spread over ``jobs`` worker
-processes and are written in order, so the bytes do not depend on jobs.
+map row is one array operation and every command runs in one process:
+trace and the maps accept ``jobs`` and ignore it, so the bytes do not
+depend on it, while synth and calibrate reject any value but 1.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -19,7 +20,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -198,18 +198,6 @@ def write_plot_script(csv_path: str) -> str:
     return script_path
 
 
-def _run_rows(worker, args_list, jobs: int):
-    """Evaluate ``worker(args)`` for every entry, preserving order.
-
-    The same worker callable runs in-process (jobs == 1) or on a process
-    pool; results are collected in submission order either way.
-    """
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args_list, chunksize=max(1, len(args_list) // (4 * jobs))))
-
-
 # ---------------------------------------------------------------- trace ---
 
 def _sequence_from_config(p: SystemParams, cfg: dict) -> PulseSequence:
@@ -254,7 +242,7 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     t_max = float(cfg.get("t_max", t_default))
     s0 = _start_state(cfg)
     times = np.linspace(0.0, t_max, n) if n else np.array([])
-    amps = erc._walk(p, seq, times, method, s0) if n else np.empty((0, 3))
+    amps, drift = erc._walk(p, seq, times, method, s0) if n else (np.empty((0, 3)), 0.0)
     rows = [
         (t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2)
         for t, a in zip(times, amps)
@@ -266,7 +254,7 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
         "characteristic": characteristic,
     }
     _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], rows)
-    return {"rows": len(rows), "out": out_path}
+    return {"rows": len(rows), "out": out_path, "norm_drift": drift}
 
 
 def _reject_method(command: str, method: str | None, uses: str) -> None:
@@ -286,13 +274,6 @@ def _reject_jobs(command: str, jobs: int) -> None:
 
 # ----------------------------------------------------------- robustness ---
 
-def _robustness_row(args):
-    (p_dict, t1, t2_list, observable, target) = args
-    p = SystemParams(**p_dict)
-    states = erc._erc_matrix(p, t2_list, math.pi) @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1)
-    return _observable_values(observable, target, states).tolist()
-
-
 def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
     """Timing-error landscape: the chosen observable (default: final |-1>
     population) of the two-pulse combination U(t2, pi) U(t1, 0) applied to
@@ -306,9 +287,11 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
     _check_sweep((("t1", 0.0, t_max, n), ("t2", 0.0, t_max, n)), observable)
     target = _observable_target(cfg, observable)
     ts = np.linspace(0.0, t_max, n)
-    p_dict = _params_meta(p)
-    args = [(p_dict, t1, ts, observable, target) for t1 in ts]
-    rows_nested = _run_rows(_robustness_row, args, jobs)
+    second = erc._erc_matrix(p, ts, math.pi)
+    rows_nested = []
+    for t1 in ts:
+        states = second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1)
+        rows_nested.append(_observable_values(observable, target, states).tolist())
     rows = [
         (ts[i], ts[j], rows_nested[i][j])
         for i in range(n)
@@ -316,7 +299,7 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
     ]
     meta = {
         "command": "robustness",
-        "params": p_dict,
+        "params": _params_meta(p),
         "observable": observable,
         "characteristic": {"T_total": q.T_total, "T_prime": q.T_prime,
                            "T_second": q.T_second, "T_half": q.T_total / 2.0},
@@ -340,9 +323,7 @@ def _ground_state_states(p, times):
     return rwa_segment_unitary(p, seg, times)[:, :, 1]
 
 
-def _ey_row(args):
-    (p_dict, ey, times, observable, target) = args
-    p = SystemParams(**p_dict).replace(Ey=ey, omega_y=0.0)
+def _ey_row(p, times, observable, target):
     states = _ground_state_states(p, times)
     vals = _observable_values(observable, target, states)
     try:
@@ -370,16 +351,13 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
     target = _observable_target(cfg, observable)
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
-    p_dict = _params_meta(p)
-    results = _run_rows(_ey_row, [(p_dict, ey, times, observable, target) for ey in eys], jobs)
     rows = []
-    for i, ey in enumerate(eys):
-        vals, overlay = results[i]
-        for j, t in enumerate(times):
-            rows.append((ey, t, vals[j], *overlay))
+    for ey in eys:
+        vals, overlay = _ey_row(p.replace(Ey=ey, omega_y=0.0), times, observable, target)
+        rows.extend((ey, t, v, *overlay) for t, v in zip(times, vals))
     meta = {
         "command": "ey_map",
-        "params": p_dict,
+        "params": _params_meta(p),
         "observable": observable,
         "validity_boundary_Ey": boundary,
         "grid": {"n_ey": n_ey, "n_t": n_t, "ey_max": ey_max, "t_max": t_max},
@@ -391,14 +369,6 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
 
 
 # ------------------------------------------------------------- ratio map ---
-
-def _ratio_row(args):
-    (p_dict, ratio, times, observable, target) = args
-    p = SystemParams(**p_dict)
-    pr = p.replace(omega_y=ratio * p.omega_x)
-    states = _ground_state_states(pr, times)
-    return _observable_values(observable, target, states).tolist()
-
 
 def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
     """Ground-state population against (omega_y/omega_x, t) in the presence
@@ -423,16 +393,14 @@ def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = 
     _check_sweep((("t", 0.0, t_max, n_t),), observable)
     target = _observable_target(cfg, observable)
     times = np.linspace(0.0, t_max, n_t)
-    p_dict = _params_meta(p)
-    results = _run_rows(_ratio_row,
-                        [(p_dict, r, times, observable, target) for r in ratios], jobs)
     rows = []
-    for i, r in enumerate(ratios):
-        for j, t in enumerate(times):
-            rows.append((r, t, results[i][j]))
+    for r in ratios:
+        states = _ground_state_states(p.replace(omega_y=r * p.omega_x), times)
+        vals = _observable_values(observable, target, states).tolist()
+        rows.extend((r, t, v) for t, v in zip(times, vals))
     meta = {
         "command": "ratio_map",
-        "params": p_dict,
+        "params": _params_meta(p),
         "observable": observable,
         "analytic_ratio": r_star,
         "effective": {"T_total": q_eff.T_total, "T_prime": q_eff.T_prime,

@@ -121,14 +121,18 @@ class TestProgramWalker:
     @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
     def test_matches_restart_from_zero(self, method):
         s0 = StateVector3(np.array([0.6, 0.48j, 0.64]))
-        got = erc._walk(self.P, self.SEQ, self.TIMES, method, s0)
+        got, drift = erc._walk(self.P, self.SEQ, self.TIMES, method, s0)
         want = truncated_reference(self.P, self.SEQ, s0, self.TIMES, method)
         assert got.shape == (len(self.TIMES), 3)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.array_equal(got[0], s0.amps)
-        if method != "lab":
+        if method == "lab":
+            # the defect projected away by the default 20 steps per period
+            assert 1e-6 < drift < 0.1
+        else:
+            assert drift == 0.0
             # propagators, applied afterwards, give the same states
-            us = erc._walk(self.P, self.SEQ, self.TIMES, method)
+            us, _ = erc._walk(self.P, self.SEQ, self.TIMES, method)
             assert np.max(np.abs(us @ s0.amps - want)) < 1e-12
 
     def test_lab_trace_work_is_linear(self, tmp_path, monkeypatch):
@@ -144,8 +148,9 @@ class TestProgramWalker:
                 {"duration": 0.5, "alpha": -0.4}]
         n = 40
         cfg = dict(BASE, sequence=segs, n_points=n, method="lab")
-        cmd_trace(cfg, str(tmp_path / "lab.csv"))
+        res = cmd_trace(cfg, str(tmp_path / "lab.csv"))
         assert 0 < len(calls) <= 2 * (n + len(segs))
+        assert res["norm_drift"] > 0.0
 
     def test_robustness_builds_no_unitary_per_cell(self, tmp_path, monkeypatch):
         built = []
