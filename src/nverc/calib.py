@@ -26,7 +26,7 @@ import numpy as np
 from .erc import _canonical_method, _interaction_frame
 from .errors import ExtractionError
 from .ham import static_hamiltonian
-from .prop import IntegratorConfig, frame_transform, propagate, rwa_segment_unitary
+from .prop import IntegratorConfig, _rwa_evolver, frame_transform, propagate
 from .pulses import PulseSegment, PulseSequence
 from .spin import KET_0, FrameTag, StateVector3, SystemParams
 from .strain import phi_from_times
@@ -111,7 +111,8 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        return lambda t: rwa_segment_unitary(p, seg, t)[..., 1, 1].real
+        evolve = _rwa_evolver(p, seg)
+        return lambda t: evolve(t)[..., 1, 1].real
 
     def lab_amp(t: float) -> float:
         if t == 0.0:
@@ -182,9 +183,10 @@ def rabi_extract(
 def _min_ground_population(p: SystemParams, ratio: float, window: float, n_grid: int = 512):
     """Minimum over time of the |0> population under the two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
+    evolve = _rwa_evolver(p, seg)
 
     def p0(t):
-        return np.abs(rwa_segment_unitary(p, seg, t)[..., 1, 1]) ** 2
+        return np.abs(evolve(t)[..., 1, 1]) ** 2
 
     ts = np.linspace(0.0, window, n_grid)
     vals = p0(ts)

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the propagation method from the config "
                              "(trace, calibrate; rejected by the others)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized targets / restarts")
+                        help="seed for randomized targets")
     parser.add_argument("--plot-script", action="store_true",
                         help="also write a standalone matplotlib script "
                              "next to CSV outputs")

@@ -43,18 +43,19 @@ class AxisDegenerateError(NvErcError):
 
 
 class NoConvergenceError(NvErcError):
-    """Gate synthesis did not reach the target fidelity.
+    """Gate synthesis cannot reach the target fidelity within the budget.
 
-    ``residual`` holds the best infidelity achieved, ``n_rotations`` the
-    longest ansatz tried.
+    ``n_rotations`` holds the minimal program length the target needs, and
+    ``residual`` the infidelity, in (0, 1], of the best program the
+    rotation budget allows.
     """
 
     def __init__(self, residual, n_rotations):
         self.residual = float(residual)
         self.n_rotations = int(n_rotations)
         super().__init__(
-            f"synthesis did not converge: best infidelity {self.residual:.3e} "
-            f"with up to {self.n_rotations} rotations"
+            f"synthesis did not converge: the target needs {self.n_rotations} "
+            f"rotations; best infidelity within the budget {self.residual:.3e}"
         )
 
 

@@ -4,8 +4,9 @@ Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) with fixed-step RK4 or an adaptive embedded scheme, and
 propagates the time-independent rotating-wave Hamiltonians by exact matrix
-exponentiation per segment.  ``rwa_segment_unitary`` is the package's one
-eigendecomposition of H_rwa and evaluates any array of durations at once.
+exponentiation per segment.  ``_rwa_evolver`` holds the package's one
+eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the calibration
+root finders evaluate any array of durations through it.
 
 Within one constant-drive segment the lab Hamiltonian is periodic with the
 carrier period T_c = 2 pi / (D + Ez), so a segment of duration N T_c + r
@@ -85,11 +86,22 @@ def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
     """Exact exp(-i H_rwa t) via Hermitian eigendecomposition, for a scalar
     or array of durations t (default ``seg.duration``); shape
     ``t.shape + (3, 3)``."""
+    return _rwa_evolver(p, seg)(seg.duration if duration is None else duration)
+
+
+def _rwa_evolver(p: SystemParams, seg):
+    """t -> ``rwa_segment_unitary(p, seg, t)``, decomposing H_rwa once for
+    every later call."""
     w, v = np.linalg.eigh(hamiltonian_rwa(p, seg))
-    t = np.asarray(seg.duration if duration is None else duration, dtype=float)
-    vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
-    # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
-    return (vw.reshape(-1, 3) @ v.conj().T).reshape(vw.shape)
+    vh = v.conj().T
+
+    def evolve(duration):
+        t = np.asarray(duration, dtype=float)
+        vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
+        # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
+        return (vw.reshape(-1, 3) @ vh).reshape(vw.shape)
+
+    return evolve
 
 
 def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:

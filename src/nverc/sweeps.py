@@ -446,7 +446,7 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     _reject_jobs("synth", jobs)
     p = system_from_config(cfg)
     target = _target_from_config(cfg, seed)
-    result = synth.synthesize_gate(p, target, seed=seed)
+    result = synth.synthesize_gate(p, target)
     seq_json = sequence_to_json(result.sequence, p)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(seq_json)

@@ -9,13 +9,22 @@ on |0> that drops out of the DQ-projective comparison.
 Decomposition uses the quaternion picture: a rotation by theta about unit
 axis n maps to q = (cos theta/2, sin(theta/2) n), products compose by the
 Hamilton product, and a target U(2) matrix is matched up to global phase
-when the composed quaternion equals +-q_target.  For an alternating
-three-rotation ansatz about axes (a, b, a) the reachable set is
-characterized by |v - (v.a) a|^2 <= sin^2(angle(a, b)) where v is the
-target quaternion's vector part; that explicit test decides whether three
-rotations can work before any root finding is attempted.  Angle solving is
-damped least squares from deterministic random restarts, escalating to
-longer alternating ansatze until the target fidelity is reached.
+when the composed quaternion equals +-q_target.  Programs alternate the two
+axes and are built, not searched for: generalized (Davenport) Euler angles
+(Shuster & Markley, J. Astronaut. Sci. 51, 2003), extended to narrow axes
+by the alternating-product bound of Lowenthal (Rocky Mountain J. Math. 1,
+1971).  Let f be the first-applied axis, l the last one, U the target's
+Bloch rotation and gamma the angle between the axis lines.  A rotation
+about l keeps the polar angle about l and one about the other axis moves
+it by at most 2 gamma; k = (L - 1) // 2 of the rotations after the first
+are about the other axis.  So L rotations realize the target iff |angle(l, U f) - angle(l, f)| <= 2 k
+gamma (for L = 3 this is ``three_rotation_feasible``), and the shortest L
+passing for either f is minimal.  The walk then splits that polar change
+into k equal steps: a rotation about l puts the tracked vector on a cone
+about the other axis whose half-angle lies mid-way in the range holding
+both step endpoints, a rotation about the other axis makes the step (each
+angle one spherical law-of-cosines solve), a last rotation about l lands
+on U f, and the rest of the target fixes f, giving the first angle.
 
 Degenerate geometry: the axes coincide as phi -> 0 (omega -> 2 muB) and
 again where 4 phi -> pi (omega = 2 muB / cos(pi/8) is the orthogonal-axes
@@ -32,7 +41,7 @@ import numpy as np
 from . import effective
 from .erc import _interaction_frame, characteristic_quantities, dq_rotation
 from .errors import AxisDegenerateError, NoConvergenceError
-from .pulses import DQRotation, PulseSequence, RotationAxis, reduce_angle
+from .pulses import DQRotation, PulseSequence, RotationAxis
 from .spin import SystemParams, Unitary3
 
 __all__ = [
@@ -48,15 +57,9 @@ __all__ = [
 
 PHI_MIN_DEFAULT = 1e-3
 TARGET_INFIDELITY = 1e-9
-_RESIDUAL_TOL = 1e-11
 _K_MAX = 16
-_RESTARTS = 16
-
-
-# scipy.optimize costs most of a cold import; it is loaded on first use
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares as _least_squares
-    return _least_squares(*args, **kwargs)
+# slack (rad) on the reach test's polar-angle comparison
+_ANGLE_TOL = 1e-10
 
 
 def dq_block(m: np.ndarray | Unitary3) -> np.ndarray:
@@ -99,6 +102,16 @@ def _unitary_quaternion(v2: np.ndarray) -> np.ndarray:
     )
 
 
+def _rotate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bloch vector x under the rotation of unit quaternion q."""
+    t = 2.0 * np.cross(q[1:], x)
+    return x + q[0] * t + np.cross(q[1:], t)
+
+
+def _angle(x: np.ndarray, y: np.ndarray) -> float:
+    return math.atan2(np.linalg.norm(np.cross(x, y)), x @ y)
+
+
 def _axes(phi: float) -> dict[RotationAxis, np.ndarray]:
     """Bloch axes of the two rotations: R(-+phi, theta) rotates by +theta
     about the equatorial direction at azimuth +-2 phi."""
@@ -106,6 +119,10 @@ def _axes(phi: float) -> dict[RotationAxis, np.ndarray]:
         RotationAxis.MINUS_PHI: np.array([math.cos(2 * phi), math.sin(2 * phi), 0.0]),
         RotationAxis.PLUS_PHI: np.array([math.cos(2 * phi), -math.sin(2 * phi), 0.0]),
     }
+
+
+def _other(axis: RotationAxis) -> RotationAxis:
+    return RotationAxis.PLUS_PHI if axis is RotationAxis.MINUS_PHI else RotationAxis.MINUS_PHI
 
 
 def compose_rotations(phi: float, rotations) -> np.ndarray:
@@ -131,6 +148,70 @@ def _axis_line_angle(phi: float) -> float:
     return abs(math.remainder(4.0 * phi, math.pi))
 
 
+def _reachable(phi: float, q_target: np.ndarray, first: RotationAxis, length: int) -> bool:
+    """Whether ``length`` alternating rotations starting about ``first``
+    can realize the target (the reach test of the module docstring)."""
+    ax = _axes(phi)
+    f = ax[first]
+    l = f if length % 2 else ax[_other(first)]
+    change = _angle(l, _rotate(q_target, f)) - _angle(l, f)
+    return abs(change) <= 2 * ((length - 1) // 2) * _axis_line_angle(phi) + _ANGLE_TOL
+
+
+def _turn(n: np.ndarray, x: np.ndarray, ref: np.ndarray, target: float):
+    """Angle of the rotation about n that brings ref . x to ``target``
+    (clipped to the values it can reach), and the rotated x."""
+    along = (x @ n) * n
+    perp = x - along
+    a = ref @ perp
+    b = ref @ np.cross(n, perp)
+    r = math.hypot(a, b)
+    if r < 1e-15:
+        return 0.0, x
+    c = (target - ref @ along) / r
+    theta = math.atan2(b, a) + math.acos(max(-1.0, min(1.0, c)))
+    return theta, _rotate(rotation_quaternion(n, theta), x)
+
+
+def _azimuth(n: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Angle of the rotation about n that takes x's azimuth to y's."""
+    return math.atan2(n @ np.cross(x, y), x @ y - (x @ n) * (y @ n))
+
+
+def _walk(phi: float, q_target: np.ndarray, first: RotationAxis, length: int):
+    """Alternating program of ``length`` rotations starting about ``first``.
+    It realizes the target when the reach test passes; otherwise the polar
+    steps are clamped to 2 gamma and the program is the walk cut short."""
+    last = first if length % 2 else _other(first)
+    move = _other(last)
+    ax = _axes(phi)
+    f, l, m = ax[first], ax[last], ax[move]
+    goal = _rotate(q_target, f)
+    gamma = _axis_line_angle(phi)
+    k = (length - 1) // 2  # rotations about m after the first
+    polar = _angle(l, f)
+    step = max(-2 * gamma, min(2 * gamma, (_angle(l, goal) - polar) / k)) if k else 0.0
+    sign = 1.0 if l @ m >= 0.0 else -1.0  # sign * m lies gamma from l
+    x = f
+    turns = []
+    for j in range(k):
+        lo, hi = sorted((polar + j * step, polar + (j + 1) * step))
+        eps = 0.5 * (max(gamma - lo, hi - gamma) + min(gamma + lo, 2 * math.pi - gamma - hi))
+        # onto the cone of half-angle eps about sign * m, then the step
+        onto, x = _turn(l, x, m, sign * math.cos(eps))
+        across, x = _turn(m, x, l, math.cos(polar + (j + 1) * step))
+        turns += [DQRotation(last, onto), DQRotation(move, across)]
+    turns.append(DQRotation(last, _azimuth(l, x, goal)))
+    if length % 2:
+        # the walk starts on l itself, so its first turn about l is idle
+        turns = turns[1:]
+    # what the walk leaves of the target fixes f: the first rotation
+    q_rest = _quat_mul(compose_rotations(phi, turns) * np.array([1.0, -1.0, -1.0, -1.0]),
+                       q_target)
+    theta0 = 2.0 * math.atan2(q_rest[1:] @ f, q_rest[0])
+    return [DQRotation(first, theta0)] + turns
+
+
 def haar_unitary2(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary (QR of a complex Ginibre sample)."""
     z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
@@ -146,75 +227,30 @@ class SynthesisResult:
     fidelity: float
 
 
-def _compose_with_partials(axes, theta):
-    """Composed quaternion and its k partial derivatives.
-
-    Uses prefix/suffix quaternion products; the derivative of one factor is
-    (-sin(t/2)/2, cos(t/2)/2 * axis), and the quaternion product is bilinear.
-    """
-    k = len(axes)
-    qs = [rotation_quaternion(a, t) for a, t in zip(axes, theta)]
-    prefix = [np.array([1.0, 0.0, 0.0, 0.0])]
-    for q in qs:
-        prefix.append(_quat_mul(q, prefix[-1]))
-    suffix = [np.array([1.0, 0.0, 0.0, 0.0])]
-    for q in reversed(qs):
-        suffix.append(_quat_mul(suffix[-1], q))
-    suffix.reverse()  # suffix[j] = q_k ... q_{j+1}
-    partials = np.empty((4, k))
-    for j, (a, t) in enumerate(zip(axes, theta)):
-        dq = np.concatenate(([-0.5 * math.sin(t / 2.0)],
-                             0.5 * math.cos(t / 2.0) * a))
-        partials[:, j] = _quat_mul(suffix[j + 1], _quat_mul(dq, prefix[j]))
-    return prefix[-1], partials
-
-
-def _solve_angles(axes, q_target, theta0):
-    def residual(theta):
-        q, _ = _compose_with_partials(axes, theta)
-        r_plus = q - q_target
-        r_minus = q + q_target
-        return r_plus if r_plus @ r_plus <= r_minus @ r_minus else r_minus
-
-    def jacobian(theta):
-        # the +-q_target offset does not affect the derivative
-        return _compose_with_partials(axes, theta)[1]
-
-    sol = least_squares(residual, theta0, jac=jacobian, method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return sol.x, float(np.linalg.norm(residual(sol.x)))
-
-
-def _compose_unitary(p: SystemParams, rotations) -> Unitary3 | None:
-    u = None
-    for r in rotations:
-        ur, _ = dq_rotation(p, r)
-        u = ur if u is None else ur @ u
-    return u
-
-
 def synthesize_gate(
     p: SystemParams,
     target: np.ndarray,
     phi_min: float = PHI_MIN_DEFAULT,
-    seed: int = 0,
     max_rotations: int = _K_MAX,
 ) -> SynthesisResult:
-    """Find a two-pulse rotation program realizing ``target`` on the DQ qubit.
+    """Build the shortest two-pulse rotation program realizing ``target``
+    on the DQ qubit.
 
     ``target`` is a 2x2 unitary on (|+1>, |-1>), matched up to global phase
     with fidelity >= 1 - 1e-9; the returned program acts diagonally on |0>
-    by construction (no leakage).  Shorter programs are preferred: the
-    solver walks alternating-axis ansatze of increasing length, pruning
-    zero rotations from the solution, and raises
-    :class:`AxisDegenerateError` when the two axes are effectively parallel
-    or :class:`NoConvergenceError` with the best residual otherwise.
+    by construction (no leakage).  The program alternates the two axes with
+    the minimal length any alternating program can have, deterministically.
+    Raises :class:`AxisDegenerateError` when the two axes are effectively
+    parallel, and :class:`NoConvergenceError` with that minimal length when
+    it exceeds ``max_rotations``.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got {target.shape}")
     if np.linalg.norm(target.conj().T @ target - np.eye(2), 2) > 1e-10:
         raise ValueError("target is not unitary within 1e-10")
+    if max_rotations < 1:
+        raise ValueError(f"max_rotations must be at least 1, got {max_rotations}")
 
     q = characteristic_quantities(p)
     if q.phi <= phi_min or _axis_line_angle(q.phi) < 4.0 * phi_min:
@@ -225,11 +261,8 @@ def synthesize_gate(
         )
 
     # identity needs no pulses
-    fid_id = dq_gate_fidelity(np.eye(2, dtype=complex), target)
-    if fid_id >= 1.0 - TARGET_INFIDELITY:
-        frame = _interaction_frame(p)
-        return SynthesisResult((), PulseSequence([], frame=frame),
-                               Unitary3(np.eye(3), frame), fid_id)
+    if dq_gate_fidelity(np.eye(2, dtype=complex), target) >= 1.0 - TARGET_INFIDELITY:
+        return _finalize(p, [], target)
 
     q_target = _unitary_quaternion(target)
     if not p.is_plain():
@@ -237,63 +270,29 @@ def synthesize_gate(
         g2 = dq_block(effective.dressing_matrix(p))
         q_target = _unitary_quaternion(g2.conj().T @ target @ g2)
 
-    axes_by_label = _axes(q.phi)
-    rng = np.random.default_rng(seed)
-    best_res, best_k = math.inf, 0
-    for k in range(1, max_rotations + 1):
-        for start in (RotationAxis.MINUS_PHI, RotationAxis.PLUS_PHI):
-            labels = [
-                start if i % 2 == 0 else
-                (RotationAxis.PLUS_PHI if start is RotationAxis.MINUS_PHI else RotationAxis.MINUS_PHI)
-                for i in range(k)
-            ]
-            if k == 3 and not three_rotation_feasible(q.phi, q_target, labels[0]):
-                continue
-            axes = [axes_by_label[l] for l in labels]
-            level_best = math.inf
-            for restart in range(_RESTARTS):
-                theta0 = rng.uniform(-math.pi, math.pi, k)
-                theta, res = _solve_angles(axes, q_target, theta0)
-                level_best = min(level_best, res)
-                if res < best_res:
-                    best_res, best_k = res, k
-                if res < _RESIDUAL_TOL:
-                    rotations = _prune(
-                        [DQRotation(l, reduce_angle(t)) for l, t in zip(labels, theta)],
-                        q.phi, q_target,
-                    )
-                    return _finalize(p, rotations, target)
-                # all restarts stalling far from zero means this length is
-                # out of reach; a longer ansatz contains it anyway (the
-                # 3-rotation level always gets its full restart budget)
-                if k != 3 and restart >= 3 and level_best > 0.05:
-                    break
-    raise NoConvergenceError(residual=best_res, n_rotations=best_k or max_rotations)
-
-
-def _prune(rotations, phi, q_target):
-    """Drop near-identity rotations if the quaternion match survives."""
-    kept = [r for r in rotations if abs(r.theta) > 1e-9]
-    if len(kept) == len(rotations):
-        return rotations
-    qc = compose_rotations(phi, kept)
-    if min(np.linalg.norm(qc - q_target), np.linalg.norm(qc + q_target)) < _RESIDUAL_TOL:
-        return kept
-    return rotations
+    starts = (RotationAxis.MINUS_PHI, RotationAxis.PLUS_PHI)
+    length = 1
+    while not any(_reachable(q.phi, q_target, s, length) for s in starts):
+        length += 1
+    if length > max_rotations:
+        # report how close the walk cut short at the budget comes
+        best = max(abs(compose_rotations(q.phi, _walk(q.phi, q_target, s, max_rotations))
+                       @ q_target) for s in starts)
+        raise NoConvergenceError(residual=1.0 - best, n_rotations=length)
+    first = next(s for s in starts if _reachable(q.phi, q_target, s, length))
+    return _finalize(p, _walk(q.phi, q_target, first, length), target)
 
 
 def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult:
-    if not rotations:
-        frame = _interaction_frame(p)
-        fid = dq_gate_fidelity(np.eye(2, dtype=complex), target)
-        return SynthesisResult((), PulseSequence([], frame=frame),
-                               Unitary3(np.eye(3), frame), fid)
-    u = _compose_unitary(p, rotations)
+    frame = _interaction_frame(p)
+    u = np.eye(3, dtype=complex)
     segments = []
     for r in rotations:
-        segments.extend(dq_rotation(p, r)[1].segments)
-    seq = PulseSequence(segments, frame=u.frame)
+        ur, seq = dq_rotation(p, r)
+        u = ur.m @ u
+        segments.extend(seq.segments)
     fid = dq_gate_fidelity(dq_block(u), target)
     if fid < 1.0 - TARGET_INFIDELITY:
         raise NoConvergenceError(residual=1.0 - fid, n_rotations=len(rotations))
-    return SynthesisResult(tuple(rotations), seq, u, fid)
+    return SynthesisResult(tuple(rotations), PulseSequence(segments, frame=frame),
+                           Unitary3(u, frame), fid)

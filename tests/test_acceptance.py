@@ -129,7 +129,9 @@ def test_criterion_06_synthesis_suite():
     n_long, worst_fid, worst_leak = 0, 1.0, 0.0
     for _ in range(100):
         target = haar_unitary2(rng)
-        res = synthesize_gate(p_ortho, target, seed=int(rng.integers(2**31)))
+        # a spare draw per target keeps the 100 + 25 targets this criterion is pinned on
+        rng.integers(2**31)
+        res = synthesize_gate(p_ortho, target)
         if len(res.rotations) > 3:
             n_long += 1
         worst_fid = min(worst_fid, res.fidelity)
@@ -145,7 +147,7 @@ def test_criterion_06_synthesis_suite():
     for i in range(25):
         target = haar_unitary2(rng)
         try:
-            res = synthesize_gate(p_narrow, target, seed=1000 + i)
+            res = synthesize_gate(p_narrow, target)
             outcomes["converged"] += 1
             if res.fidelity < 1 - 1e-9:
                 silent_bad += 1
@@ -156,7 +158,7 @@ def test_criterion_06_synthesis_suite():
     # (c) coincident axis lines are refused
     p_degenerate = SystemParams(D=500.0, muB=1.0, omega_x=2.0 * math.sqrt(2.0))
     try:
-        synthesize_gate(p_degenerate, haar_unitary2(rng), seed=3)
+        synthesize_gate(p_degenerate, haar_unitary2(rng))
         ok_c = False
     except AxisDegenerateError:
         ok_c = True
