@@ -10,14 +10,14 @@ for figure-style datasets.
 
 from .calib import (OdmrResult, RabiExtraction, RatioScanResult, rabi_extract,
                     ratio_scan, simulate_odmr)
-from .erc import (ErcQuantities, apply_sequence, bright_dark,
-                  characteristic_quantities, closed_form_unitary, dq_rotation,
-                  erc_unitary, not_gate_sequence, sequence_unitary)
+from .erc import (ErcQuantities, bright_dark, characteristic_quantities,
+                  closed_form_unitary, dq_rotation, erc_unitary,
+                  not_gate_sequence)
 from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      ExtractionError, NoConvergenceError, NvErcError,
                      RegimeError, ResonanceError, StepSizeUnderflow)
-from .prop import (IntegratorConfig, PropagationResult, frame_transform,
-                   propagate)
+from .prop import (IntegratorConfig, PropagationResult, apply_sequence,
+                   frame_transform, propagate, sequence_unitary)
 from .pulses import (DQRotation, PulseSegment, PulseSequence, RotationAxis,
                      SEQUENCE_SCHEMA, sequence_from_json, sequence_to_json)
 from .spin import (DQBlochPoint, FrameTag, StateVector3, SystemParams,

@@ -19,16 +19,15 @@ noise or contrast model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .erc import _canonical_method, _interaction_frame
 from .errors import ExtractionError
 from .ham import static_hamiltonian
-from .prop import IntegratorConfig, _rwa_evolver, frame_transform, propagate
+from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence
-from .spin import KET_0, FrameTag, StateVector3, SystemParams
+from .spin import SystemParams
 from .strain import phi_from_times
 
 __all__ = [
@@ -100,8 +99,9 @@ def simulate_odmr(p: SystemParams) -> OdmrResult:
 
 def _ground_amplitude_fn(p: SystemParams, method: str):
     """Continuous-time real ground-state amplitude Re<0|U(t)|0> for a single
-    resonant segment at phase 0; the analytic and rotating-wave forms take
-    arrays of times, the lab form one time per call."""
+    resonant segment at phase 0, at a scalar or ascending array of times.
+    The lab form runs one program over the longest time at 80 steps per
+    carrier period; the interaction-frame phase leaves <0|U|0> unchanged."""
     method = _canonical_method(method)
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
@@ -113,15 +113,13 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     if method == "rwa_numeric":
         evolve = _rwa_evolver(p, seg)
         return lambda t: evolve(t)[..., 1, 1].real
+    cfg = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0)
 
-    def lab_amp(t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        seq = PulseSequence([PulseSegment(t, 0.0, p.omega_x, p.omega_y)], frame=FrameTag.LAB)
-        res = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                        cfg=IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0))
-        u_int = frame_transform(res.unitary, 0.0, t, FrameTag.LAB, _interaction_frame(p), p)
-        return float(np.real(u_int.m[1, 1]))
+    def lab_amp(t):
+        t = np.asarray(t, dtype=float)
+        seq = PulseSequence([replace(seg, duration=float(np.max(t)))])
+        us, _ = _walk(p, seq, t.reshape(-1), "lab", cfg)
+        return us[:, 1, 1].real.reshape(t.shape)
 
     return lab_amp
 
@@ -152,10 +150,7 @@ def rabi_extract(
         )
     amp = _ground_amplitude_fn(p, method)
     ts = np.linspace(0.0, t_max, n_points)
-    if _canonical_method(method) == "lab_numeric":
-        vals = np.array([amp(t) for t in ts])
-    else:
-        vals = amp(ts)
+    vals = amp(ts)
     zeros = []
     for i in range(len(ts) - 1):
         if vals[i] == 0.0:

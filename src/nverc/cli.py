@@ -5,7 +5,8 @@ Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N.
 --method selects the propagation method of trace and calibrate; the other
 commands have a fixed evaluation and reject it as a config error.  Every
 command runs in one process: trace and the maps ignore --jobs, synth and
-calibrate reject any value but 1.
+calibrate reject any value but 1.  --seed draws synth's "haar" targets
+(default 0; fixed targets ignore it); the other commands reject it.
 Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
 failure.  Log level comes from the NVERC_LOG environment variable.
 
@@ -64,8 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", choices=["analytic", "rwa", "lab"], default=None,
                         help="override the propagation method from the config "
                              "(trace, calibrate; rejected by the others)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized targets")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for synth's randomized (\"haar\") targets, "
+                             "default 0; synth ignores it for fixed targets "
+                             "and the other commands reject it")
     parser.add_argument("--plot-script", action="store_true",
                         help="also write a standalone matplotlib script "
                              "next to CSV outputs")
@@ -92,11 +95,13 @@ def main(argv=None) -> int:
     try:
         cfg = sweeps.load_config(args.config)
         fn = _COMMANDS[args.command]
-        if args.command == "synth":
-            summary = fn(cfg, args.out, jobs=args.jobs, method=args.method,
-                         seed=args.seed)
-        else:
-            summary = fn(cfg, args.out, jobs=args.jobs, method=args.method)
+        kwargs = {"jobs": args.jobs, "method": args.method}
+        if args.seed is not None:
+            if args.command != "synth":
+                raise ConfigError(f"{args.command} has no randomized input; it "
+                                  f"does not take --seed (got {args.seed})")
+            kwargs["seed"] = args.seed
+        summary = fn(cfg, args.out, **kwargs)
         if args.plot_script and args.command in ("trace", "robustness",
                                                  "ey-map", "ratio-map"):
             sweeps.write_plot_script(args.out)

@@ -32,14 +32,15 @@ axes whose Bloch-vector separation is 4 phi:
 and R(+phi, theta) is the reversed-order analogue.  Both are exactly
 independent of the base phase ``a``.
 
-U(t, a) is evaluated over whole arrays of durations at once, and every
-program, whatever the method, runs once through one walker (``_walk``).
+U(t, a) is evaluated over whole arrays of durations at once.  This module
+holds the closed forms only; pulse programs run in ``nverc.prop``, whose
+analytic method evaluates them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +59,6 @@ __all__ = [
     "closed_form_unitary",
     "dq_rotation",
     "not_gate_sequence",
-    "apply_sequence",
-    "sequence_unitary",
 ]
 
 
@@ -226,107 +225,3 @@ def dq_rotation(
 def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:
     """The theta = pi two-pulse program swapping the |+1> and |-1> populations."""
     return dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, math.pi), alpha)[1]
-
-
-def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
-    """Closed-form propagator of a whole pulse program (analytic method)."""
-    us, _ = _walk(p, seq, [math.inf], "analytic")
-    return Unitary3(us[0], _interaction_frame(p))
-
-
-def apply_sequence(
-    p: SystemParams,
-    seq: PulseSequence,
-    s: StateVector3,
-    method: str = "analytic",
-) -> StateVector3:
-    """Run a pulse program on a state and return the final state in the
-    interaction frame.
-
-    ``method``: ``analytic`` (closed forms), ``rwa_numeric`` (per-segment
-    matrix exponential of the rotating-wave Hamiltonian) or ``lab_numeric``
-    (full lab-frame integration, counter-rotating terms included, result
-    transformed back to the interaction frame).
-    """
-    states, _ = _walk(p, seq, [math.inf], method, s)
-    return StateVector3(states[0])
-
-
-def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
-          s: StateVector3 | None = None) -> tuple[np.ndarray, float]:
-    """States (n, 3) of ``s`` in the interaction frame at n ascending sample
-    times, or without ``s`` (analytic and rwa only) the propagators
-    (n, 3, 3); and the worst unitarity defect that the lab method projected
-    away (0 for the others).
-
-    The program runs once: a sample inside a segment continues from the
-    propagator at the segment's start t0, and a lab sample integrates from
-    t0 as the truncated program would.  A sample at most 1e-15 short of a
-    segment's end counts as that end; one past the end (``math.inf``
-    included) gets the whole program.
-    """
-    from . import prop  # deferred: prop imports ham only, no cycle
-
-    method = _canonical_method(method)
-    cfg = prop.IntegratorConfig()
-    drift = 0.0
-
-    def run(seg, t0, taus, u):
-        """``u`` continued from t0 over each duration in ``taus`` of ``seg``."""
-        nonlocal drift
-        if method == "analytic":
-            if seg.omega_y != 0.0 and seg.beta != seg.alpha:
-                raise ResonanceError(
-                    "analytic propagation requires beta == alpha on two-tone segments"
-                )
-            ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-            return _erc_matrix(ps, taus, seg.alpha) @ u
-        if method == "rwa_numeric":
-            return prop.rwa_segment_unitary(p, seg, taus) @ u
-        out = []
-        for tau in taus:
-            m = prop._lab_segment(p, replace(seg, duration=tau), t0, cfg, u)
-            m, d = prop._project_unitary(m)
-            drift = max(drift, d)
-            out.append(m)
-        return np.array(out)
-
-    times = np.asarray(times, dtype=float)
-    found = []  # (propagator, time it ends at) per sample
-    u = np.eye(3, dtype=complex)
-    t1 = 0.0
-    for t0, seg in prop._timed_segments(seq):
-        if len(found) == len(times):
-            break
-        t1 = t0 + seg.duration
-        taus = times[len(found):np.searchsorted(times, t1 - 1e-15)] - t0
-        inside = taus[taus > 0.0]
-        # samples at the segment's start (or 1e-15 short of it)
-        found.extend([(u, t0)] * (len(taus) - len(inside)))
-        if len(inside):
-            found.extend(zip(run(seg, t0, inside, u), t0 + inside))
-        u = run(seg, t0, np.array([seg.duration]), u)[0]
-    found.extend([(u, t1)] * (len(times) - len(found)))
-    if method != "lab_numeric":
-        us = np.array([m for m, _ in found])
-        return (us if s is None else us @ s.amps), drift
-    states = []
-    for m, t_end in found:
-        state = StateVector3(m @ s.amps)
-        state = prop.frame_transform(state, 0.0, t_end, FrameTag.LAB, _interaction_frame(p), p)
-        states.append(state.amps)
-    return np.array(states), drift
-
-
-def _canonical_method(method: str) -> str:
-    aliases = {
-        "analytic": "analytic",
-        "rwa": "rwa_numeric",
-        "rwa_numeric": "rwa_numeric",
-        "lab": "lab_numeric",
-        "lab_numeric": "lab_numeric",
-    }
-    try:
-        return aliases[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; use analytic, rwa or lab") from None

@@ -8,6 +8,13 @@ exponentiation per segment.  ``_rwa_evolver`` holds the package's one
 eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the calibration
 root finders evaluate any array of durations through it.
 
+Every pulse program runs through one walker, ``_walk``, for all three
+methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
+integration.  It returns interaction-frame propagators at any ascending
+array of sample times; ``propagate``, ``apply_sequence``,
+``sequence_unitary``, traces, the synthesis cross-checks and the lab
+calibration amplitude are each one call of it.
+
 Within one constant-drive segment the lab Hamiltonian is periodic with the
 carrier period T_c = 2 pi / (D + Ez), so a segment of duration N T_c + r
 starting at t0 propagates as U_r U_P^N (Floquet; Shirley, Phys. Rev. 138,
@@ -31,12 +38,13 @@ grows with segment length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .errors import StepSizeUnderflow
+from .erc import _erc_matrix, _interaction_frame
+from .errors import ResonanceError, StepSizeUnderflow
 from .ham import hamiltonian_lab, hamiltonian_rwa, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSequence
 from .spin import SZ2, FrameTag, StateVector3, SystemParams, Unitary3
@@ -45,6 +53,8 @@ __all__ = [
     "IntegratorConfig",
     "PropagationResult",
     "propagate",
+    "apply_sequence",
+    "sequence_unitary",
     "frame_transform",
     "rwa_segment_unitary",
 ]
@@ -184,29 +194,117 @@ def propagate(
     segments.  Returns the final state, the accumulated propagator and the
     worst per-segment unitarity defect that was projected away.
     """
-    cfg = cfg or IntegratorConfig()
     frame = FrameTag(frame)
-    u = np.eye(3, dtype=complex)
-    drift = 0.0
-    for t, seg in _timed_segments(seq):
-        if frame == FrameTag.LAB:
-            u = _lab_segment(p, seg, t, cfg, u)
-            u, d = _project_unitary(u)
-            drift = max(drift, d)
-        else:
-            u = rwa_segment_unitary(p, seg) @ u
-    uni = Unitary3(u, frame)
+    lab = frame == FrameTag.LAB
+    us, drift = _walk(p, seq, [math.inf], "lab" if lab else "rwa", cfg)
+    if lab:
+        home = _interaction_frame(p)
+        uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home,
+                              FrameTag.LAB, p)
+    else:
+        uni = Unitary3(us[0], frame)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
 
 
-def _timed_segments(seq: PulseSequence):
-    """(start time, segment) of every nonzero-duration segment, the start
-    times summed in program order."""
-    t = 0.0
+def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
+    """Closed-form propagator of a whole pulse program (analytic method)."""
+    us, _ = _walk(p, seq, [math.inf], "analytic")
+    return Unitary3(us[0], _interaction_frame(p))
+
+
+def apply_sequence(
+    p: SystemParams,
+    seq: PulseSequence,
+    s: StateVector3,
+    method: str = "analytic",
+) -> StateVector3:
+    """Run a pulse program on a state and return the final state in the
+    interaction frame.
+
+    ``method``: ``analytic`` (closed forms), ``rwa_numeric`` (per-segment
+    matrix exponential of the rotating-wave Hamiltonian) or ``lab_numeric``
+    (full lab-frame integration, counter-rotating terms included, result
+    transformed back to the interaction frame).
+    """
+    us, _ = _walk(p, seq, [math.inf], method)
+    return StateVector3((us @ s.amps)[0])
+
+
+def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
+          cfg: IntegratorConfig | None = None) -> tuple[np.ndarray, float]:
+    """Interaction-frame propagators (n, 3, 3) of a pulse program at n
+    ascending sample times, and the worst unitarity defect that the lab
+    method projected away (0 for the others).
+
+    The program runs once, skipping zero-duration segments: a sample inside
+    a segment continues from the propagator at the segment's start t0, and
+    a lab sample integrates from t0 as the truncated program would.  A
+    sample at most 1e-15 short of a segment's end counts as that end; one
+    past the end (``math.inf`` included) gets the whole program.  Lab
+    propagators are taken to the frame ``_interaction_frame(p)`` by the
+    phase exp(+i w Sz^2 t) at their end time t.
+    """
+    method = _canonical_method(method)
+    cfg = cfg or IntegratorConfig()
+    drift = 0.0
+
+    def run(seg, t0, taus, u):
+        """``u`` continued from t0 over each duration in ``taus`` of ``seg``."""
+        nonlocal drift
+        if method == "analytic":
+            if seg.omega_y != 0.0 and seg.beta != seg.alpha:
+                raise ResonanceError(
+                    "analytic propagation requires beta == alpha on two-tone segments"
+                )
+            ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
+            return _erc_matrix(ps, taus, seg.alpha) @ u
+        if method == "rwa_numeric":
+            return rwa_segment_unitary(p, seg, taus) @ u
+        out = []
+        for tau in taus.tolist():
+            m, d = _project_unitary(_lab_segment(p, replace(seg, duration=tau), t0, cfg, u))
+            drift = max(drift, d)
+            out.append(m)
+        return np.array(out)
+
+    times = np.asarray(times, dtype=float)
+    found = []  # (propagator, time it ends at) per sample
+    u = np.eye(3, dtype=complex)
+    t1 = 0.0
     for seg in seq:
-        if seg.duration != 0.0:
-            yield t, seg
-        t += seg.duration
+        t0, t1 = t1, t1 + seg.duration
+        if seg.duration == 0.0:
+            continue
+        if len(found) == len(times):
+            break
+        taus = times[len(found):np.searchsorted(times, t1 - 1e-15)] - t0
+        inside = taus[taus > 0.0]
+        # samples at the segment's start (or 1e-15 short of it)
+        found.extend([(u, t0)] * (len(taus) - len(inside)))
+        if len(inside):
+            found.extend(zip(run(seg, t0, inside, u), t0 + inside))
+        u = run(seg, t0, np.array([seg.duration]), u)[0]
+    found.extend([(u, t1)] * (len(times) - len(found)))
+    us = np.array([m for m, _ in found]).reshape(-1, 3, 3)
+    if method == "lab_numeric":
+        t_end = np.array([t for _, t in found]).reshape(-1, 1)
+        w = _frame_rate(_interaction_frame(p), p)
+        us = np.exp(1j * w * np.diag(SZ2) * t_end)[:, :, None] * us
+    return us, drift
+
+
+def _canonical_method(method: str) -> str:
+    aliases = {
+        "analytic": "analytic",
+        "rwa": "rwa_numeric",
+        "rwa_numeric": "rwa_numeric",
+        "lab": "lab_numeric",
+        "lab_numeric": "lab_numeric",
+    }
+    try:
+        return aliases[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; use analytic, rwa or lab") from None
 
 
 def _frame_rate(tag: FrameTag, p: SystemParams) -> float:

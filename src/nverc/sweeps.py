@@ -3,9 +3,10 @@ calibration runs, with deterministic CSV output.
 
 CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
-characteristic times).  A trace runs its program once (``erc._walk``);
+characteristic times).  A trace runs its program once (``prop._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation and every command runs in one process:
+map row is one array operation, the rows are written as one array in
+blocks of ``_CSV_BLOCK``, and every command runs in one process:
 trace and the maps accept ``jobs`` and ignore it, so the bytes do not
 depend on it, while synth and calibrate reject any value but 1.
 
@@ -26,10 +27,9 @@ import numpy as np
 from . import erc, synth
 from .calib import rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .prop import IntegratorConfig, frame_transform, propagate, rwa_segment_unitary
+from .prop import IntegratorConfig, _canonical_method, _walk, rwa_segment_unitary
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
-from .spin import (KET_0, KET_M1, KET_P1, FrameTag, StateVector3,
-                   SystemParams)
+from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 from .strain import compensation_ratio, ey_characteristics
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 
 CSV_SCHEMA = "nverc-csv/1"
 _FLOAT_FMT = "%.12e"
+_CSV_BLOCK = 4096  # rows formatted per string operation; bounds peak memory
 
 _UNIT_FACTORS = {"muB": 1.0, "rad_per_us": 1.0, "MHz": 2.0 * math.pi}
 _FREQUENCY_KEYS = ("D", "muB", "omega_x", "omega_y", "Ex", "Ey", "Ez")
@@ -137,14 +138,17 @@ def _observable_target(cfg: dict, observable: str):
     return _start_state({"start_state": cfg.get("target_state", "minus1")}).amps
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
+def _write_csv(path: str, meta: dict, header: list[str], rows: np.ndarray) -> None:
+    """Write ``rows``, a float array with one column per header field."""
     buf = io.StringIO()
     buf.write(f"# schema: {CSV_SCHEMA}\n")
     for key, value in meta.items():
         buf.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
+    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    for k in range(0, len(rows), _CSV_BLOCK):
+        block = rows[k:k + _CSV_BLOCK]
+        buf.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     data = buf.getvalue().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
@@ -241,16 +245,15 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
         t_default = seq.total_duration
     t_max = float(cfg.get("t_max", t_default))
     s0 = _start_state(cfg)
-    times = np.linspace(0.0, t_max, n) if n else np.array([])
-    amps, drift = erc._walk(p, seq, times, method, s0) if n else (np.empty((0, 3)), 0.0)
-    rows = [
-        (t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2)
-        for t, a in zip(times, amps)
-    ]
+    times = np.linspace(0.0, t_max, n)
+    us, drift = _walk(p, seq, times, method)
+    amps = us @ s0.amps
+    rows = np.array([[t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2]
+                     for t, a in zip(times, amps)]).reshape(-1, 4)
     meta = {
         "command": "trace",
         "params": _params_meta(p),
-        "method": erc._canonical_method(method),
+        "method": _canonical_method(method),
         "characteristic": characteristic,
     }
     _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], rows)
@@ -288,15 +291,11 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
     target = _observable_target(cfg, observable)
     ts = np.linspace(0.0, t_max, n)
     second = erc._erc_matrix(p, ts, math.pi)
-    rows_nested = []
-    for t1 in ts:
-        states = second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1)
-        rows_nested.append(_observable_values(observable, target, states).tolist())
-    rows = [
-        (ts[i], ts[j], rows_nested[i][j])
-        for i in range(n)
-        for j in range(n)
-    ]
+    vals = np.array([
+        _observable_values(observable, target, second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1))
+        for t1 in ts
+    ])
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     meta = {
         "command": "robustness",
         "params": _params_meta(p),
@@ -305,14 +304,10 @@ def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None =
                            "T_second": q.T_second, "T_half": q.T_total / 2.0},
         "grid": {"n": n, "t_max": t_max},
     }
+    rows = np.column_stack([ts.repeat(n), np.tile(ts, n), vals.ravel()])
     _write_csv(out_path, meta, ["t1", "t2", _OBS_COLUMN[observable]], rows)
-    return {"rows": len(rows), "out": out_path, "argmax": _argmax_cell(rows_nested, ts)}
-
-
-def _argmax_cell(rows_nested, ts):
-    arr = np.asarray(rows_nested)
-    i, j = np.unravel_index(int(np.argmax(arr)), arr.shape)
-    return {"t1": float(ts[i]), "t2": float(ts[j]), "value": float(arr[i, j])}
+    argmax = {"t1": float(ts[i]), "t2": float(ts[j]), "value": float(vals[i, j])}
+    return {"rows": len(rows), "out": out_path, "argmax": argmax}
 
 
 # ---------------------------------------------------------------- ey map ---
@@ -331,7 +326,7 @@ def _ey_row(p, times, observable, target):
         overlay = (qe.T_total, qe.T_prime, qe.T_second)
     except NvErcError:
         overlay = (math.nan, math.nan, math.nan)
-    return vals.tolist(), overlay
+    return vals, overlay
 
 
 def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
@@ -351,10 +346,10 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
     target = _observable_target(cfg, observable)
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
-    rows = []
-    for ey in eys:
-        vals, overlay = _ey_row(p.replace(Ey=ey, omega_y=0.0), times, observable, target)
-        rows.extend((ey, t, v, *overlay) for t, v in zip(times, vals))
+    vals, overlays = zip(*(_ey_row(p.replace(Ey=ey, omega_y=0.0), times, observable, target)
+                           for ey in eys))
+    rows = np.column_stack([eys.repeat(n_t), np.tile(times, n_ey), np.ravel(vals),
+                            np.repeat(overlays, n_t, axis=0)])
     meta = {
         "command": "ey_map",
         "params": _params_meta(p),
@@ -393,11 +388,12 @@ def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = 
     _check_sweep((("t", 0.0, t_max, n_t),), observable)
     target = _observable_target(cfg, observable)
     times = np.linspace(0.0, t_max, n_t)
-    rows = []
-    for r in ratios:
-        states = _ground_state_states(p.replace(omega_y=r * p.omega_x), times)
-        vals = _observable_values(observable, target, states).tolist()
-        rows.extend((r, t, v) for t, v in zip(times, vals))
+    vals = np.array([
+        _observable_values(observable, target,
+                           _ground_state_states(p.replace(omega_y=r * p.omega_x), times))
+        for r in ratios
+    ])
+    rows = np.column_stack([ratios.repeat(n_t), np.tile(times, n_r), vals.ravel()])
     meta = {
         "command": "ratio_map",
         "params": _params_meta(p),
@@ -457,20 +453,12 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
         "total_duration": result.sequence.total_duration,
         "fidelity_analytic": result.fidelity,
     }
-    if len(result.sequence) > 0:
-        res_rwa = propagate(p, result.sequence, StateVector3(KET_P1),
-                            frame=result.sequence.frame)
-        report["fidelity_rwa"] = synth.dq_gate_fidelity(
-            synth.dq_block(res_rwa.unitary), target)
-        spp = float(cfg.get("lab_steps_per_period", 80))
-        cfg_lab = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / spp)
-        res_lab = propagate(p, result.sequence, StateVector3(KET_P1),
-                            frame=FrameTag.LAB, cfg=cfg_lab)
-        u_int = frame_transform(res_lab.unitary, 0.0, result.sequence.total_duration,
-                                FrameTag.LAB, result.sequence.frame, p)
-        report["fidelity_lab"] = synth.dq_gate_fidelity(synth.dq_block(u_int), target)
-    else:
-        report["fidelity_rwa"] = report["fidelity_lab"] = result.fidelity
+    us, _ = _walk(p, result.sequence, [math.inf], "rwa")
+    report["fidelity_rwa"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
+    spp = float(cfg.get("lab_steps_per_period", 80))
+    cfg_lab = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / spp)
+    us, _ = _walk(p, result.sequence, [math.inf], "lab", cfg_lab)
+    report["fidelity_lab"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
     report_path = out_path + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

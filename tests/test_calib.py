@@ -7,6 +7,7 @@ from nverc import (ExtractionError, StateVector3, SystemParams,
                    apply_sequence, characteristic_quantities,
                    compensation_ratio, ey_characteristics, not_gate_sequence,
                    rabi_extract, ratio_scan, simulate_odmr)
+from nverc.calib import _ground_amplitude_fn
 from nverc.pulses import PulseSegment, PulseSequence
 from nverc.spin import KET_P1
 
@@ -54,6 +55,23 @@ class TestRabiExtract:
         assert abs(ex.T_prime - q.T_prime) < 1e-6
         assert abs(ex.T_total - q.T_total) < 1e-6
         assert abs(ex.phi - q.phi) < 1e-6
+
+    def test_lab_matches_analytic_within_rotating_wave_bound(self):
+        q = characteristic_quantities(P13)
+        bound = P13.omega_x / P13.carrier
+        ana = rabi_extract(P13, t_max=1.5 * q.T_total, n_points=64)
+        lab = rabi_extract(P13, t_max=1.5 * q.T_total, n_points=64, method="lab")
+        assert lab.method == "lab_numeric"
+        assert abs(lab.T_prime - ana.T_prime) < bound * ana.T_prime
+        assert abs(lab.T_total - ana.T_total) < bound * ana.T_total
+
+    def test_lab_amplitude_over_array_equals_per_time_calls(self):
+        amp = _ground_amplitude_fn(P13, "lab")
+        ts = np.linspace(0.0, 4.0, 9)
+        vals = amp(ts)
+        assert vals.shape == ts.shape
+        assert np.array_equal(vals, [amp(t) for t in ts])
+        assert amp(0.0) == 1.0
 
     def test_window_and_sampling_validation(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,32 @@ class TestExitCodes:
         assert "--jobs" in err["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,doc", [
+        ("trace", dict(BASE_SYSTEM, n_points=3)),
+        ("robustness", dict(BASE_SYSTEM, n=3)),
+        ("ey-map", dict(BASE_SYSTEM, n_ey=2, n_t=3)),
+        ("ratio-map", {"units": "muB", "n_ratio": 2, "n_t": 3,
+                       "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7}}),
+        ("calibrate", BASE_SYSTEM),
+    ])
+    def test_seed_rejected_without_random_input(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "o.csv"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                   "--seed", "9"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ConfigError"
+        assert "--seed" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_synth_seed_defaults_to_zero(self, tmp_path):
+        cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")
+        outs = [tmp_path / "default.json", tmp_path / "zero.json", tmp_path / "one.json"]
+        assert main(["synth", "--config", cfg, "--out", str(outs[0])]) == 0
+        assert main(["synth", "--config", cfg, "--out", str(outs[1]), "--seed", "0"]) == 0
+        assert main(["synth", "--config", cfg, "--out", str(outs[2]), "--seed", "1"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
     def test_jobs_defaults_to_one(self):
         args = build_parser().parse_args(["trace", "--config", "c", "--out", "o"])
         assert args.jobs == 1

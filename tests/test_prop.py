@@ -296,6 +296,28 @@ class TestPeriodPower:
         assert err < 2.0 * P13.omega_x / P13.carrier
 
 
+class TestProgramEngine:
+    @settings(max_examples=30, deadline=None)
+    @given(segs=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                   st.floats(0.0, 2 * math.pi, exclude_max=True)),
+                         min_size=1, max_size=4),
+           fracs=st.lists(st.floats(0.0, 1.1), min_size=5, max_size=5))
+    def test_methods_agree_on_random_programs(self, segs, fracs):
+        # the rotating-wave exponential is the closed form to rounding; the
+        # lab integration keeps the counter-rotating terms, which move each
+        # segment by O(omega / carrier) (worst seen 0.57 k omega / carrier
+        # over 150 programs of k segments)
+        q = characteristic_quantities(P13)
+        seq = PulseSequence([PulseSegment(f * q.T_total, a, P13.omega_x) for f, a in segs])
+        times = np.sort(fracs) * seq.total_duration
+        ana, _ = prop._walk(P13, seq, times, "analytic")
+        rwa, _ = prop._walk(P13, seq, times, "rwa")
+        lab, _ = prop._walk(P13, seq, times, "lab", lab_cfg(P13, 80))
+        assert np.max(np.abs(rwa - ana)) < 1e-12
+        err = np.max(np.linalg.norm(lab - ana, 2, axis=(1, 2)))
+        assert err < 2.0 * len(segs) * P13.omega_x / P13.carrier
+
+
 class TestKernels:
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
