@@ -209,6 +209,8 @@ def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResul
     ratios = np.asarray(list(ratio_grid), dtype=float)
     if ratios.size < 3:
         raise ValueError("ratio grid needs at least 3 points")
+    if not np.all(np.diff(ratios) > 0.0):  # NaN fails too
+        raise ValueError("ratio grid must be strictly increasing")
     mu, om = p.muB, p.omega_x
     window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
     depletion = np.array([_min_ground_population(p, r, window, n_grid) for r in ratios])

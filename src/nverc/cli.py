@@ -1,12 +1,10 @@
 """Command-line front end.
 
 Subcommands: trace, robustness, ey-map, ratio-map, synth, calibrate.
-Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N.
---method selects the propagation method of trace and calibrate; the other
-commands have a fixed evaluation and reject it as a config error.  Every
-command runs in one process: trace and the maps ignore --jobs, synth and
-calibrate reject any value but 1.  --seed draws synth's "haar" targets
-(default 0; fixed targets ignore it); the other commands reject it.
+Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N,
+--plot-script.  ``_TAKES`` says which command takes which of the last
+four; setting one away from its default for any other command is a config
+error, raised before the command runs.
 Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
 failure.  Log level comes from the NVERC_LOG environment variable.
 
@@ -39,6 +37,19 @@ _COMMANDS = {
     "calibrate": sweeps.cmd_calibrate,
 }
 
+# The flags each command takes besides --config and --out.  trace and the
+# maps accept --jobs only so that scripts passing it keep working (the
+# benchmark re-runs one map with --jobs 2 and compares the bytes); they run
+# in one process whatever its value.
+_TAKES = {
+    "trace": {"jobs", "method", "plot_script"},
+    "robustness": {"jobs", "plot_script"},
+    "ey-map": {"jobs", "plot_script"},
+    "ratio-map": {"jobs", "plot_script"},
+    "synth": {"seed"},
+    "calibrate": {"method"},
+}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
@@ -60,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output path (CSV or JSON)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="kept for old scripts: trace and the maps run in "
-                             "one process and ignore it; synth and calibrate "
-                             "reject any value but 1 (default: 1)")
+                             "one process and ignore it; the others reject "
+                             "any value but 1 (default: 1)")
     parser.add_argument("--method", choices=["analytic", "rwa", "lab"], default=None,
                         help="override the propagation method from the config "
                              "(trace, calibrate; rejected by the others)")
@@ -71,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "and the other commands reject it")
     parser.add_argument("--plot-script", action="store_true",
                         help="also write a standalone matplotlib script "
-                             "next to CSV outputs")
+                             "next to the CSV (trace and the maps; rejected "
+                             "by the others)")
     return parser
 
 
@@ -93,21 +105,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        given = {"jobs": args.jobs != 1, "method": args.method is not None,
+                 "seed": args.seed is not None, "plot_script": args.plot_script}
+        refused = [f for f, on in given.items() if on and f not in _TAKES[args.command]]
+        if refused:
+            raise ConfigError(f"{args.command} does not take "
+                              f"--{refused[0].replace('_', '-')} "
+                              f"(got {getattr(args, refused[0])!r})")
         cfg = sweeps.load_config(args.config)
-        fn = _COMMANDS[args.command]
-        kwargs = {"jobs": args.jobs, "method": args.method}
-        if args.seed is not None:
-            if args.command != "synth":
-                raise ConfigError(f"{args.command} has no randomized input; it "
-                                  f"does not take --seed (got {args.seed})")
-            kwargs["seed"] = args.seed
-        summary = fn(cfg, args.out, **kwargs)
-        if args.plot_script and args.command in ("trace", "robustness",
-                                                 "ey-map", "ratio-map"):
+        if args.method is not None:
+            cfg = {**cfg, "method": args.method}
+        seed = {} if args.seed is None else {"seed": args.seed}
+        summary = _COMMANDS[args.command](cfg, args.out, **seed)
+        if args.plot_script:
             sweeps.write_plot_script(args.out)
         log.info("%s finished: %s", args.command, summary)
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
+        # the library checks a config value where it uses it (int("abc"),
+        # a too-short scan, a descending grid) with the builtin errors, so
+        # one escaping here is a bad config value, not a crash
         log.error("config error: %s", exc)
         print(_error_json(exc))
         return EXIT_CONFIG

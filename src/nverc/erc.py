@@ -141,11 +141,16 @@ def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
     x = np.outer(b, KET_PLUS.conj()) + np.outer(KET_PLUS, b.conj())
     c = np.cos(obar * t)[..., None, None]
     s = np.sin(obar * t)[..., None, None]
-    u = c * pbp - 1j * s * x + np.outer(d, d.conj())
-    if not p.is_plain():
-        g = effective.dressing_matrix(p)
-        u = g @ u @ g.conj().T
-    return u
+    return _dressed(p, c * pbp - 1j * s * x + np.outer(d, d.conj()))
+
+
+def _dressed(p: SystemParams, u: np.ndarray) -> np.ndarray:
+    """``u`` for a plain system, G u G^dagger with the dressing matrix G
+    otherwise."""
+    if p.is_plain():
+        return u
+    g = effective.dressing_matrix(p)
+    return g @ u @ g.conj().T
 
 
 def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
@@ -163,28 +168,17 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
     ``which`` is ``"Tprime"`` or ``"Tsecond"``; the result equals
     :func:`erc_unitary` evaluated at the corresponding characteristic time.
     """
-    q = characteristic_quantities(p)
-    lam = 2.0 * q.phi
-    ket0 = KET_0
-    ea = np.exp(1j * alpha)
-    if which == "Tprime":
-        u = (
-            ea * np.outer(phi_state(lam).amps, ket0.conj())
-            + ea.conjugate() * np.outer(ket0, phi_state(-lam).amps.conj())
-            - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
-        )
-    elif which == "Tsecond":
-        u = (
-            ea * np.outer(phi_state(-lam).amps, ket0.conj())
-            + ea.conjugate() * np.outer(ket0, phi_state(lam).amps.conj())
-            - np.outer(phi_state(math.pi - lam).amps, phi_state(math.pi + lam).amps.conj())
-        )
-    else:
+    signs = {"Tprime": 1.0, "Tsecond": -1.0}  # T'' is T' with lam -> -lam
+    if which not in signs:
         raise ValueError(f"which must be 'Tprime' or 'Tsecond', got {which!r}")
-    if not p.is_plain():
-        g = effective.dressing_matrix(p)
-        u = g @ u @ g.conj().T
-    return Unitary3(u, _interaction_frame(p))
+    lam = signs[which] * 2.0 * characteristic_quantities(p).phi
+    ea = np.exp(1j * alpha)
+    u = (
+        ea * np.outer(phi_state(lam).amps, KET_0.conj())
+        + ea.conjugate() * np.outer(KET_0, phi_state(-lam).amps.conj())
+        - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
+    )
+    return Unitary3(_dressed(p, u), _interaction_frame(p))
 
 
 def dq_rotation(
@@ -208,10 +202,7 @@ def dq_rotation(
     p0 = np.outer(KET_0, KET_0.conj())
     pa = np.outer(phi_state(ax_angle).amps, phi_state(ax_angle).amps.conj())
     po = np.outer(phi_state(orth_angle).amps, phi_state(orth_angle).amps.conj())
-    u = np.exp(-1j * r.theta) * p0 + np.exp(1j * r.theta) * pa + po
-    if not p.is_plain():
-        g = effective.dressing_matrix(p)
-        u = g @ u @ g.conj().T
+    u = _dressed(p, np.exp(-1j * r.theta) * p0 + np.exp(1j * r.theta) * pa + po)
     seq = PulseSequence(
         [
             PulseSegment(durations[0], alpha, p.omega_x, p.omega_y),

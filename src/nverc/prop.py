@@ -19,8 +19,9 @@ Within one constant-drive segment the lab Hamiltonian is periodic with the
 carrier period T_c = 2 pi / (D + Ez), so a segment of duration N T_c + r
 starting at t0 propagates as U_r U_P^N (Floquet; Shirley, Phys. Rev. 138,
 B979, 1965).  The fixed-step scheme integrates only U_P, one period from
-t0, and the remainder U_r, also from t0; the power is taken by binary
-squaring of the raw RK4 matrix, so the result is RK4 on a period-aligned
+t0, and the remainder U_r, also from t0; U_P is integrated once per
+segment for all its samples, and the power is taken by binary squaring
+of the raw RK4 matrix, so the result is RK4 on a period-aligned
 grid at the cost of one or two periods, whatever the segment length.
 
 ``max_step`` bounds the RK4 step: one period takes ceil(T_c / max_step)
@@ -38,7 +39,7 @@ grows with segment length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,9 +122,11 @@ def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
     return proj, float(np.linalg.norm(u - proj, 2))
 
 
-def _lab_segment(p, seg, t0, cfg, u):
+def _lab_segment(p, seg, t0, cfg, taus, u):
+    """Raw lab propagators of ``seg`` from t0, continuing ``u``, for each
+    duration in ``taus``; the carrier period is integrated at most once."""
     if cfg.scheme != "fixed_rk4":
-        return _lab_segment_adaptive(p, seg, t0, cfg, u)
+        return [_lab_segment_adaptive(p, seg, t0, cfg, tau, u) for tau in taus]
     hs = static_hamiltonian(p)
     ax, ay = lab_drive_operators(seg)
     period = 2.0 * math.pi / p.carrier
@@ -133,12 +136,19 @@ def _lab_segment(p, seg, t0, cfg, u):
         return _kernels.rk4_lab_segment(hs, ax, ay, p.carrier, seg.alpha, seg.beta,
                                         t0, duration, _n_steps(duration, step), u0)
 
-    n_periods, rest = _period_split(seg.duration, period)
-    if n_periods:
-        u = np.linalg.matrix_power(rk4(period, np.eye(3, dtype=complex)), n_periods) @ u
-    if rest:
-        u = rk4(rest, u)
-    return u
+    u_period = None
+    out = []
+    for tau in taus:
+        n_periods, rest = _period_split(tau, period)
+        v = u
+        if n_periods:
+            if u_period is None:
+                u_period = rk4(period, np.eye(3, dtype=complex))
+            v = np.linalg.matrix_power(u_period, n_periods) @ v
+        if rest:
+            v = rk4(rest, v)
+        out.append(v)
+    return out
 
 
 def _n_steps(duration, step):
@@ -158,7 +168,7 @@ def _period_split(duration, period):
     return n, rest
 
 
-def _lab_segment_adaptive(p, seg, t0, cfg, u):
+def _lab_segment_adaptive(p, seg, t0, cfg, duration, u):
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
@@ -166,7 +176,7 @@ def _lab_segment_adaptive(p, seg, t0, cfg, u):
 
     sol = solve_ivp(
         rhs,
-        (t0, t0 + seg.duration),
+        (t0, t0 + duration),
         u.ravel().astype(complex),
         method="DOP853",
         rtol=cfg.rel_tol,
@@ -191,18 +201,14 @@ def propagate(
     Interaction frames use exact per-segment matrix exponentials of the
     time-independent rotating-wave Hamiltonian; the lab frame integrates
     the full time-dependent Hamiltonian with a coherent carrier across
-    segments.  Returns the final state, the accumulated propagator and the
-    worst per-segment unitarity defect that was projected away.
+    segments.  Returns the final state, the accumulated propagator (taken
+    from ``_interaction_frame(p)`` to ``frame``) and the worst per-segment
+    unitarity defect that was projected away.
     """
     frame = FrameTag(frame)
-    lab = frame == FrameTag.LAB
-    us, drift = _walk(p, seq, [math.inf], "lab" if lab else "rwa", cfg)
-    if lab:
-        home = _interaction_frame(p)
-        uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home,
-                              FrameTag.LAB, p)
-    else:
-        uni = Unitary3(us[0], frame)
+    us, drift = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa", cfg)
+    home = _interaction_frame(p)
+    uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home, frame, p)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
 
 
@@ -261,8 +267,8 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
         if method == "rwa_numeric":
             return rwa_segment_unitary(p, seg, taus) @ u
         out = []
-        for tau in taus.tolist():
-            m, d = _project_unitary(_lab_segment(p, replace(seg, duration=tau), t0, cfg, u))
+        for m in _lab_segment(p, seg, t0, cfg, taus.tolist(), u):
+            m, d = _project_unitary(m)
             drift = max(drift, d)
             out.append(m)
         return np.array(out)
@@ -281,9 +287,9 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
         inside = taus[taus > 0.0]
         # samples at the segment's start (or 1e-15 short of it)
         found.extend([(u, t0)] * (len(taus) - len(inside)))
-        if len(inside):
-            found.extend(zip(run(seg, t0, inside, u), t0 + inside))
-        u = run(seg, t0, np.array([seg.duration]), u)[0]
+        us = run(seg, t0, np.append(inside, seg.duration), u)
+        found.extend(zip(us[:-1], t0 + inside))
+        u = us[-1]
     found.extend([(u, t1)] * (len(times) - len(found)))
     us = np.array([m for m, _ in found]).reshape(-1, 3, 3)
     if method == "lab_numeric":

@@ -6,9 +6,10 @@ row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``prop._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
 map row is one array operation, the rows are written as one array in
-blocks of ``_CSV_BLOCK``, and every command runs in one process:
-trace and the maps accept ``jobs`` and ignore it, so the bytes do not
-depend on it, while synth and calibrate reject any value but 1.
+blocks of ``_CSV_BLOCK``, and every command runs in one process.  Each
+``cmd_*`` takes only its config and output path (``cmd_synth`` also the
+seed of random targets); which CLI flag reaches which command is decided
+in ``nverc.cli``.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -226,11 +227,11 @@ def _sequence_from_config(p: SystemParams, cfg: dict) -> PulseSequence:
     raise ConfigError("sequence must be 'not_gate' or a list of segments")
 
 
-def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
+def cmd_trace(cfg: dict, out_path: str) -> dict:
     """Population time series of a pulse program (three columns of
     populations against time)."""
     p = system_from_config(cfg)
-    method = method or cfg.get("method", "analytic")
+    method = cfg.get("method", "analytic")
     seq = _sequence_from_config(p, cfg)
     n = int(cfg.get("n_points", 401))
     if n < 0:
@@ -260,28 +261,12 @@ def cmd_trace(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
     return {"rows": len(rows), "out": out_path, "norm_drift": drift}
 
 
-def _reject_method(command: str, method: str | None, uses: str) -> None:
-    """Commands with a fixed evaluation refuse ``--method`` instead of
-    silently ignoring it."""
-    if method is not None:
-        raise ConfigError(f"{command} always uses {uses}; it does not take "
-                          f"--method (got {method!r})")
-
-
-def _reject_jobs(command: str, jobs: int) -> None:
-    """Commands without a grid refuse ``--jobs`` other than 1."""
-    if jobs != 1:
-        raise ConfigError(f"{command} runs in one process; it does not take "
-                          f"--jobs (got {jobs})")
-
-
 # ----------------------------------------------------------- robustness ---
 
-def cmd_robustness(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
+def cmd_robustness(cfg: dict, out_path: str) -> dict:
     """Timing-error landscape: the chosen observable (default: final |-1>
     population) of the two-pulse combination U(t2, pi) U(t1, 0) applied to
     |+1>, over a (t1, t2) grid."""
-    _reject_method("robustness", method, "the closed-form segment unitaries")
     p = system_from_config(cfg)
     q = erc.characteristic_quantities(p)
     n = int(cfg.get("n", 129))
@@ -329,11 +314,10 @@ def _ey_row(p, times, observable, target):
     return vals, overlay
 
 
-def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
+def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     """Ground-state population against (Ey, t), with the closed-form
     characteristic-time overlays as extra columns (NaN past the validity
     boundary Ey = sqrt(omega^2/4 - muB^2))."""
-    _reject_method("ey-map", method, "rotating-wave spectral evolution")
     p = system_from_config(cfg)
     n_ey = int(cfg.get("n_ey", 41))
     n_t = int(cfg.get("n_t", 201))
@@ -365,11 +349,10 @@ def cmd_ey_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = Non
 
 # ------------------------------------------------------------- ratio map ---
 
-def cmd_ratio_map(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
+def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     """Ground-state population against (omega_y/omega_x, t) in the presence
     of a transverse field; metadata records the analytic compensation ratio
     and the effective depletion times."""
-    _reject_method("ratio-map", method, "rotating-wave spectral evolution")
     p = system_from_config(cfg)
     if p.Ex == 0.0:
         raise ConfigError("ratio map requires a nonzero Ex in the system block")
@@ -434,12 +417,9 @@ def _target_from_config(cfg: dict, seed: int) -> np.ndarray:
         raise ConfigError(f"bad target matrix: {exc}") from exc
 
 
-def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None,
-              seed: int = 0) -> dict:
+def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     """Synthesize a DQ gate, write the pulse-program JSON and a fidelity
     report with analytic / rotating-wave / lab cross-checks."""
-    _reject_method("synth", method, "all three methods as cross-checks")
-    _reject_jobs("synth", jobs)
     p = system_from_config(cfg)
     target = _target_from_config(cfg, seed)
     result = synth.synthesize_gate(p, target)
@@ -467,11 +447,10 @@ def cmd_synth(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None
 
 # ------------------------------------------------------------ calibrate ---
 
-def cmd_calibrate(cfg: dict, out_path: str, jobs: int = 1, method: str | None = None) -> dict:
+def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     """Run the simulated calibration pipeline and write the result JSON."""
-    _reject_jobs("calibrate", jobs)
     p = system_from_config(cfg)
-    method = method or cfg.get("method", "analytic")
+    method = cfg.get("method", "analytic")
     odmr = simulate_odmr(p)
 
     # with a transverse-x field, find the compensating tone first

@@ -22,7 +22,6 @@ from nverc import (AxisDegenerateError, DQRotation, FrameTag, IntegratorConfig,
                    synthesize_gate)
 from nverc.ham import hamiltonian_rwa
 from nverc.spin import KET_0, KET_P1
-from nverc.sweeps import cmd_robustness, cmd_trace
 from nverc.synth import dq_block, dq_gate_fidelity, haar_unitary2
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
@@ -313,23 +312,22 @@ def test_criterion_11_rotating_wave_convergence():
 
 
 def test_criterion_12_deterministic_sweeps(tmp_path):
-    import json
     from pathlib import Path
+
+    from nverc.cli import main
 
     configs = Path(__file__).resolve().parent.parent / "configs"
     same = True
-    for name, cmd in (("fig4a_robustness.json", cmd_robustness),
-                      ("fig2_trace.json", cmd_trace)):
-        cfg = json.loads((configs / name).read_text())
+    for name, command in (("fig4a_robustness.json", "robustness"),
+                          ("fig2_trace.json", "trace")):
         outs = []
-        for jobs in (1, 4):
-            out = tmp_path / f"{name}.{jobs}.csv"
-            cmd(cfg, str(out), jobs=jobs)
-            outs.append(out.read_bytes())
-        same = same and outs[0] == outs[1]
-        # and a repeated run reproduces bytes exactly
-        out2 = tmp_path / f"{name}.again.csv"
-        cmd(cfg, str(out2), jobs=1)
-        same = same and out2.read_bytes() == outs[0]
+        # --jobs 1, --jobs 4, and a repeated run that must reproduce the bytes
+        for k, jobs in enumerate(("1", "4", "1")):
+            out = tmp_path / f"{name}.{k}.csv"
+            rc = main([command, "--config", str(configs / name), "--out", str(out),
+                       "--jobs", jobs])
+            outs.append(out.read_bytes() if rc == 0 else None)
+        same = same and outs[0] is not None and outs[0] == outs[1] == outs[2]
     record("12", "byte-identical sweeps across worker counts", same,
-           "checked fig4a robustness map and fig2 trace, jobs in {1, 4}")
+           "checked fig4a robustness map and fig2 trace through the CLI, "
+           "--jobs in {1, 4} and a repeated run")

@@ -131,6 +131,13 @@ class TestRatioScan:
         assert res.best_ratio == pytest.approx(0.5)  # closest grid point
         assert min(res.depletion) > 1e-5
 
+    def test_unsorted_grid_rejected(self):
+        # refining between list neighbours of an unsorted grid brackets the
+        # wrong interval: this one silently returned 0.45, not sqrt(2) - 1
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ratio_scan(p, [0.3, 0.45, 0.4, 0.5, 0.35])
+
     def test_requires_x_field_and_grid(self):
         with pytest.raises(ValueError):
             ratio_scan(P13, [0.1, 0.2, 0.3])

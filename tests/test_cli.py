@@ -17,6 +17,28 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 
 
 BASE_SYSTEM = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0}}
+EX_SYSTEM = {"units": "muB",
+             "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7, "Ey": -0.7}}
+
+# a tiny config per command, and each flag set away from its default with
+# the commands that take it
+TINY = {
+    "trace": dict(BASE_SYSTEM, n_points=3),
+    "robustness": dict(BASE_SYSTEM, n=3),
+    "ey-map": dict(BASE_SYSTEM, n_ey=2, n_t=3),
+    "ratio-map": {"units": "muB", "n_ratio": 2, "n_t": 3,
+                  "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7}},
+    "synth": dict(BASE_SYSTEM, target="X"),
+    "calibrate": BASE_SYSTEM,
+}
+MAPS = {"trace", "robustness", "ey-map", "ratio-map"}
+FLAGS = {
+    "--jobs": (["--jobs", "2"], MAPS),
+    "--method": (["--method", "rwa"], {"trace", "calibrate"}),
+    "--seed": (["--seed", "9"], {"synth"}),
+    "--plot-script": (["--plot-script"], MAPS),
+}
+REFUSED = [(c, f) for f, (_, takers) in FLAGS.items() for c in TINY if c not in takers]
 
 
 class TestExitCodes:
@@ -32,53 +54,38 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ConfigError"
 
-    @pytest.mark.parametrize("command,doc", [
-        ("robustness", dict(BASE_SYSTEM, n=3)),
-        ("ey-map", dict(BASE_SYSTEM, n_ey=2, n_t=3)),
-        ("ratio-map", {"units": "muB", "n_ratio": 2, "n_t": 3,
-                       "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7}}),
-        ("synth", dict(BASE_SYSTEM, target="X")),
-    ])
-    def test_method_rejected_where_fixed(self, tmp_path, capsys, command, doc):
+    @pytest.mark.parametrize("command,flag", REFUSED, ids=[c + f for c, f in REFUSED])
+    def test_flag_outside_its_commands_rejected(self, tmp_path, capsys, command, flag):
         out = tmp_path / "o.csv"
-        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
-                   "--jobs", "1", "--method", "lab"])
+        rc = main([command, "--config", write_cfg(tmp_path, TINY[command]),
+                   "--out", str(out), *FLAGS[flag][0]])
         assert rc == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ConfigError"
-        assert "--method" in err["error"]["message"]
+        assert flag in err["error"]["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,doc", [
-        ("synth", dict(BASE_SYSTEM, target="X")),
-        ("calibrate", BASE_SYSTEM),
-    ])
-    def test_jobs_rejected_without_grid(self, tmp_path, capsys, command, doc):
-        out = tmp_path / "o.json"
-        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
-                   "--jobs", "2"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "ConfigError"
-        assert "--jobs" in err["error"]["message"]
-        assert not out.exists()
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_every_flag_of_its_row_accepted(self, tmp_path, command):
+        argv = [a for args, takers in FLAGS.values() if command in takers for a in args]
+        out = tmp_path / "o.csv"
+        rc = main([command, "--config", write_cfg(tmp_path, TINY[command]),
+                   "--out", str(out), *argv])
+        assert rc == 0 and out.exists()
+        assert (tmp_path / "o.csv.plot.py").exists() == ("--plot-script" in argv)
 
     @pytest.mark.parametrize("command,doc", [
-        ("trace", dict(BASE_SYSTEM, n_points=3)),
-        ("robustness", dict(BASE_SYSTEM, n=3)),
-        ("ey-map", dict(BASE_SYSTEM, n_ey=2, n_t=3)),
-        ("ratio-map", {"units": "muB", "n_ratio": 2, "n_t": 3,
-                       "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7}}),
-        ("calibrate", BASE_SYSTEM),
-    ])
-    def test_seed_rejected_without_random_input(self, tmp_path, capsys, command, doc):
+        ("calibrate", dict(BASE_SYSTEM, scan={"t_max": 5.25, "n_points": 10})),
+        ("calibrate", dict(BASE_SYSTEM, scan={"t_max": 1.0, "n_points": 256})),
+        ("robustness", dict(BASE_SYSTEM, n="abc")),
+        ("calibrate", dict(EX_SYSTEM, ratio_grid=[0.8, 0.6, 0.4, 0.2, 0.0])),
+    ], ids=["short-scan", "short-window", "non-integer-n", "descending-grid"])
+    def test_bad_config_value_is_2(self, tmp_path, capsys, command, doc):
+        # values the library rejects with ValueError/TypeError, not ConfigError
         out = tmp_path / "o.csv"
-        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
-                   "--seed", "9"])
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
         assert rc == 2
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "ConfigError"
-        assert "--seed" in err["error"]["message"]
+        assert "message" in json.loads(capsys.readouterr().out)["error"]
         assert not out.exists()
 
     def test_synth_seed_defaults_to_zero(self, tmp_path):

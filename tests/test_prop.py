@@ -156,6 +156,18 @@ class TestFrameTransform:
                             P13.replace(Ez=0.3))
         assert np.max(np.abs(w.m - u.m)) < 1e-12
 
+    @pytest.mark.parametrize("frame", [FrameTag.INTERACTION_D, FrameTag.INTERACTION_D_EZ])
+    def test_propagate_result_is_in_the_requested_frame(self, frame):
+        # with Ez != 0 the rotating-wave propagator is computed in the D + Ez
+        # frame; a request for the D frame must transform it, not relabel it
+        p = SystemParams(D=100.0, muB=1.0, omega_x=3.0, Ez=2.0)
+        seq = not_gate_sequence(p)
+        res = propagate(p, seq, StateVector3(KET_P1), frame)
+        assert res.unitary.frame == frame
+        got = frame_transform(res.unitary, 0.0, seq.total_duration, frame, FrameTag.LAB, p)
+        lab = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, lab_cfg(p, 200))
+        assert np.linalg.norm(got.m - lab.unitary.m, 2) < 2.0 * p.omega_x / p.carrier
+
     def test_frame_mismatch_rejected(self, rng):
         u = Unitary3(haar_unitary3(rng), FrameTag.LAB)
         with pytest.raises(ValueError):
@@ -228,7 +240,8 @@ class TestPeriodPower:
     def run(self, duration):
         seg = PulseSegment(duration, *SEG_ARGS)
         cfg = IntegratorConfig(max_step=T_C / self.SPP)
-        u = prop._lab_segment(P_FULL, seg, self.T0, cfg, np.eye(3, dtype=complex))
+        u = prop._lab_segment(P_FULL, seg, self.T0, cfg, [duration],
+                              np.eye(3, dtype=complex))[0]
         return u, _stepped_segment(P_FULL, seg, self.T0, self.SPP)
 
     def test_matches_explicit_stepping(self, kernel_calls):
