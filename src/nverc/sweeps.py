@@ -5,8 +5,10 @@ CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``prop._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation, the rows are written as one array in
-blocks of ``_CSV_BLOCK``, and every command runs in one process.  Each
+map row is one array operation, and every command runs in one process.
+Each command builds one float array; ``_format_rows`` turns a block of
+``_CSV_BLOCK`` rows of it into the exact ``%.12e`` bytes, and each block
+goes straight to the open file, so no whole-file text is built.  Each
 ``cmd_*`` takes only its config and output path (``cmd_synth`` also the
 seed of random targets); which CLI flag reaches which command is decided
 in ``nverc.cli``.
@@ -19,7 +21,6 @@ are then in microseconds) or "rad_per_us" (angular, no conversion).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 
@@ -46,10 +47,26 @@ __all__ = [
 
 CSV_SCHEMA = "nverc-csv/1"
 _FLOAT_FMT = "%.12e"
-_CSV_BLOCK = 4096  # rows formatted per string operation; bounds peak memory
+_CSV_BLOCK = 4096  # rows formatted and written to disk at a time; bounds peak memory
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_FIELD = np.frombuffer(b"0.000000000000e+00,", np.uint8)
+_EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint32)
 
 _UNIT_FACTORS = {"muB": 1.0, "rad_per_us": 1.0, "MHz": 2.0 * math.pi}
 _FREQUENCY_KEYS = ("D", "muB", "omega_x", "omega_y", "Ex", "Ey", "Ez")
+
+# The top-level config keys each CLI command reads; ``nverc.cli`` rejects
+# any other key that does not begin with "_" (a comment).
+_MAP_KEYS = {"units", "system", "t_max", "observable", "target_state"}
+CONFIG_KEYS = {
+    "trace": {"units", "system", "method", "sequence", "start_state", "n_points", "t_max"},
+    "robustness": _MAP_KEYS | {"n"},
+    "ey-map": _MAP_KEYS | {"n_ey", "n_t", "ey_max"},
+    "ratio-map": _MAP_KEYS | {"n_ratio", "n_t", "ratio_min", "ratio_max"},
+    "synth": {"units", "system", "target", "lab_steps_per_period"},
+    "calibrate": {"units", "system", "method", "ratio_grid", "scan"},
+}
+_SCAN_KEYS = {"t_max", "n_points"}
 
 OBSERVABLES = ("pop_plus1", "pop_0", "pop_minus1", "dq_fidelity")
 _OBS_COLUMN = {"pop_plus1": "p_plus1", "pop_0": "p_0",
@@ -139,20 +156,55 @@ def _observable_target(cfg: dict, observable: str):
     return _start_state({"start_state": cfg.get("target_state", "minus1")}).amps
 
 
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The exact ``_FLOAT_FMT`` CSV bytes of a 2-D float array.  A value
+    x in [1e-10, 1e13) has the 13 digits n = round(x 10^(12-e)), e =
+    floor(log10 x), from one correctly rounded product, laid out in 19 fixed
+    bytes.  A row holding any other value (zero, a sign, nan, inf, a product
+    within 2 ulps of a tie, an n off 13 digits) is formatted with ``%``."""
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(rows))                 # nan/-inf off the fast set
+        fast = (e >= -10) & (e <= 12) & ~np.signbit(rows)
+        k = np.where(fast, 12 - e, 0).astype(np.intp)
+        p = rows * _POW10[k]                         # k <= 22: 10^k is exact
+        n = np.floor(p)
+        frac = p - n
+        n += frac > 0.5
+        fast &= (np.abs(frac - 0.5) > 2 * np.spacing(p)) & (n >= 1e12) & (n < 1e13)
+        n[~fast] = 1e12
+    buf = np.empty(rows.shape + (19,), np.uint8)
+    buf[...] = _FIELD
+    # digit j of n is floor(n / 10^(12-j)) - 10 floor(n / 10^(13-j)); exact,
+    # as n < 2^53 and n / 10^m is never within one rounding of another integer
+    prev = 0.0
+    for j, pos in enumerate((0, *range(2, 14))):
+        q = np.floor(n / _POW10[12 - j])
+        buf[..., pos] = q - 10 * prev + 48
+        prev = q
+    buf[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
+    buf[:, -1, 18] = 10                              # '\n' ends each row
+    row_fmt = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+    out, start = [], 0
+    for i in np.flatnonzero(~fast.all(axis=1)):
+        out += [buf[start:i].tobytes(), (row_fmt % tuple(rows[i].tolist())).encode()]
+        start = i + 1
+    out.append(buf[start:].tobytes())
+    return b"".join(out)
+
+
 def _write_csv(path: str, meta: dict, header: list[str], rows: np.ndarray) -> None:
-    """Write ``rows``, a float array with one column per header field."""
-    buf = io.StringIO()
-    buf.write(f"# schema: {CSV_SCHEMA}\n")
-    for key, value in meta.items():
-        buf.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
-    buf.write(",".join(header) + "\n")
-    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
-    for k in range(0, len(rows), _CSV_BLOCK):
-        block = rows[k:k + _CSV_BLOCK]
-        buf.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-    data = buf.getvalue().encode("utf-8")
+    """Write ``rows``, a float array with one column per header field, one
+    ``_CSV_BLOCK`` of rows at a time."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError(f"CSV rows of shape {rows.shape} do not fit header {header}")
+    lines = [f"# schema: {CSV_SCHEMA}\n"]
+    lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
+    lines.append(",".join(header) + "\n")
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write("".join(lines).encode("utf-8"))
+        for k in range(0, len(rows), _CSV_BLOCK):
+            fh.write(_format_rows(rows[k:k + _CSV_BLOCK]))
 
 
 def _params_meta(p: SystemParams) -> dict:
@@ -456,12 +508,14 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     # with a transverse-x field, find the compensating tone first
     best_ratio = None
     p_run = p
-    if p.Ex != 0.0 and "ratio_grid" in cfg:
+    if "ratio_grid" in cfg:  # ratio_scan rejects a grid without Ex
         grid = [float(r) for r in cfg["ratio_grid"]]
         best_ratio = ratio_scan(p, grid).best_ratio
         p_run = p.replace(omega_y=best_ratio * p.omega_x)
 
     scan_cfg = cfg.get("scan", {})
+    if not isinstance(scan_cfg, dict) or not set(scan_cfg) <= _SCAN_KEYS:
+        raise ConfigError(f"scan reads only {sorted(_SCAN_KEYS)}, got {scan_cfg!r}")
     mu, om = p_run.muB_eff(), p_run.omega_eff()
     t_period = 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
     t_max = float(scan_cfg.get("t_max", 1.5 * t_period))

@@ -88,6 +88,20 @@ class TestExitCodes:
         assert "message" in json.loads(capsys.readouterr().out)["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,doc,named", [
+        ("robustness", dict(BASE_SYSTEM, n=3, method="lab"), "'method'"),
+        ("robustness", dict(BASE_SYSTEM, n=3, n_pointz=7), "'n_pointz'"),
+        ("calibrate", dict(BASE_SYSTEM, scan={"t_max": 5.25, "n_pointz": 7}), "'n_pointz'"),
+        ("calibrate", dict(BASE_SYSTEM, ratio_grid=[0.0, 0.5, 1.0]), "transverse-x"),
+    ], ids=["method-in-map", "misspelt-key", "misspelt-scan-key", "grid-without-ex"])
+    def test_config_key_not_read_is_2(self, tmp_path, capsys, command, doc, named):
+        # a key the command would ignore is refused before anything is written
+        out = tmp_path / "o.csv"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert named in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not out.exists()
+
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")
         outs = [tmp_path / "default.json", tmp_path / "zero.json", tmp_path / "one.json"]

@@ -141,19 +141,26 @@ class TestFrameTransform:
         out = frame_transform(s, 0.0, 0.0, FrameTag.LAB, FrameTag.INTERACTION_D, P13)
         assert np.allclose(out.amps, s.amps)
 
-    def test_round_trip(self, rng):
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 50.0),
+           frames=st.tuples(st.sampled_from(FrameTag), st.sampled_from(FrameTag)),
+           ez=st.floats(-5.0, 5.0))
+    def test_round_trip(self, seed, t, frames, ez):
+        rng = np.random.default_rng(seed)
         s = StateVector3.from_unnormalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        t = 1.7
-        mid = frame_transform(s, 0.0, t, FrameTag.LAB, FrameTag.INTERACTION_D, P13)
-        back = frame_transform(mid, 0.0, t, FrameTag.INTERACTION_D, FrameTag.LAB, P13)
+        p = P13.replace(Ez=ez)
+        mid = frame_transform(s, 0.0, t, *frames, p)
+        back = frame_transform(mid, 0.0, t, *frames[::-1], p)
         assert np.max(np.abs(back.amps - s.amps)) < 1e-12
 
-    def test_unitary_round_trip(self, rng):
-        u = Unitary3(haar_unitary3(rng), FrameTag.LAB)
-        v = frame_transform(u, 0.4, 2.2, FrameTag.LAB, FrameTag.INTERACTION_D_EZ,
-                            P13.replace(Ez=0.3))
-        w = frame_transform(v, 0.4, 2.2, FrameTag.INTERACTION_D_EZ, FrameTag.LAB,
-                            P13.replace(Ez=0.3))
+    @given(seed=st.integers(0, 2**32 - 1),
+           times=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+           frames=st.tuples(st.sampled_from(FrameTag), st.sampled_from(FrameTag)),
+           ez=st.floats(-5.0, 5.0))
+    def test_unitary_round_trip(self, seed, times, frames, ez):
+        u = Unitary3(haar_unitary3(np.random.default_rng(seed)), frames[0])
+        p = P13.replace(Ez=ez)
+        v = frame_transform(u, *times, *frames, p)
+        w = frame_transform(v, *times, *frames[::-1], p)
         assert np.max(np.abs(w.m - u.m)) < 1e-12
 
     @pytest.mark.parametrize("frame", [FrameTag.INTERACTION_D, FrameTag.INTERACTION_D_EZ])
@@ -291,7 +298,7 @@ class TestPeriodPower:
             ref = _rk4_stepping(*args, self.T0, duration, n, u0)
             assert np.max(np.abs(u - ref)) < 1e-12
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(alpha=st.floats(0.0, 2 * math.pi),
            frac=st.floats(0.0, 2.0))
     def test_lab_agrees_with_analytic_within_rwa_bound(self, alpha, frac):
@@ -310,7 +317,7 @@ class TestPeriodPower:
 
 
 class TestProgramEngine:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(segs=st.lists(st.tuples(st.floats(0.0, 1.0),
                                    st.floats(0.0, 2 * math.pi, exclude_max=True)),
                          min_size=1, max_size=4),

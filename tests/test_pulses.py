@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nverc import (ConfigError, DQRotation, PulseSegment, PulseSequence,
+from nverc import (ConfigError, DQRotation, FrameTag, PulseSegment, PulseSequence,
                    RotationAxis, SystemParams, sequence_from_json,
                    sequence_to_json)
 from nverc.pulses import reduce_angle
@@ -31,7 +31,7 @@ class TestSegments:
 
 class TestAngles:
     @given(st.floats(-50.0, 50.0, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_reduce_angle_range_and_congruence(self, theta):
         t = reduce_angle(theta)
         assert -math.pi < t <= math.pi + 1e-15
@@ -50,12 +50,17 @@ class TestSerialization:
         seq2, params2 = sequence_from_json(text)
         return text, seq2, params2
 
-    def test_roundtrip(self):
-        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=-0.2, Ez=0.1)
-        seq = PulseSequence([
-            PulseSegment(1.25, 0.0, 3.0),
-            PulseSegment(2.5, math.pi, 3.0, omega_y=0.4, beta=0.1),
-        ])
+    @given(fields=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+           segs=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-7.0, 7.0),
+                                   st.floats(0.0, 10.0), st.floats(-1.0, 1.0),
+                                   st.none() | st.floats(-7.0, 7.0)),
+                         max_size=5),
+           frame=st.sampled_from([FrameTag.INTERACTION_D, FrameTag.INTERACTION_D_EZ]))
+    def test_roundtrip(self, fields, segs, frame):
+        ex, ey, ez = fields
+        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ex=ex, Ey=ey, Ez=ez)
+        seq = PulseSequence([PulseSegment(d, a, ox, omega_y=oy, beta=b)
+                             for d, a, ox, oy, b in segs], frame)
         text, seq2, p2 = self._roundtrip(seq, p)
         assert '"nverc-seq/1"' in text
         assert p2 == p

@@ -42,7 +42,7 @@ class TestPhiState:
         assert np.allclose(s.amps, -KET_MINUS, atol=1e-15)
 
     @given(st.floats(0.0, 2.0 * math.pi, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_antipodal_orthogonality(self, lam):
         assert abs(phi_state(lam).overlap(phi_state(lam + math.pi))) < 1e-14
 
@@ -84,7 +84,7 @@ class TestDQProjection:
         assert (mid.x, mid.y, mid.z, mid.leak) == (0.0, 0.0, 0.0, 1.0)
 
     @given(st.floats(0.0, 2.0 * math.pi, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_equatorial_azimuth(self, lam):
         pt = dq_projection(phi_state(lam))
         assert pt.leak < 1e-14
@@ -93,7 +93,7 @@ class TestDQProjection:
         assert abs(math.remainder(pt.azimuth - want, 2.0 * math.pi)) < 1e-9
 
     @given(st.lists(st.floats(-1, 1), min_size=6, max_size=6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_pure_state_radius(self, reim):
         v = np.array([complex(reim[0], reim[1]),
                       complex(reim[2], reim[3]),

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nverc import (ConfigError, PulseSegment, PulseSequence, StateVector3,
                    SystemParams, apply_sequence, characteristic_quantities)
 from nverc import _kernels, prop, spin
 from nverc.spin import KET_P1
-from nverc.sweeps import (cmd_ey_map, cmd_ratio_map, cmd_robustness,
+from nverc.sweeps import (_format_rows, cmd_ey_map, cmd_ratio_map, cmd_robustness,
                           cmd_synth, cmd_trace, system_from_config)
 
 
@@ -29,6 +32,35 @@ def read_csv(path):
 
 
 BASE = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0}}
+
+
+def percent_rows(rows):
+    """Reference CSV body: every value through Python's ``%.12e``."""
+    row_fmt = ",".join(["%.12e"] * rows.shape[1]) + "\n"
+    return "".join(row_fmt % tuple(row) for row in rows.tolist()).encode()
+
+
+# 14-significant-digit decimals ending in 5 lie within an ulp of a rounding
+# tie of the 13-digit format (n + 0.5 in [1e12, 1e13) is one exactly), and
+# the largest doubles below a power of ten round up into the next decade,
+# e.g. 9.99999999999996 prints as 1.000000000000e+01
+TIES = (st.builds(lambda n, k: float(f"{n}5e{k}"),
+                  st.integers(10**12, 10**13 - 1), st.integers(-26, 2))
+        | st.integers(10**12, 10**13 - 1).map(lambda n: n + 0.5))
+CARRIES = [float(np.nextafter(10.0**k, 0)) for k in range(-10, 13)] + [
+    9.99999999999996 * 10.0**k for k in range(-10, 13)]
+
+
+class TestFormatRows:
+    @settings(max_examples=300)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                      elements=st.floats() | st.floats(1e-10, 1e13) | TIES
+                      | st.sampled_from(CARRIES)))
+    @example(np.array(CARRIES).reshape(-1, 2))
+    @example(np.array([[float(f"1.2345678901235e{k}"), 1234567890123.5] for k in range(-10, 13)]))
+    def test_equals_percent_format(self, rows):
+        # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
+        assert _format_rows(rows) == percent_rows(rows)
 
 
 class TestConfigParsing:

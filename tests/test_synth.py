@@ -152,7 +152,7 @@ class TestMinimalLength:
         lengths = [len(synthesize_gate(P13, haar_unitary2(rng)).rotations) for _ in range(8)]
         assert lengths == [8, 14, 7, 13, 3, 11, 10, 8]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(quarter=st.floats(0.3, 5.5).filter(lambda a: abs(a - math.pi) > 0.3),
            first=st.sampled_from(RotationAxis),
            angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
