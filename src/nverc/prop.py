@@ -101,13 +101,16 @@ def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
 
 
 def _rwa_evolver(p: SystemParams, seg):
-    """t -> ``rwa_segment_unitary(p, seg, t)``, decomposing H_rwa once for
+    """(t, column=None) -> ``rwa_segment_unitary(p, seg, t)``, or only its
+    column ``column`` (shape ``t.shape + (3,)``), decomposing H_rwa once for
     every later call."""
     w, v = np.linalg.eigh(hamiltonian_rwa(p, seg))
     vh = v.conj().T
 
-    def evolve(duration):
+    def evolve(duration, column=None):
         t = np.asarray(duration, dtype=float)
+        if column is not None:
+            return (np.exp(-1j * w * t[..., None]) * vh[:, column]) @ v.T
         vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
         # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
         return (vw.reshape(-1, 3) @ vh).reshape(vw.shape)

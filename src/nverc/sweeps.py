@@ -5,13 +5,16 @@ CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``prop._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation, and every command runs in one process.
-Each command builds one float array; ``_format_rows`` turns a block of
-``_CSV_BLOCK`` rows of it into the exact ``%.12e`` bytes, and each block
-goes straight to the open file, so no whole-file text is built.  Each
-``cmd_*`` takes only its config and output path (``cmd_synth`` also the
-seed of random targets); which CLI flag reaches which command is decided
-in ``nverc.cli``.
+map row is one array operation, and every command runs in one process;
+an ``ey-map`` or ``ratio-map`` row evaluates only the |0> column of the
+rotating-wave propagator.  ``_write_csv`` takes one column per header
+field, shaped on the map's grid: a column constant along the first axis
+(the time axis) is formatted once per file, the others ``_CSV_BLOCK``
+cells at a time into the exact ``%.12e`` bytes (``_format_fields``), and
+each block goes straight to the open file, so neither a whole-file float
+matrix nor its text is built.  Each ``cmd_*`` takes only its config and
+output path (``cmd_synth`` also the seed of random targets); which CLI
+flag reaches which command is decided in ``nverc.cli``.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -29,7 +32,7 @@ import numpy as np
 from . import erc, synth
 from .calib import rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .prop import IntegratorConfig, _canonical_method, _walk, rwa_segment_unitary
+from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 from .strain import compensation_ratio, ey_characteristics
@@ -47,7 +50,7 @@ __all__ = [
 
 CSV_SCHEMA = "nverc-csv/1"
 _FLOAT_FMT = "%.12e"
-_CSV_BLOCK = 4096  # rows formatted and written to disk at a time; bounds peak memory
+_CSV_BLOCK = 4096  # cells (at least one first-axis row) per write; bounds peak memory
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _FIELD = np.frombuffer(b"0.000000000000e+00,", np.uint8)
 _EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint32)
@@ -156,23 +159,27 @@ def _observable_target(cfg: dict, observable: str):
     return _start_state({"start_state": cfg.get("target_state", "minus1")}).amps
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The exact ``_FLOAT_FMT`` CSV bytes of a 2-D float array.  A value
-    x in [1e-10, 1e13) has the 13 digits n = round(x 10^(12-e)), e =
-    floor(log10 x), from one correctly rounded product, laid out in 19 fixed
-    bytes.  A row holding any other value (zero, a sign, nan, inf, a product
-    within 2 ulps of a tie, an n off 13 digits) is formatted with ``%``."""
+def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_FLOAT_FMT`` bytes of each value of a float array, each
+    followed by ',', as ``uint8`` of shape ``x.shape + (19,)``, and the mask
+    of values whose bytes are exact.  A value x in [1e-10, 1e13) has the 13
+    digits n = round(x 10^(12-e)), e = floor(log10 x), from one correctly
+    rounded product; +0.0 is n = 0 with exponent +00.  Any other value whose
+    ``%`` text has 18 bytes (a product within 2 ulps of a tie, an n off 13
+    digits, a far 2-digit exponent) is written with ``%`` in place; text of
+    another length (a sign, nan, inf, a 3-digit exponent) is not exact."""
     with np.errstate(all="ignore"):
-        e = np.floor(np.log10(rows))                 # nan/-inf off the fast set
-        fast = (e >= -10) & (e <= 12) & ~np.signbit(rows)
-        k = np.where(fast, 12 - e, 0).astype(np.intp)
-        p = rows * _POW10[k]                         # k <= 22: 10^k is exact
+        e = np.floor(np.log10(x))                    # nan/-inf off the fast set
+        exact = (e >= -10) & (e <= 12) & ~np.signbit(x)
+        k = np.where(exact, 12 - e, 12).astype(np.intp)  # 12: exponent +00
+        p = x * _POW10[k]                            # k <= 22: 10^k is exact
         n = np.floor(p)
         frac = p - n
         n += frac > 0.5
-        fast &= (np.abs(frac - 0.5) > 2 * np.spacing(p)) & (n >= 1e12) & (n < 1e13)
-        n[~fast] = 1e12
-    buf = np.empty(rows.shape + (19,), np.uint8)
+        exact &= (np.abs(frac - 0.5) > 2 * np.spacing(p)) & (n >= 1e12) & (n < 1e13)
+        exact |= (x == 0.0) & ~np.signbit(x)         # +0.0: n = 0 below
+        n[~exact] = 0.0
+    buf = np.empty(x.shape + (19,), np.uint8)
     buf[...] = _FIELD
     # digit j of n is floor(n / 10^(12-j)) - 10 floor(n / 10^(13-j)); exact,
     # as n < 2^53 and n / 10^m is never within one rounding of another integer
@@ -182,29 +189,66 @@ def _format_rows(rows: np.ndarray) -> bytes:
         buf[..., pos] = q - 10 * prev + 48
         prev = q
     buf[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
-    buf[:, -1, 18] = 10                              # '\n' ends each row
-    row_fmt = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
-    out, start = [], 0
-    for i in np.flatnonzero(~fast.all(axis=1)):
-        out += [buf[start:i].tobytes(), (row_fmt % tuple(rows[i].tolist())).encode()]
-        start = i + 1
-    out.append(buf[start:].tobytes())
-    return b"".join(out)
+    fields, values, flags = buf.reshape(-1, 19), x.reshape(-1), exact.reshape(-1)
+    for i in np.flatnonzero(~flags):
+        text = (_FLOAT_FMT % values[i]).encode()
+        if len(text) == 18:
+            fields[i, :18] = np.frombuffer(text, np.uint8)
+            flags[i] = True
+    return buf, exact
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows: np.ndarray) -> None:
-    """Write ``rows``, a float array with one column per header field, one
-    ``_CSV_BLOCK`` of rows at a time."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(header):
-        raise ValueError(f"CSV rows of shape {rows.shape} do not fit header {header}")
+def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
+    """Write one float column per header field.  The columns broadcast to a
+    grid of at most 2 axes whose cells, in C order, are the rows.  A column
+    constant along the first axis is formatted once; the others are
+    formatted together, ``_CSV_BLOCK`` cells (at least one first-axis row)
+    at a time, and each block goes straight to the file.  A row with a
+    field that ``_format_fields`` cannot lay out is formatted with ``%``."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if len(cols) != len(header):
+        raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    if len(shape) > 2:
+        raise ValueError(f"CSV columns broadcast to {shape}, more than 2 axes")
+    cols = [c.reshape(-1, 1) if len(shape) < 2 else np.atleast_2d(c) for c in cols]
+    n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
+    once = {j: _format_fields(c) for j, c in enumerate(cols) if len(c) == 1 < n_outer}
+    step = max(1, _CSV_BLOCK // max(n_inner, 1))
+    row_fmt = ",".join([_FLOAT_FMT] * len(cols)) + "\n"
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
     with open(path, "wb") as fh:
         fh.write("".join(lines).encode("utf-8"))
-        for k in range(0, len(rows), _CSV_BLOCK):
-            fh.write(_format_rows(rows[k:k + _CSV_BLOCK]))
+        for k in range(0, n_outer, step):
+            block = [c if j in once else c[k:k + step] for j, c in enumerate(cols)]
+            buf, exact = _format_fields(np.concatenate(
+                [c.ravel() for j, c in enumerate(block) if j not in once]))
+            rows = np.empty((min(step, n_outer - k), n_inner, len(cols), 19), np.uint8)
+            ok = np.ones(rows.shape[:2], bool)
+            start = 0
+            for j, c in enumerate(block):
+                if j in once:
+                    fields, flags = once[j]
+                else:
+                    stop = start + c.size
+                    fields = buf[start:stop].reshape(c.shape + (19,))
+                    flags = exact[start:stop].reshape(c.shape)
+                    start = stop
+                rows[:, :, j] = fields
+                ok &= flags
+            rows[:, :, -1, 18] = 10                  # '\n' ends each row
+            rows = rows.reshape(-1, len(cols) * 19)
+            bad = np.flatnonzero(~ok.reshape(-1))
+            cells = np.divmod(bad, n_inner)
+            values = np.stack([np.broadcast_to(c, ok.shape)[cells] for c in block], axis=1)
+            out, done = [], 0
+            for i, row in zip(bad, values.tolist()):
+                out += [rows[done:i].tobytes(), (row_fmt % tuple(row)).encode()]
+                done = i + 1
+            out.append(rows[done:].tobytes())
+            fh.write(b"".join(out))
 
 
 def _params_meta(p: SystemParams) -> dict:
@@ -297,6 +341,8 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
         characteristic = None
         t_default = seq.total_duration
     t_max = float(cfg.get("t_max", t_default))
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     s0 = _start_state(cfg)
     times = np.linspace(0.0, t_max, n)
     us, drift = _walk(p, seq, times, method)
@@ -309,7 +355,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
         "method": _canonical_method(method),
         "characteristic": characteristic,
     }
-    _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], rows)
+    _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], list(rows.T))
     return {"rows": len(rows), "out": out_path, "norm_drift": drift}
 
 
@@ -327,11 +373,11 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     _check_sweep((("t1", 0.0, t_max, n), ("t2", 0.0, t_max, n)), observable)
     target = _observable_target(cfg, observable)
     ts = np.linspace(0.0, t_max, n)
+    first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
     second = erc._erc_matrix(p, ts, math.pi)
-    vals = np.array([
-        _observable_values(observable, target, second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1))
-        for t1 in ts
-    ])
+    # states[i, j] = second[j] @ first[i], each the same 3x3 product as alone
+    states = (second[None] @ first[:, None, :, None])[..., 0]
+    vals = _observable_values(observable, target, states.reshape(-1, 3)).reshape(n, n)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     meta = {
         "command": "robustness",
@@ -341,10 +387,10 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
                            "T_second": q.T_second, "T_half": q.T_total / 2.0},
         "grid": {"n": n, "t_max": t_max},
     }
-    rows = np.column_stack([ts.repeat(n), np.tile(ts, n), vals.ravel()])
-    _write_csv(out_path, meta, ["t1", "t2", _OBS_COLUMN[observable]], rows)
+    _write_csv(out_path, meta, ["t1", "t2", _OBS_COLUMN[observable]],
+               [ts[:, None], ts, vals])
     argmax = {"t1": float(ts[i]), "t2": float(ts[j]), "value": float(vals[i, j])}
-    return {"rows": len(rows), "out": out_path, "argmax": argmax}
+    return {"rows": vals.size, "out": out_path, "argmax": argmax}
 
 
 # ---------------------------------------------------------------- ey map ---
@@ -352,7 +398,7 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
 def _ground_state_states(p, times):
     """Amplitude trajectories of |0> under the constant two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
-    return rwa_segment_unitary(p, seg, times)[:, :, 1]
+    return _rwa_evolver(p, seg)(times, column=1)
 
 
 def _ey_row(p, times, observable, target):
@@ -384,8 +430,7 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     times = np.linspace(0.0, t_max, n_t)
     vals, overlays = zip(*(_ey_row(p.replace(Ey=ey, omega_y=0.0), times, observable, target)
                            for ey in eys))
-    rows = np.column_stack([eys.repeat(n_t), np.tile(times, n_ey), np.ravel(vals),
-                            np.repeat(overlays, n_t, axis=0)])
+    vals, overlays = np.array(vals), np.array(overlays)
     meta = {
         "command": "ey_map",
         "params": _params_meta(p),
@@ -395,8 +440,9 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     }
     _write_csv(out_path, meta,
                ["Ey", "t", _OBS_COLUMN[observable],
-                "T_total_ey", "T_prime_ey", "T_second_ey"], rows)
-    return {"rows": len(rows), "out": out_path, "validity_boundary": boundary}
+                "T_total_ey", "T_prime_ey", "T_second_ey"],
+               [eys[:, None], times, vals, *overlays.T[..., None]])
+    return {"rows": vals.size, "out": out_path, "validity_boundary": boundary}
 
 
 # ------------------------------------------------------------- ratio map ---
@@ -428,7 +474,6 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
                            _ground_state_states(p.replace(omega_y=r * p.omega_x), times))
         for r in ratios
     ])
-    rows = np.column_stack([ratios.repeat(n_t), np.tile(times, n_r), vals.ravel()])
     meta = {
         "command": "ratio_map",
         "params": _params_meta(p),
@@ -438,8 +483,9 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
                       "T_second": q_eff.T_second},
         "grid": {"n_ratio": n_r, "n_t": n_t, "t_max": t_max},
     }
-    _write_csv(out_path, meta, ["ratio", "t", _OBS_COLUMN[observable]], rows)
-    return {"rows": len(rows), "out": out_path, "analytic_ratio": r_star}
+    _write_csv(out_path, meta, ["ratio", "t", _OBS_COLUMN[observable]],
+               [ratios[:, None], times, vals])
+    return {"rows": vals.size, "out": out_path, "analytic_ratio": r_star}
 
 
 # ---------------------------------------------------------------- synth ---

@@ -102,6 +102,16 @@ class TestExitCodes:
         assert named in json.loads(capsys.readouterr().out)["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_max", [-1.0, "nan", "inf"])
+    def test_trace_t_max_outside_range_is_2(self, tmp_path, capsys, t_max):
+        out = tmp_path / "o.csv"
+        rc = main(["trace", "--config", write_cfg(tmp_path, dict(BASE_SYSTEM, t_max=t_max)),
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and "t_max" in err["message"]
+        assert not out.exists()
+
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")
         outs = [tmp_path / "default.json", tmp_path / "zero.json", tmp_path / "one.json"]

@@ -66,6 +66,23 @@ class TestBatchedRwaSegment:
         assert np.max(np.abs(batch[5] - prop.rwa_segment_unitary(
             p, PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)))) < 1e-14
 
+    @pytest.mark.parametrize("kind", ["plain", "two-tone", "Ex", "Ey"])
+    def test_column_equals_full_propagator_column(self, rng, kind):
+        for _ in range(10):
+            mu = rng.uniform(0.05, 2.0)
+            om = mu * rng.uniform(2.1, 8.0)
+            field = {"plain": {}, "two-tone": {"omega_y": om * rng.uniform(-1.0, 1.0)},
+                     "Ex": {"Ex": rng.uniform(-1.0, 1.0)},
+                     "Ey": {"Ey": rng.uniform(-1.0, 1.0)}}[kind]
+            p = SystemParams(D=500.0, muB=mu, omega_x=om, **field)
+            seg = PulseSegment(0.0, rng.uniform(-math.pi, math.pi), p.omega_x, p.omega_y,
+                               beta=rng.uniform(-math.pi, math.pi))
+            evolve = prop._rwa_evolver(p, seg)
+            ts = rng.uniform(0.0, 50.0, 64)
+            full = evolve(ts)
+            for j in range(3):
+                assert np.max(np.abs(evolve(ts, column=j) - full[:, :, j])) <= 1e-15
+
 
 class TestLabPropagation:
     def test_population_swap_within_rwa_error(self):

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from nverc import (ConfigError, PulseSegment, PulseSequence, StateVector3,
                    SystemParams, apply_sequence, characteristic_quantities)
-from nverc import _kernels, prop, spin
+from nverc import _kernels, erc, prop, spin, sweeps
 from nverc.spin import KET_P1
-from nverc.sweeps import (_format_rows, cmd_ey_map, cmd_ratio_map, cmd_robustness,
+from nverc.sweeps import (_write_csv, cmd_ey_map, cmd_ratio_map, cmd_robustness,
                           cmd_synth, cmd_trace, system_from_config)
 
 
@@ -34,10 +36,12 @@ def read_csv(path):
 BASE = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0}}
 
 
-def percent_rows(rows):
-    """Reference CSV body: every value through Python's ``%.12e``."""
-    row_fmt = ",".join(["%.12e"] * rows.shape[1]) + "\n"
-    return "".join(row_fmt % tuple(row) for row in rows.tolist()).encode()
+def percent_body(columns):
+    """Reference CSV body: every cell of the broadcast grid, in C order,
+    through Python's ``%.12e``."""
+    cells = [a.ravel().tolist() for a in np.broadcast_arrays(*columns)]
+    row_fmt = ",".join(["%.12e"] * len(columns)) + "\n"
+    return "".join(row_fmt % row for row in zip(*cells)).encode()
 
 
 # 14-significant-digit decimals ending in 5 lie within an ulp of a rounding
@@ -49,18 +53,45 @@ TIES = (st.builds(lambda n, k: float(f"{n}5e{k}"),
         | st.integers(10**12, 10**13 - 1).map(lambda n: n + 0.5))
 CARRIES = [float(np.nextafter(10.0**k, 0)) for k in range(-10, 13)] + [
     9.99999999999996 * 10.0**k for k in range(-10, 13)]
+# +0.0 has its own digits; the others have signs, subnormal or far 2-digit
+# exponents, or a carry into a 3-digit exponent
+EDGES = [0.0, -0.0, 5e-324, 1e-99, 9.9999999999999e99]
+VALUES = (st.floats() | st.floats(1e-10, 1e13) | TIES
+          | st.sampled_from(CARRIES + EDGES))
 
 
-class TestFormatRows:
+@st.composite
+def grid_columns(draw):
+    """1-4 columns broadcasting to one axis (1-D columns) or to two, mixing
+    (r, 1), (1, c), (r, c) and (c,) shapes."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    shapes = st.just((r,)) if draw(st.booleans()) else st.sampled_from(
+        [(r, 1), (1, c), (r, c), (c,)])
+    return [draw(hnp.arrays(np.float64, draw(shapes), elements=VALUES))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestWriteCsv:
+    # a block below the inner axis length is one outer row; the real block
+    # spans several outer rows
     @settings(max_examples=300)
-    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
-                      elements=st.floats() | st.floats(1e-10, 1e13) | TIES
-                      | st.sampled_from(CARRIES)))
-    @example(np.array(CARRIES).reshape(-1, 2))
-    @example(np.array([[float(f"1.2345678901235e{k}"), 1234567890123.5] for k in range(-10, 13)]))
-    def test_equals_percent_format(self, rows):
+    @given(grid_columns(), st.sampled_from([1, 2, 5, sweeps._CSV_BLOCK]))
+    @example([np.array(CARRIES)], sweeps._CSV_BLOCK)
+    @example([np.array([float(f"1.2345678901235e{k}") for k in range(-10, 13)]),
+              np.array([1234567890123.5])], sweeps._CSV_BLOCK)
+    @example([np.array(EDGES)[:, None], np.array(CARRIES)], 5)
+    @example([np.arange(2.0)[:, None], np.linspace(0.0, 1.0, sweeps._CSV_BLOCK + 1)],
+             sweeps._CSV_BLOCK)
+    def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
-        assert _format_rows(rows) == percent_rows(rows)
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(sweeps, "_CSV_BLOCK", block):
+            _write_csv(f"{tmp}/x.csv", {}, header, columns)
+            with open(f"{tmp}/x.csv", "rb") as fh:
+                _, head, body = fh.read().split(b"\n", 2)
+        assert head.decode() == ",".join(header)
+        assert body == percent_body(columns)
 
 
 class TestConfigParsing:
@@ -248,6 +279,23 @@ class TestRobustness:
     def test_unknown_observable_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_robustness(dict(BASE, n=5, observable="parity"), str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("observable", sweeps.OBSERVABLES)
+    def test_one_shot_grid_equals_per_row_loop(self, tmp_path, monkeypatch, observable):
+        written = []
+        monkeypatch.setattr(sweeps, "_write_csv", lambda *args: written.append(args[3]))
+        cfg = dict(BASE, n=17, observable=observable)
+        cmd_robustness(cfg, str(tmp_path / "rob.csv"))
+        p = system_from_config(cfg)
+        target = sweeps._observable_target(cfg, observable)
+        ts = np.linspace(0.0, characteristic_quantities(p).T_total, 17)
+        second = erc._erc_matrix(p, ts, math.pi)
+        want = np.array([
+            sweeps._observable_values(observable, target,
+                                      second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1))
+            for t1 in ts
+        ])
+        assert np.array_equal(written[0][2], want)
 
     def test_plot_script_emission(self, tmp_path):
         from nverc.sweeps import write_plot_script
