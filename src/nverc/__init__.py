@@ -15,7 +15,7 @@ from .erc import (ErcQuantities, bright_dark, characteristic_quantities,
                   not_gate_sequence)
 from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      ExtractionError, NoConvergenceError, NvErcError,
-                     RegimeError, ResonanceError, StepSizeUnderflow)
+                     RegimeError, ResonanceError)
 from .prop import (IntegratorConfig, PropagationResult, apply_sequence,
                    frame_transform, propagate, sequence_unitary)
 from .pulses import (DQRotation, PulseSegment, PulseSequence, RotationAxis,
@@ -48,5 +48,5 @@ __all__ = [
     # errors
     "NvErcError", "RegimeError", "DomainError", "ResonanceError",
     "AxisDegenerateError", "NoConvergenceError", "ExtractionError",
-    "StepSizeUnderflow", "ConfigError",
+    "ConfigError",
 ]

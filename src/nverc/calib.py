@@ -9,11 +9,14 @@ characteristic angle follows from the measured time ratio.  For a
 transverse-x field a third scan over the two-tone amplitude ratio finds
 the value that best depletes the ground state.
 
-Zero crossings are located on the continuous model (bracketing plus Brent
-root refinement on the real ground-state amplitude), not by interpolating
-sampled points, so extraction error is set by the root-finder tolerance
-rather than the sample count.  Measurements are exact populations; no shot
-noise or contrast model.
+Zero crossings are located on the continuous model (bracketing plus
+refinement by ``brentq``, Brent's root finder, on the real ground-state
+amplitude), not by interpolating sampled points, so extraction error is set
+by the root-finder tolerance rather than the sample count.  The depletion
+minimum and the best ratio are refined by ``fminbound``, Brent's bounded
+minimizer.  Both are in-package ports of scipy's implementations and return
+the same bits.  Measurements are exact populations; no shot noise or
+contrast model.
 """
 
 from __future__ import annotations
@@ -74,15 +77,148 @@ class RatioScanResult:
                 "depletion": list(self.depletion)}
 
 
-# scipy.optimize costs most of a cold import; it is loaded on first use
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq as _brentq
-    return _brentq(*args, **kwargs)
+# Brent's root finder and bounded minimizer (Brent, "Algorithms for
+# Minimization Without Derivatives", 1973, ch. 4-5), ported statement for
+# statement from scipy's brentq.c and _minimize_scalar_bounded (scipy is
+# BSD-3-licensed) so that they take the same iterates and return the same bits.
+def brentq(f, xa, xb, xtol, rtol):
+    """Root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Steps by inverse interpolation (two points) or extrapolation (three),
+    falling back to bisection when the step would not shrink the bracket
+    fast enough; stops once the bracket is below xtol + rtol |x|.  Raises
+    ValueError when the end signs match or f returns NaN, and RuntimeError
+    after 100 iterations.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
-def minimize_scalar(*args, **kwargs):
-    from scipy.optimize import minimize_scalar as _minimize_scalar
-    return _minimize_scalar(*args, **kwargs)
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def fminbound(func, a, b, xatol):
+    """(x, func(x)) at a local minimum of ``func`` on [a, b], to within
+    ``xatol`` plus sqrt(2.2e-16) |x|: parabolic interpolation steps, with a
+    golden-section step whenever the parabola is unacceptable.  After 500
+    evaluations the best point so far is returned."""
+    a, b = float(a), float(b)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = float(func(x))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    si = _sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = _sign(rat) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = float(func(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def simulate_odmr(p: SystemParams) -> OdmrResult:
@@ -135,8 +271,8 @@ def rabi_extract(
     The scan grid brackets sign changes of the ground-state amplitude; the
     first zero is T', the second is T'', and T = T' + T''.  Raises
     :class:`ExtractionError` when no zero exists in the window (drive below
-    the resonant-regime threshold) and ValueError when the window is
-    shorter than 1.2 Rabi periods.
+    the resonant-regime threshold) and ValueError when the window is not
+    finite or shorter than 1.2 Rabi periods.
     """
     if n_points < 64:
         raise ValueError(f"n_points must be >= 64, got {n_points}")
@@ -144,6 +280,8 @@ def rabi_extract(
     if om == 0.0:
         raise ValueError("drive amplitude must be nonzero")
     t_period = 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
+    if not math.isfinite(t_max):
+        raise ValueError(f"scan window t_max must be finite, got {t_max}")
     if t_max < 1.2 * t_period:
         raise ValueError(
             f"scan window {t_max:.6g} shorter than 1.2 Rabi periods ({1.2 * t_period:.6g})"
@@ -188,9 +326,8 @@ def _min_ground_population(p: SystemParams, ratio: float, window: float, n_grid:
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, n_grid - 1)]
-    res = minimize_scalar(p0, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    return min(float(res.fun), float(vals[i]))
+    _, fx = fminbound(p0, lo, hi, xatol=1e-13)
+    return min(fx, float(vals[i]))
 
 
 def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResult:
@@ -219,10 +356,9 @@ def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResul
     # an essentially exact zero IS the resonance; refining would only add
     # optimizer noise on top of it
     if depletion[i] > 1e-12 and 0 < i < len(ratios) - 1:
-        res = minimize_scalar(lambda r: _min_ground_population(p, r, window, n_grid),
-                              bounds=(ratios[i - 1], ratios[i + 1]), method="bounded",
-                              options={"xatol": 1e-10})
-        best = float(res.x)
+        x, _ = fminbound(lambda r: _min_ground_population(p, r, window, n_grid),
+                         ratios[i - 1], ratios[i + 1], xatol=1e-10)
+        best = float(x)
     return RatioScanResult(
         best_ratio=best,
         ratios=tuple(float(r) for r in ratios),

@@ -25,7 +25,7 @@ import sys
 
 from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      ExtractionError, NoConvergenceError, NvErcError,
-                     RegimeError, ResonanceError, StepSizeUnderflow)
+                     RegimeError, ResonanceError)
 from . import sweeps
 
 log = logging.getLogger("nverc")
@@ -59,7 +59,7 @@ EXIT_NUMERIC = 4
 
 _DOMAIN_ERRORS = (RegimeError, DomainError, ResonanceError, ExtractionError,
                   AxisDegenerateError)
-_NUMERIC_ERRORS = (NoConvergenceError, StepSizeUnderflow)
+_NUMERIC_ERRORS = (NoConvergenceError,)
 
 
 def build_parser() -> argparse.ArgumentParser:

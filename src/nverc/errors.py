@@ -64,14 +64,5 @@ class ExtractionError(NvErcError):
     the scan window, signalling an invalid regime)."""
 
 
-class StepSizeUnderflow(NvErcError):
-    """Adaptive integrator could not proceed. ``t_reached`` reports how far
-    the propagation got."""
-
-    def __init__(self, message, t_reached):
-        self.t_reached = float(t_reached)
-        super().__init__(f"{message} (time reached: {self.t_reached:.6g})")
-
-
 class ConfigError(NvErcError):
     """Invalid CLI / sweep configuration; message carries field diagnostics."""

@@ -2,11 +2,11 @@
 
 Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
-retained) with fixed-step RK4 or an adaptive embedded scheme, and
-propagates the time-independent rotating-wave Hamiltonians by exact matrix
-exponentiation per segment.  ``_rwa_evolver`` holds the package's one
-eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the calibration
-root finders evaluate any array of durations through it.
+retained) with fixed-step RK4, and propagates the time-independent
+rotating-wave Hamiltonians by exact matrix exponentiation per segment.
+``_rwa_evolver`` holds the package's one eigendecomposition of H_rwa;
+``rwa_segment_unitary`` and the calibration root finders evaluate any array
+of durations through it.
 
 Every pulse program runs through one walker, ``_walk``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -45,8 +45,8 @@ import numpy as np
 
 from . import _kernels
 from .erc import _erc_matrix, _interaction_frame
-from .errors import ResonanceError, StepSizeUnderflow
-from .ham import hamiltonian_lab, hamiltonian_rwa, lab_drive_operators, static_hamiltonian
+from .errors import ResonanceError
+from .ham import hamiltonian_rwa, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSequence
 from .spin import SZ2, FrameTag, StateVector3, SystemParams, Unitary3
 
@@ -62,25 +62,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error targets and stepping scheme for lab-frame integration.
+    """RK4 step bound for lab-frame integration.
 
     ``max_step = None`` selects one twentieth of a carrier period.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     max_step: float | None = None
-    scheme: str = "fixed_rk4"
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1e-3):
-                raise ValueError(f"{name} must lie in (0, 1e-3], got {v}")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.scheme not in ("fixed_rk4", "adaptive_embedded"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def lab_step(self, carrier: float) -> float:
         return self.max_step if self.max_step is not None else (2.0 * math.pi / carrier) / 20.0
@@ -128,8 +119,6 @@ def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
 def _lab_segment(p, seg, t0, cfg, taus, u):
     """Raw lab propagators of ``seg`` from t0, continuing ``u``, for each
     duration in ``taus``; the carrier period is integrated at most once."""
-    if cfg.scheme != "fixed_rk4":
-        return [_lab_segment_adaptive(p, seg, t0, cfg, tau, u) for tau in taus]
     hs = static_hamiltonian(p)
     ax, ay = lab_drive_operators(seg)
     period = 2.0 * math.pi / p.carrier
@@ -169,27 +158,6 @@ def _period_split(duration, period):
     elif rest < period * 1e-12:
         rest = 0.0
     return n, rest
-
-
-def _lab_segment_adaptive(p, seg, t0, cfg, duration, u):
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return (-1j * hamiltonian_lab(p, seg, t) @ y.reshape(3, 3)).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t0 + duration),
-        u.ravel().astype(complex),
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step or np.inf,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"adaptive integrator failed: {sol.message}", sol.t[-1])
-    return sol.y[:, -1].reshape(3, 3)
 
 
 def propagate(

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize_scalar
 
+from nverc import calib
 from nverc import (ExtractionError, StateVector3, SystemParams,
                    apply_sequence, characteristic_quantities,
                    compensation_ratio, ey_characteristics, not_gate_sequence,
@@ -76,6 +81,8 @@ class TestRabiExtract:
     def test_window_and_sampling_validation(self):
         with pytest.raises(ValueError):
             rabi_extract(P13, t_max=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            rabi_extract(P13, t_max=math.inf)
         with pytest.raises(ValueError):
             rabi_extract(P13, t_max=6.0, n_points=32)
 
@@ -143,3 +150,81 @@ class TestRatioScan:
             ratio_scan(P13, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             ratio_scan(P13.replace(Ex=0.5), [0.1, 0.2])
+
+
+# c + sum of three a cos(w x / scale) + b sin(w x / scale) terms, evaluated
+# with math so both sides of a comparison see the same bits
+COEF = st.floats(-2.0, 2.0)
+COS_SUM = st.tuples(st.floats(-1.0, 1.0),
+                    st.lists(st.tuples(COEF, COEF, st.floats(0.1, 10.0)),
+                             min_size=3, max_size=3))
+BRACKET = st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 10.0))
+# features down to 1e-8 wide, so that a bracket can shrink to a few xtol
+# while interpolation is still poor: only there does brentq's
+# 3 |sbis| - delta bound decide between a step and a bisection
+SCALE = st.integers(-8, 0).map(lambda k: 10.0 ** k)
+RESONANT = st.tuples(st.floats(0.05, 2.0), st.floats(2.1, 8.0))
+
+
+def cos_sum(c, terms, scale=1.0):
+    return lambda x: c + sum(a * math.cos(w * x / scale) + b * math.sin(w * x / scale)
+                             for a, b, w in terms)
+
+
+def first_sign_change(f, lo, hi, n=64):
+    """[lo, hi] if f changes sign over it, else the first such cell of an
+    n-point grid, else None."""
+    if f(lo) * f(hi) < 0.0:
+        return lo, hi
+    xs = np.linspace(lo, hi, n)
+    for a, b in zip(xs[:-1], xs[1:]):
+        if f(a) * f(b) < 0.0:
+            return float(a), float(b)
+    return None
+
+
+class TestBrentPorts:
+    """calib's Brent root finder and bounded minimizer give scipy's bits."""
+
+    @settings(max_examples=400)
+    @given(COS_SUM, BRACKET, SCALE, st.floats(1e-15, 1e-6), st.floats(4 * 2.0 ** -52, 1e-6))
+    # a case that the 3 |sbis| - delta bound sends to bisection
+    @example((-0.2, [(-1.6, 0.4, 7.0), (0.4, -0.6, 6.5), (-1.0, 1.4, 8.8)]),
+             (0.8, 5.7), 1e-7, 7e-8, 1e-15)
+    def test_brentq_equals_scipy(self, fn, bracket, scale, xtol, rtol):
+        f = cos_sum(*fn, scale)
+        lo, width = bracket
+        ends = first_sign_change(f, lo * scale, (lo + width) * scale)
+        assume(ends is not None)
+        assert calib.brentq(f, *ends, xtol, rtol) == scipy_brentq(f, *ends, xtol=xtol, rtol=rtol)
+
+    @settings(max_examples=400)
+    @given(COS_SUM, BRACKET, st.floats(1e-13, 1e-4))
+    def test_fminbound_equals_scipy(self, fn, bracket, xatol):
+        f = cos_sum(*fn)
+        lo, width = bracket
+        x, fx = calib.fminbound(f, lo, lo + width, xatol)
+        res = minimize_scalar(f, bounds=(lo, lo + width), method="bounded",
+                              options={"xatol": xatol})
+        assert x == res.x and fx == res.fun
+
+    @settings(max_examples=50)
+    @given(RESONANT, st.floats(1e-15, 1e-6), st.floats(1e-13, 1e-4))
+    def test_rwa_amplitude_equals_scipy(self, mu_ratio, xtol, xatol):
+        mu, ratio = mu_ratio
+        p = SystemParams(D=500.0, muB=mu, omega_x=ratio * mu)
+        amp = _ground_amplitude_fn(p, "rwa")
+        ends = first_sign_change(amp, 0.0, 1.5 * characteristic_quantities(p).T_total)
+        assert ends is not None
+        assert calib.brentq(amp, *ends, xtol, 1e-15) == scipy_brentq(amp, *ends, xtol=xtol,
+                                                                    rtol=1e-15)
+        x, fx = calib.fminbound(lambda t: amp(t) ** 2, *ends, xatol)
+        res = minimize_scalar(lambda t: amp(t) ** 2, bounds=ends, method="bounded",
+                              options={"xatol": xatol})
+        assert x == res.x and fx == res.fun
+
+    def test_brentq_sign_mismatch_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            calib.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
+        with pytest.raises(ValueError, match="NaN"):
+            calib.brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, 1e-14, 1e-15)

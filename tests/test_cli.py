@@ -1,13 +1,16 @@
 import json
+import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from nverc.cli import build_parser, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -112,6 +115,19 @@ class TestExitCodes:
         assert err["type"] == "ConfigError" and "t_max" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
+    def test_calibrate_t_max_outside_range_is_2(self, tmp_path, capsys, t_max):
+        # a NaN or infinite window used to reach the scan and be reported
+        # as a drive below the resonant regime (exit 3)
+        doc = dict(BASE_SYSTEM, scan={"t_max": t_max, "n_points": 256})
+        out = tmp_path / "cal.json"
+        rc = main(["calibrate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "scan window" in err["message"]
+        assert not out.exists()
+
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")
         outs = [tmp_path / "default.json", tmp_path / "zero.json", tmp_path / "one.json"]
@@ -189,6 +205,49 @@ class TestCheckedInConfigs:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         code = "import sys, nverc.cli; sys.exit('scipy.optimize' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_every_config_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: every checked-in config runs in
+        # one interpreter in which importing scipy fails
+        runs = [["trace", "fig2_trace", "--method", m] for m in ("analytic", "rwa", "lab")]
+        runs += [["robustness", f"fig4{x}_robustness"] for x in "abc"]
+        runs += [["ey-map", "fig5_ey_map"], ["ratio-map", "fig6_ratio_map"],
+                 ["synth", "synth_x"], ["synth", "synth_haar_orthogonal_axes"]]
+        runs += [["calibrate", c, "--method", m]
+                 for c in ("calibrate_basic", "calibrate_ex_compensation")
+                 for m in ("analytic", "rwa", "lab")]
+        argvs = [[cmd, "--config", str(CONFIGS / f"{name}.json"),
+                  "--out", str(tmp_path / f"{i}-{name}"), *rest]
+                 for i, (cmd, name, *rest) in enumerate(runs)]
+        code = textwrap.dedent("""
+            import json, sys
+            from importlib.abc import MetaPathFinder
+
+            class RefuseScipy(MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"{name} is refused")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            try:
+                import scipy
+            except ImportError:
+                pass
+            else:
+                sys.exit("scipy was not refused")
+            from nverc.cli import main
+            print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+        """)
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(runs)
+
+    def test_runtime_dependencies_name_no_scipy(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert not [d for d in project["dependencies"] if "scipy" in d.lower()]
+        assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
     def test_console_entry_point(self, tmp_path):
         # one subprocess round through the installed script path
