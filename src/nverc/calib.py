@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ExtractionError
-from .ham import static_hamiltonian
+from .ham import require_resonant, static_hamiltonian
 from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams
@@ -241,6 +241,8 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     method = _canonical_method(method)
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
+        # the closed form is the reduced Raman system's, so only on resonance
+        require_resonant(p)
         mu, om = p.muB_eff(), p.omega_eff()
         obar = math.sqrt(mu * mu + om * om / 4.0)
         w_b = (om * om / 4.0) / (obar * obar)
@@ -260,6 +262,14 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     return lab_amp
 
 
+def _rabi_period(p: SystemParams) -> float:
+    """Full Rabi period 2 pi / obar of the (effective) resonant drive."""
+    mu, om = p.muB_eff(), p.omega_eff()
+    if om == 0.0:
+        raise ValueError("drive amplitude must be nonzero")
+    return 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
+
+
 def rabi_extract(
     p: SystemParams,
     t_max: float,
@@ -276,10 +286,7 @@ def rabi_extract(
     """
     if n_points < 64:
         raise ValueError(f"n_points must be >= 64, got {n_points}")
-    mu, om = p.muB_eff(), p.omega_eff()
-    if om == 0.0:
-        raise ValueError("drive amplitude must be nonzero")
-    t_period = 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
+    t_period = _rabi_period(p)
     if not math.isfinite(t_max):
         raise ValueError(f"scan window t_max must be finite, got {t_max}")
     if t_max < 1.2 * t_period:
@@ -313,7 +320,11 @@ def rabi_extract(
     )
 
 
-def _min_ground_population(p: SystemParams, ratio: float, window: float, n_grid: int = 512):
+# time samples per ratio whose argmin brackets the depletion minimum
+_DEPLETION_GRID = 512
+
+
+def _min_ground_population(p: SystemParams, ratio: float, window: float):
     """Minimum over time of the |0> population under the two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
     evolve = _rwa_evolver(p, seg)
@@ -321,16 +332,16 @@ def _min_ground_population(p: SystemParams, ratio: float, window: float, n_grid:
     def p0(t):
         return np.abs(evolve(t)[..., 1, 1]) ** 2
 
-    ts = np.linspace(0.0, window, n_grid)
+    ts = np.linspace(0.0, window, _DEPLETION_GRID)
     vals = p0(ts)
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, n_grid - 1)]
+    hi = ts[min(i + 1, _DEPLETION_GRID - 1)]
     _, fx = fminbound(p0, lo, hi, xatol=1e-13)
     return min(fx, float(vals[i]))
 
 
-def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResult:
+def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
     """Scan the two-tone amplitude ratio for ground-state depletion.
 
     For each ratio the score is the minimum |0> population over a window
@@ -350,13 +361,13 @@ def ratio_scan(p: SystemParams, ratio_grid, n_grid: int = 512) -> RatioScanResul
         raise ValueError("ratio grid must be strictly increasing")
     mu, om = p.muB, p.omega_x
     window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
-    depletion = np.array([_min_ground_population(p, r, window, n_grid) for r in ratios])
+    depletion = np.array([_min_ground_population(p, r, window) for r in ratios])
     i = int(np.argmin(depletion))
     best = float(ratios[i])
     # an essentially exact zero IS the resonance; refining would only add
     # optimizer noise on top of it
     if depletion[i] > 1e-12 and 0 < i < len(ratios) - 1:
-        x, _ = fminbound(lambda r: _min_ground_population(p, r, window, n_grid),
+        x, _ = fminbound(lambda r: _min_ground_population(p, r, window),
                          ratios[i - 1], ratios[i + 1], xatol=1e-10)
         best = float(x)
     return RatioScanResult(

@@ -44,9 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import effective
-from .errors import ResonanceError
-from .ham import bright_dark_vectors
+from .ham import bright_dark_vectors, dressing_matrix, require_resonant
 from .pulses import DQRotation, PulseSegment, PulseSequence, RotationAxis
 from .spin import (KET_0, KET_PLUS, FrameTag, StateVector3, SystemParams,
                    Unitary3, phi_state)
@@ -77,17 +75,6 @@ def _interaction_frame(p: SystemParams) -> FrameTag:
     return FrameTag.INTERACTION_D_EZ if p.Ez != 0.0 else FrameTag.INTERACTION_D
 
 
-def _require_reducible(p: SystemParams):
-    """Resonance first (closed forms need the reduced Raman form), then regime."""
-    if not effective.raman_resonant(p):
-        raise ResonanceError(
-            "transverse field not compensated: residual detuning "
-            f"{effective.residual_detuning(p):.3e}; adjust omega_y/omega_x "
-            "(see nverc.strain.compensation_ratio)"
-        )
-    p.require_regime()
-
-
 def characteristic_quantities(p: SystemParams) -> ErcQuantities:
     """Compute (obar, T_total, T_prime, T_second, phi) for a resonant system.
 
@@ -96,7 +83,9 @@ def characteristic_quantities(p: SystemParams) -> ErcQuantities:
     """
     if p.omega_eff() == 0.0:
         raise ValueError("drive amplitude must be nonzero")
-    _require_reducible(p)
+    # resonance first: the closed forms need the reduced Raman form
+    require_resonant(p)
+    p.require_regime()
     mu = p.muB_eff()
     om = p.omega_eff()
     obar = math.sqrt(mu * mu + om * om / 4.0)
@@ -118,10 +107,11 @@ def bright_dark(p: SystemParams, alpha: float) -> tuple[StateVector3, StateVecto
     For a plain system the dark state is annihilated by the rotating-wave
     Hamiltonian; dressed systems get the corresponding dressed pair.
     """
-    _require_reducible(p)
+    require_resonant(p)
+    p.require_regime()
     b, d = bright_dark_vectors(p.muB_eff(), p.omega_eff(), alpha)
     if not p.is_plain():
-        g = effective.dressing_matrix(p)
+        g = dressing_matrix(p)
         b, d = g @ b, g @ d
     return StateVector3(b), StateVector3(d)
 
@@ -133,7 +123,8 @@ def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("segment duration must be non-negative")
-    _require_reducible(p)
+    require_resonant(p)
+    p.require_regime()
     mu, om = p.muB_eff(), p.omega_eff()
     obar = math.sqrt(mu * mu + om * om / 4.0)
     b, d = bright_dark_vectors(mu, om, alpha)
@@ -149,7 +140,7 @@ def _dressed(p: SystemParams, u: np.ndarray) -> np.ndarray:
     otherwise."""
     if p.is_plain():
         return u
-    g = effective.dressing_matrix(p)
+    g = dressing_matrix(p)
     return g @ u @ g.conj().T
 
 

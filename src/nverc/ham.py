@@ -25,6 +25,21 @@ which specializes to the plain effective-Raman form when Ex = Ey = 0 and
 omega_y = 0, where |B_a> = (muB |-> + e^{-i a} (omega/2) |0>) / obar is the
 bright state, the dark state |D_a> is annihilated, and the dynamics is a
 Rabi oscillation between |+> and |B_a> at frequency obar.
+
+This module also owns the Raman resonance condition
+
+    Ex (omega_x^2 - omega_y^2) + 2 Ey omega_x omega_y = 0      (beta = alpha)
+
+its solution for the drive ratio (``compensation_ratio``) and the check
+every closed form runs first (``require_resonant``).  On resonance
+
+    H_rwa(p) = G H_rwa(plain muB_eff, omega_eff) G^dag
+
+with a dressing unitary G (``dressing_matrix``) that acts only inside the
+{|+>, |->} doublet: it leaves |0> untouched, so ground-state populations
+and depletion times are those of the plain system.  G is a drive-alignment
+rotation (angle set by omega_y / omega_x) followed by a phase on |->, the
+latter a rotation of the DQ Bloch sphere about its x axis.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ import math
 
 import numpy as np
 
+from .errors import DomainError, ResonanceError
 from .pulses import PulseSegment
 from .spin import (KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ,
                    SZ2, SystemParams)
@@ -43,7 +59,15 @@ __all__ = [
     "static_hamiltonian",
     "lab_drive_operators",
     "bright_dark_vectors",
+    "residual_detuning",
+    "compensation_ratio",
+    "require_resonant",
+    "dressing_matrix",
 ]
+
+# relative tolerance of the resonance condition, against its scale
+# (|Ex| + |Ey|) (omega_x^2 + omega_y^2)
+RESONANCE_RTOL = 1e-9
 
 # transverse strain operators; the (0,2)/(2,0) entries couple |+1> and |-1>
 _OP_EX = SX @ SX - SY @ SY                 # == |+1><-1| + |-1><+1|
@@ -119,3 +143,60 @@ def bright_dark_vectors(muB: float, omega: float, alpha: float) -> tuple[np.ndar
     b = (muB * KET_MINUS + np.exp(-1j * alpha) * (omega / 2.0) * KET_0) / obar
     d = (-muB * KET_0 + np.exp(1j * alpha) * (omega / 2.0) * KET_MINUS) / obar
     return b, d
+
+
+def residual_detuning(p: SystemParams) -> float:
+    """Left-hand side of the resonance condition (zero when reducible)."""
+    return p.Ex * (p.omega_x**2 - p.omega_y**2) + 2.0 * p.Ey * p.omega_x * p.omega_y
+
+
+def compensation_ratio(Ex: float, Ey: float) -> float:
+    """Drive-amplitude ratio omega_y/omega_x restoring the Raman resonance."""
+    if Ex == 0.0:
+        raise DomainError("Ex = 0 needs no compensation; use the single-tone path")
+    q = Ey / Ex
+    sign = 1.0 if q >= 0.0 else -1.0
+    return q - sign * math.sqrt(q * q + 1.0)
+
+
+def require_resonant(p: SystemParams) -> None:
+    """Raise :class:`ResonanceError` unless the drive restores (or never
+    broke) the Raman resonance, to ``RESONANCE_RTOL`` of its scale.
+
+    The message gives the residual detuning and, with Ex and omega_x
+    nonzero, the omega_y/omega_x that restores the resonance.
+    """
+    residual = residual_detuning(p)
+    scale = (abs(p.Ex) + abs(p.Ey)) * (p.omega_x**2 + p.omega_y**2)
+    if abs(residual) <= RESONANCE_RTOL * max(scale, 1e-300):
+        return
+    msg = f"transverse field not compensated: residual detuning {residual:.3e}"
+    if p.Ex != 0.0 and p.omega_x != 0.0:
+        msg += f"; required omega_y/omega_x = {compensation_ratio(p.Ex, p.Ey):.12g}"
+    raise ResonanceError(msg)
+
+
+def _dressed_coupling(p: SystemParams) -> tuple[float, float, float]:
+    """(c, s, E_tilde): the drive direction c = omega_x/omega_eff,
+    s = omega_y/omega_eff, and the imaginary part E_tilde of the dressed
+    doublet coupling muB + i E_tilde.  E_tilde reduces to Ey for a pure
+    transverse-y field; on resonance its magnitude is sqrt(Ex^2 + Ey^2)."""
+    om = p.omega_eff()
+    c, s = (1.0, 0.0) if om == 0.0 else (p.omega_x / om, p.omega_y / om)
+    return c, s, p.Ey * (c * c - s * s) - p.Ex * (2.0 * c * s)
+
+
+def dressing_matrix(p: SystemParams) -> np.ndarray:
+    """Unitary G with H_rwa(p) = G H_rwa(plain muB_eff, omega_eff) G^dag.
+
+    Only meaningful on resonance (callers run :func:`require_resonant`);
+    for a plain system G is the identity.
+    """
+    c, s, e_tilde = _dressed_coupling(p)
+    mu_eff = math.hypot(p.muB, e_tilde)
+    u = (p.muB + 1j * e_tilde) / mu_eff if mu_eff > 0.0 else 1.0
+    p0 = np.outer(KET_0, KET_0.conj())
+    rot = p0 + c * (_P_PLUS + _P_MINUS) + 1j * s * (
+        np.outer(KET_MINUS, KET_PLUS.conj()) + np.outer(KET_PLUS, KET_MINUS.conj())
+    )
+    return rot @ (p0 + _P_PLUS + u * _P_MINUS)

@@ -107,7 +107,7 @@ class DQRotation:
         object.__setattr__(self, "theta", reduce_angle(float(theta)))
 
 
-def sequence_to_json(seq: PulseSequence, params: SystemParams, indent: int | None = 2) -> str:
+def sequence_to_json(seq: PulseSequence, params: SystemParams) -> str:
     doc = {
         "schema": SEQUENCE_SCHEMA,
         "frame": seq.frame.value,
@@ -131,7 +131,7 @@ def sequence_to_json(seq: PulseSequence, params: SystemParams, indent: int | Non
             for seg in seq.segments
         ],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def sequence_from_json(text: str) -> tuple[PulseSequence, SystemParams]:

@@ -117,7 +117,7 @@ class SystemParams:
         """Effective field magnitude sqrt(muB^2 + Ex^2 + Ey^2).
 
         Meaningful as the Raman coupling strength only when the drive is
-        resonance-matched (see :func:`nverc.strain.effective_params`).
+        resonance-matched (see :func:`nverc.ham.require_resonant`).
         """
         return math.sqrt(self.muB**2 + self.Ex**2 + self.Ey**2)
 

@@ -13,6 +13,10 @@ after which the system reduces to the plain form with
 muB -> sqrt(muB^2 + Ex^2 + Ey^2) and omega -> sqrt(omega_x^2 + omega_y^2).
 sign(0) is taken as +1, so a pure-x field gets ratio -1 (opposite-phase
 tone of equal amplitude).
+
+The resonance condition, this ratio (``compensation_ratio``, re-exported
+here) and the dressing unitary belong to ``nverc.ham``; the functions
+below run its ``require_resonant`` check.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import effective
 from .erc import ErcQuantities, _interaction_frame, characteristic_quantities
-from .errors import DomainError, ResonanceError
+from .errors import DomainError
+from .ham import _dressed_coupling, compensation_ratio, dressing_matrix, require_resonant
 from .spin import SystemParams, Unitary3
 
 __all__ = [
@@ -43,11 +47,6 @@ class EffectiveParams:
     omega_eff: float
     dq_frame_rotation: float
     carrier: float
-
-    def reduced(self, D: float) -> SystemParams:
-        """Plain SystemParams reproducing the dressed dynamics up to the
-        DQ frame rotation."""
-        return SystemParams(D=D, muB=self.muB_eff, omega_x=self.omega_eff)
 
 
 def ey_characteristics(p: SystemParams) -> ErcQuantities:
@@ -87,33 +86,20 @@ def phi_from_times(t_prime_meas: float, t_total_meas: float) -> float:
     return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
 
 
-def compensation_ratio(Ex: float, Ey: float) -> float:
-    """Drive-amplitude ratio omega_y/omega_x restoring the Raman resonance."""
-    if Ex == 0.0:
-        raise DomainError("Ex = 0 needs no compensation; use the single-tone path")
-    q = Ey / Ex
-    sign = 1.0 if q >= 0.0 else -1.0
-    return q - sign * math.sqrt(q * q + 1.0)
-
-
-def effective_params(p: SystemParams, tol: float = 1e-9) -> EffectiveParams:
+def effective_params(p: SystemParams) -> EffectiveParams:
     """Reduce a (compensated) system to plain effective parameters.
 
-    Validates the resonance condition: with Ex present the drive ratio must
-    solve the compensation quadratic (ResonanceError otherwise, reporting
-    the required ratio).  The returned ``dq_frame_rotation`` is the signed
-    rotation of the DQ Bloch sphere about its x axis that maps dressed to
-    plain states; it reduces to atan(Ey/muB) for a pure-y field.
+    Raises :class:`ResonanceError` off the resonance condition (see
+    :func:`nverc.ham.require_resonant`).  The returned ``dq_frame_rotation``
+    is the signed rotation atan2(E_tilde, muB) of the DQ Bloch sphere about
+    its x axis that maps dressed to plain states; it reduces to
+    atan(Ey/muB) for a pure-y field.
     """
-    if not effective.raman_resonant(p, tol=tol):
-        msg = f"residual detuning {effective.residual_detuning(p):.3e}"
-        if p.Ex != 0.0 and p.omega_x != 0.0:
-            msg += f"; required omega_y/omega_x = {compensation_ratio(p.Ex, p.Ey):.12g}"
-        raise ResonanceError(msg)
+    require_resonant(p)
     return EffectiveParams(
         muB_eff=p.muB_eff(),
         omega_eff=p.omega_eff(),
-        dq_frame_rotation=effective.effective_field_angle(p),
+        dq_frame_rotation=math.atan2(_dressed_coupling(p)[2], p.muB),
         carrier=p.carrier,
     )
 
@@ -121,5 +107,5 @@ def effective_params(p: SystemParams, tol: float = 1e-9) -> EffectiveParams:
 def dressing_unitary(p: SystemParams) -> Unitary3:
     """Unitary G mapping plain effective dynamics to the dressed system:
     H_rwa(p) = G H_rwa(reduced) G^dag.  Identity for a plain system."""
-    effective_params(p)  # validates resonance
-    return Unitary3(effective.dressing_matrix(p), _interaction_frame(p))
+    require_resonant(p)
+    return Unitary3(dressing_matrix(p), _interaction_frame(p))

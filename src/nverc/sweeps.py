@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import erc, synth
-from .calib import rabi_extract, ratio_scan, simulate_odmr
+from .calib import _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
@@ -461,12 +461,14 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     r_star = compensation_ratio(p.Ex, p.Ey)
     r_min = float(cfg.get("ratio_min", 0.0))
     r_max = float(cfg.get("ratio_max", 2.0 * abs(r_star) if r_star != 0 else 1.0))
-    ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
     p_res = p.replace(omega_y=r_star * p.omega_x)
     q_eff = erc.characteristic_quantities(p_res)
     t_max = float(cfg.get("t_max", 1.2 * q_eff.T_total))
     observable = cfg.get("observable", "pop_0")
-    _check_sweep((("t", 0.0, t_max, n_t),), observable)
+    # a single ratio column takes ratio_min alone, so it has no range to check
+    ratio_axis = (("ratio", r_min, r_max, n_r),) if n_r > 1 else ()
+    _check_sweep(ratio_axis + (("t", 0.0, t_max, n_t),), observable)
+    ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
     target = _observable_target(cfg, observable)
     times = np.linspace(0.0, t_max, n_t)
     vals = np.array([
@@ -562,19 +564,13 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     scan_cfg = cfg.get("scan", {})
     if not isinstance(scan_cfg, dict) or not set(scan_cfg) <= _SCAN_KEYS:
         raise ConfigError(f"scan reads only {sorted(_SCAN_KEYS)}, got {scan_cfg!r}")
-    mu, om = p_run.muB_eff(), p_run.omega_eff()
-    t_period = 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
-    t_max = float(scan_cfg.get("t_max", 1.5 * t_period))
+    t_max = float(scan_cfg.get("t_max", 1.5 * _rabi_period(p_run)))
     n_points = int(scan_cfg.get("n_points", 256))
     extraction = rabi_extract(p_run, t_max, n_points, method=method)
     result = {
-        "carrier": odmr.carrier,
-        "levels": list(odmr.levels),
-        "T_total": extraction.T_total,
-        "T_prime": extraction.T_prime,
-        "phi": extraction.phi,
+        **odmr.to_dict(),
+        **extraction.to_dict(),
         "best_ratio": best_ratio,
-        "method": extraction.method,
         "tolerances": {"root_xtol": 1e-14, "ratio_refine": "bounded_minimize"},
     }
     with open(out_path, "w", encoding="utf-8") as fh:

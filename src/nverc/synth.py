@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import effective
 from .erc import _interaction_frame, characteristic_quantities, dq_rotation
 from .errors import AxisDegenerateError, NoConvergenceError
+from .ham import dressing_matrix
 from .pulses import DQRotation, PulseSequence, RotationAxis
 from .spin import SystemParams, Unitary3
 
@@ -55,7 +55,9 @@ __all__ = [
     "haar_unitary2",
 ]
 
-PHI_MIN_DEFAULT = 1e-3
+# smallest phi, and a quarter of the smallest axis-line angle, that the
+# decomposition accepts (AxisDegenerateError below)
+PHI_MIN = 1e-3
 TARGET_INFIDELITY = 1e-9
 _K_MAX = 16
 # slack (rad) on the reach test's polar-angle comparison
@@ -230,7 +232,6 @@ class SynthesisResult:
 def synthesize_gate(
     p: SystemParams,
     target: np.ndarray,
-    phi_min: float = PHI_MIN_DEFAULT,
     max_rotations: int = _K_MAX,
 ) -> SynthesisResult:
     """Build the shortest two-pulse rotation program realizing ``target``
@@ -253,7 +254,7 @@ def synthesize_gate(
         raise ValueError(f"max_rotations must be at least 1, got {max_rotations}")
 
     q = characteristic_quantities(p)
-    if q.phi <= phi_min or _axis_line_angle(q.phi) < 4.0 * phi_min:
+    if q.phi <= PHI_MIN or _axis_line_angle(q.phi) < 4.0 * PHI_MIN:
         raise AxisDegenerateError(
             f"rotation axes are effectively parallel (phi = {q.phi:.6f}, "
             f"axis-line angle = {_axis_line_angle(q.phi):.3e} rad); "
@@ -267,7 +268,7 @@ def synthesize_gate(
     q_target = _unitary_quaternion(target)
     if not p.is_plain():
         # dressed axes: decompose G^dag target G in the plain frame
-        g2 = dq_block(effective.dressing_matrix(p))
+        g2 = dq_block(dressing_matrix(p))
         q_target = _unitary_quaternion(g2.conj().T @ target @ g2)
 
     starts = (RotationAxis.MINUS_PHI, RotationAxis.PLUS_PHI)

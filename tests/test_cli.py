@@ -82,7 +82,8 @@ class TestExitCodes:
         ("calibrate", dict(BASE_SYSTEM, scan={"t_max": 1.0, "n_points": 256})),
         ("robustness", dict(BASE_SYSTEM, n="abc")),
         ("calibrate", dict(EX_SYSTEM, ratio_grid=[0.8, 0.6, 0.4, 0.2, 0.0])),
-    ], ids=["short-scan", "short-window", "non-integer-n", "descending-grid"])
+        ("calibrate", {"units": "muB", "system": {"D": 500.0, "muB": 0.0, "omega_x": 0.0}}),
+    ], ids=["short-scan", "short-window", "non-integer-n", "descending-grid", "no-drive"])
     def test_bad_config_value_is_2(self, tmp_path, capsys, command, doc):
         # values the library rejects with ValueError/TypeError, not ConfigError
         out = tmp_path / "o.csv"
@@ -127,6 +128,33 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValueError" and "scan window" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", [{"ratio_min": 0.5, "ratio_max": 0.1},
+                                      {"ratio_max": math.inf}, {"ratio_min": math.nan}],
+                             ids=["descending", "infinite", "nan"])
+    def test_ratio_map_bad_ratio_axis_is_2(self, tmp_path, capsys, axis):
+        # the ratio axis is checked like every other map axis, before any
+        # arithmetic on it
+        out = tmp_path / "o.csv"
+        rc = main(["ratio-map", "--config", write_cfg(tmp_path, dict(TINY["ratio-map"], **axis)),
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and "'ratio'" in err["message"]
+        assert not out.exists()
+
+    def test_uncompensated_analytic_calibration_is_3(self, tmp_path, capsys):
+        # the analytic closed form is that of the reduced Raman system, so it
+        # needs the resonance; rwa and lab simulate the uncompensated drive
+        cfg = write_cfg(tmp_path, EX_SYSTEM)
+        outs = {m: tmp_path / f"{m}.json" for m in ("analytic", "rwa", "lab")}
+        rcs = {m: main(["calibrate", "--config", cfg, "--out", str(out), "--method", m])
+               for m, out in outs.items()}
+        assert rcs == {"analytic": 3, "rwa": 0, "lab": 0}
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ResonanceError" and "required omega_y/omega_x" in err["message"]
+        assert not outs["analytic"].exists()
 
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")

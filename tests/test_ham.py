@@ -5,9 +5,8 @@ import pytest
 
 from conftest import random_plain_params
 from nverc import PulseSegment, SystemParams
-from nverc.effective import dressing_matrix
-from nverc.ham import (bright_dark_vectors, hamiltonian_lab, hamiltonian_rwa,
-                       static_hamiltonian)
+from nverc.ham import (bright_dark_vectors, dressing_matrix, hamiltonian_lab,
+                       hamiltonian_rwa, static_hamiltonian)
 from nverc.spin import KET_MINUS, KET_PLUS, SZ2
 
 

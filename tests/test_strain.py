@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from nverc import (DomainError, PulseSegment, RegimeError, ResonanceError,
-                   SystemParams, characteristic_quantities, compensation_ratio,
+from nverc import (DomainError, DQRotation, NvErcError, PulseSegment,
+                   PulseSequence, RegimeError, ResonanceError, RotationAxis,
+                   StateVector3, SystemParams, apply_sequence, bright_dark,
+                   characteristic_quantities, compensation_ratio, dq_rotation,
                    dressing_unitary, effective_params, erc_unitary,
-                   ey_characteristics, phi_from_times)
+                   ey_characteristics, phi_from_times, rabi_extract,
+                   synthesize_gate)
 from nverc.ham import hamiltonian_lab, hamiltonian_rwa
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -152,6 +157,46 @@ class TestEffectiveParams:
         lhs = erc_unitary(p, t, alpha).m
         rhs = g @ erc_unitary(p_eff, t, alpha).m @ g.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# every entry point that needs the reduced Raman form, on one system
+RESONANT_ONLY = {
+    "characteristic_quantities": characteristic_quantities,
+    "erc_unitary": lambda p: erc_unitary(p, 0.7, 0.3),
+    "bright_dark": lambda p: bright_dark(p, 0.3),
+    "dq_rotation": lambda p: dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, 1.0)),
+    "apply_sequence": lambda p: apply_sequence(
+        p, PulseSequence([PulseSegment(0.7, 0.3, p.omega_x, p.omega_y)]),
+        StateVector3([1, 0, 0]), method="analytic"),
+    "effective_params": effective_params,
+    "dressing_unitary": dressing_unitary,
+    "synthesize_gate": lambda p: synthesize_gate(p, np.array([[0, 1], [1, 0]], dtype=complex)),
+    "rabi_extract": lambda p: rabi_extract(p, 10.0, method="analytic"),
+}
+# relative detuning of omega_y from the compensating ratio: 0 or 1e-6..0.1
+DETUNING = st.one_of(st.just(0.0), st.builds(lambda d, sign: sign * d, st.floats(1e-6, 0.1),
+                                             st.sampled_from([-1.0, 1.0])))
+
+
+class TestResonanceCheck:
+    @settings(max_examples=40)
+    @given(st.floats(0.1, 1.0), st.floats(-1.0, 1.0), st.floats(4.5, 8.0), DETUNING)
+    @example(0.7, -0.7, 4.5, 0.0)
+    @example(0.7, -0.7, 4.5, 1e-6)
+    def test_resonance_error_exactly_when_uncompensated(self, ex, ey, omega_x, delta):
+        # omega_x >= 4.5 keeps omega_eff >= 2 muB_eff for every field drawn
+        ratio = compensation_ratio(ex, ey) * (1.0 + delta)
+        p = SystemParams(D=500.0, muB=1.0, omega_x=omega_x, omega_y=ratio * omega_x,
+                         Ex=ex, Ey=ey)
+        for name, call in RESONANT_ONLY.items():
+            try:
+                call(p)
+                raised = False
+            except ResonanceError:
+                raised = True
+            except NvErcError:  # e.g. AxisDegenerateError: not a resonance verdict
+                raised = False
+            assert raised == (delta != 0.0), name
 
 
 class TestEzNeutrality:
