@@ -50,9 +50,6 @@ class OdmrResult:
     levels: tuple[float, float, float]
     carrier: float
 
-    def to_dict(self) -> dict:
-        return {"levels": list(self.levels), "carrier": self.carrier}
-
 
 @dataclass(frozen=True)
 class RabiExtraction:
@@ -61,20 +58,12 @@ class RabiExtraction:
     phi: float
     method: str = "analytic"
 
-    def to_dict(self) -> dict:
-        return {"T_total": self.T_total, "T_prime": self.T_prime,
-                "phi": self.phi, "method": self.method}
-
 
 @dataclass(frozen=True)
 class RatioScanResult:
     best_ratio: float
     ratios: tuple[float, ...]
     depletion: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"best_ratio": self.best_ratio, "ratios": list(self.ratios),
-                "depletion": list(self.depletion)}
 
 
 # Brent's root finder and bounded minimizer (Brent, "Algorithms for

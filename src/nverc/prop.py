@@ -110,10 +110,10 @@ def _rwa_evolver(p: SystemParams, seg):
 
 
 def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest unitary (polar factor) and the operator-norm distance to it."""
+    """Nearest unitary (polar factor) and the operator-norm distance to it,
+    max |s - 1| over the singular values, as u - w vh = w (s - 1) vh."""
     w, s, vh = np.linalg.svd(u)
-    proj = w @ vh
-    return proj, float(np.linalg.norm(u - proj, 2))
+    return w @ vh, float(np.max(np.abs(s - 1.0)))
 
 
 def _lab_segment(p, seg, t0, cfg, taus, u):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 from .spin import FrameTag, SystemParams
@@ -111,15 +111,8 @@ def sequence_to_json(seq: PulseSequence, params: SystemParams) -> str:
     doc = {
         "schema": SEQUENCE_SCHEMA,
         "frame": seq.frame.value,
-        "params": {
-            "D": params.D,
-            "muB": params.muB,
-            "omega_x": params.omega_x,
-            "omega_y": params.omega_y,
-            "Ex": params.Ex,
-            "Ey": params.Ey,
-            "Ez": params.Ez,
-        },
+        "params": asdict(params),
+        # the schema's key order, which is not PulseSegment's (beta last)
         "segments": [
             {
                 "duration": seg.duration,

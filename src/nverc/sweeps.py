@@ -10,11 +10,14 @@ an ``ey-map`` or ``ratio-map`` row evaluates only the |0> column of the
 rotating-wave propagator.  ``_write_csv`` takes one column per header
 field, shaped on the map's grid: a column constant along the first axis
 (the time axis) is formatted once per file, the others ``_CSV_BLOCK``
-cells at a time into the exact ``%.12e`` bytes (``_format_fields``), and
-each block goes straight to the open file, so neither a whole-file float
-matrix nor its text is built.  Each ``cmd_*`` takes only its config and
-output path (``cmd_synth`` also the seed of random targets); which CLI
-flag reaches which command is decided in ``nverc.cli``.
+cells at a time, and each block goes straight to the open file, so
+neither a whole-file float matrix nor its text is built.  Formatting has
+two tiers: ``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0
+and of positive values in [1e-10, 1e13), and every other field is
+formatted alone with ``%`` in front of its own separator.  Each
+``cmd_*`` takes only its config and output path (``cmd_synth`` also the
+seed of random targets); which CLI flag reaches which command is decided
+in ``nverc.cli``.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -24,6 +27,7 @@ are then in microseconds) or "rad_per_us" (angular, no conversion).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -56,7 +60,6 @@ _FIELD = np.frombuffer(b"0.000000000000e+00,", np.uint8)
 _EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint32)
 
 _UNIT_FACTORS = {"muB": 1.0, "rad_per_us": 1.0, "MHz": 2.0 * math.pi}
-_FREQUENCY_KEYS = ("D", "muB", "omega_x", "omega_y", "Ex", "Ey", "Ez")
 
 # The top-level config keys each CLI command reads; ``nverc.cli`` rejects
 # any other key that does not begin with "_" (a comment).
@@ -123,8 +126,7 @@ def system_from_config(cfg: dict) -> SystemParams:
     raw = cfg.get("system")
     if not isinstance(raw, dict):
         raise ConfigError("config field 'system' must be an object")
-    known = set(_FREQUENCY_KEYS)
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(SystemParams)}
     if unknown:
         raise ConfigError(f"unknown system fields: {sorted(unknown)}")
     try:
@@ -162,12 +164,12 @@ def _observable_target(cfg: dict, observable: str):
 def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``_FLOAT_FMT`` bytes of each value of a float array, each
     followed by ',', as ``uint8`` of shape ``x.shape + (19,)``, and the mask
-    of values whose bytes are exact.  A value x in [1e-10, 1e13) has the 13
-    digits n = round(x 10^(12-e)), e = floor(log10 x), from one correctly
-    rounded product; +0.0 is n = 0 with exponent +00.  Any other value whose
-    ``%`` text has 18 bytes (a product within 2 ulps of a tie, an n off 13
-    digits, a far 2-digit exponent) is written with ``%`` in place; text of
-    another length (a sign, nan, inf, a 3-digit exponent) is not exact."""
+    of values whose bytes are exact.  Those are +0.0 (n = 0 with exponent
+    +00) and the values x in [1e-10, 1e13) whose 13 digits
+    n = round(x 10^(12-e)), e = floor(log10 x), come from one correctly
+    rounded product that is not within 2 ulps of a tie and keeps n at 13
+    digits.  The bytes of any other value (a far 2-digit exponent, a
+    near-tie, a sign, nan, inf, a 3-digit exponent) are not meaningful."""
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(x))                    # nan/-inf off the fast set
         exact = (e >= -10) & (e <= 12) & ~np.signbit(x)
@@ -189,12 +191,6 @@ def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         buf[..., pos] = q - 10 * prev + 48
         prev = q
     buf[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
-    fields, values, flags = buf.reshape(-1, 19), x.reshape(-1), exact.reshape(-1)
-    for i in np.flatnonzero(~flags):
-        text = (_FLOAT_FMT % values[i]).encode()
-        if len(text) == 18:
-            fields[i, :18] = np.frombuffer(text, np.uint8)
-            flags[i] = True
     return buf, exact
 
 
@@ -203,8 +199,9 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     grid of at most 2 axes whose cells, in C order, are the rows.  A column
     constant along the first axis is formatted once; the others are
     formatted together, ``_CSV_BLOCK`` cells (at least one first-axis row)
-    at a time, and each block goes straight to the file.  A row with a
-    field that ``_format_fields`` cannot lay out is formatted with ``%``."""
+    at a time, and each block goes straight to the file.  A field that
+    ``_format_fields`` cannot lay out is formatted alone with ``%`` and
+    spliced in front of its own separator byte; no row is formatted whole."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
@@ -215,7 +212,6 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
     once = {j: _format_fields(c) for j, c in enumerate(cols) if len(c) == 1 < n_outer}
     step = max(1, _CSV_BLOCK // max(n_inner, 1))
-    row_fmt = ",".join([_FLOAT_FMT] * len(cols)) + "\n"
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
@@ -226,7 +222,7 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
             buf, exact = _format_fields(np.concatenate(
                 [c.ravel() for j, c in enumerate(block) if j not in once]))
             rows = np.empty((min(step, n_outer - k), n_inner, len(cols), 19), np.uint8)
-            ok = np.ones(rows.shape[:2], bool)
+            ok = np.empty(rows.shape[:3], bool)
             start = 0
             for j, c in enumerate(block):
                 if j in once:
@@ -237,23 +233,17 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
                     flags = exact[start:stop].reshape(c.shape)
                     start = stop
                 rows[:, :, j] = fields
-                ok &= flags
+                ok[:, :, j] = flags
             rows[:, :, -1, 18] = 10                  # '\n' ends each row
-            rows = rows.reshape(-1, len(cols) * 19)
-            bad = np.flatnonzero(~ok.reshape(-1))
-            cells = np.divmod(bad, n_inner)
-            values = np.stack([np.broadcast_to(c, ok.shape)[cells] for c in block], axis=1)
+            text = rows.tobytes()
+            bad = np.flatnonzero(~ok)
+            values = np.stack(np.broadcast_arrays(*block), axis=-1).reshape(-1)[bad]
             out, done = [], 0
-            for i, row in zip(bad, values.tolist()):
-                out += [rows[done:i].tobytes(), (row_fmt % tuple(row)).encode()]
-                done = i + 1
-            out.append(rows[done:].tobytes())
+            for i, v in zip(bad.tolist(), values.tolist()):
+                out += [text[done:19 * i], (_FLOAT_FMT % v).encode()]
+                done = 19 * i + 18                   # the field's own separator follows
+            out.append(text[done:])
             fh.write(b"".join(out))
-
-
-def _params_meta(p: SystemParams) -> dict:
-    return {"D": p.D, "muB": p.muB, "omega_x": p.omega_x, "omega_y": p.omega_y,
-            "Ex": p.Ex, "Ey": p.Ey, "Ez": p.Ez}
 
 
 _PLOT_TEMPLATE = '''\
@@ -351,7 +341,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
                      for t, a in zip(times, amps)]).reshape(-1, 4)
     meta = {
         "command": "trace",
-        "params": _params_meta(p),
+        "params": dataclasses.asdict(p),
         "method": _canonical_method(method),
         "characteristic": characteristic,
     }
@@ -381,7 +371,7 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     meta = {
         "command": "robustness",
-        "params": _params_meta(p),
+        "params": dataclasses.asdict(p),
         "observable": observable,
         "characteristic": {"T_total": q.T_total, "T_prime": q.T_prime,
                            "T_second": q.T_second, "T_half": q.T_total / 2.0},
@@ -433,7 +423,7 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     vals, overlays = np.array(vals), np.array(overlays)
     meta = {
         "command": "ey_map",
-        "params": _params_meta(p),
+        "params": dataclasses.asdict(p),
         "observable": observable,
         "validity_boundary_Ey": boundary,
         "grid": {"n_ey": n_ey, "n_t": n_t, "ey_max": ey_max, "t_max": t_max},
@@ -458,6 +448,9 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     n_t = int(cfg.get("n_t", 201))
     if n_r < 1:
         raise ConfigError("ratio map needs n_ratio >= 1")
+    if n_r == 1 and "ratio_max" in cfg:
+        raise ConfigError("axis 'ratio' of one point takes ratio_min alone; "
+                          "ratio_max is not read, so it is refused")
     r_star = compensation_ratio(p.Ex, p.Ey)
     r_min = float(cfg.get("ratio_min", 0.0))
     r_max = float(cfg.get("ratio_max", 2.0 * abs(r_star) if r_star != 0 else 1.0))
@@ -465,7 +458,7 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     q_eff = erc.characteristic_quantities(p_res)
     t_max = float(cfg.get("t_max", 1.2 * q_eff.T_total))
     observable = cfg.get("observable", "pop_0")
-    # a single ratio column takes ratio_min alone, so it has no range to check
+    # a single ratio column has no range to check
     ratio_axis = (("ratio", r_min, r_max, n_r),) if n_r > 1 else ()
     _check_sweep(ratio_axis + (("t", 0.0, t_max, n_t),), observable)
     ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
@@ -478,7 +471,7 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     ])
     meta = {
         "command": "ratio_map",
-        "params": _params_meta(p),
+        "params": dataclasses.asdict(p),
         "observable": observable,
         "analytic_ratio": r_star,
         "effective": {"T_total": q_eff.T_total, "T_prime": q_eff.T_prime,
@@ -568,8 +561,8 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     n_points = int(scan_cfg.get("n_points", 256))
     extraction = rabi_extract(p_run, t_max, n_points, method=method)
     result = {
-        **odmr.to_dict(),
-        **extraction.to_dict(),
+        **dataclasses.asdict(odmr),
+        **dataclasses.asdict(extraction),
         "best_ratio": best_ratio,
         "tolerances": {"root_xtol": 1e-14, "ratio_refine": "bounded_minimize"},
     }

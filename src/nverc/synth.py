@@ -59,7 +59,7 @@ __all__ = [
 # decomposition accepts (AxisDegenerateError below)
 PHI_MIN = 1e-3
 TARGET_INFIDELITY = 1e-9
-_K_MAX = 16
+_K_MAX = 16  # longest program synthesize_gate builds
 # slack (rad) on the reach test's polar-angle comparison
 _ANGLE_TOL = 1e-10
 
@@ -229,11 +229,7 @@ class SynthesisResult:
     fidelity: float
 
 
-def synthesize_gate(
-    p: SystemParams,
-    target: np.ndarray,
-    max_rotations: int = _K_MAX,
-) -> SynthesisResult:
+def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
     """Build the shortest two-pulse rotation program realizing ``target``
     on the DQ qubit.
 
@@ -243,15 +239,13 @@ def synthesize_gate(
     the minimal length any alternating program can have, deterministically.
     Raises :class:`AxisDegenerateError` when the two axes are effectively
     parallel, and :class:`NoConvergenceError` with that minimal length when
-    it exceeds ``max_rotations``.
+    it exceeds ``_K_MAX`` = 16.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got {target.shape}")
     if np.linalg.norm(target.conj().T @ target - np.eye(2), 2) > 1e-10:
         raise ValueError("target is not unitary within 1e-10")
-    if max_rotations < 1:
-        raise ValueError(f"max_rotations must be at least 1, got {max_rotations}")
 
     q = characteristic_quantities(p)
     if q.phi <= PHI_MIN or _axis_line_angle(q.phi) < 4.0 * PHI_MIN:
@@ -275,9 +269,9 @@ def synthesize_gate(
     length = 1
     while not any(_reachable(q.phi, q_target, s, length) for s in starts):
         length += 1
-    if length > max_rotations:
+    if length > _K_MAX:
         # report how close the walk cut short at the budget comes
-        best = max(abs(compose_rotations(q.phi, _walk(q.phi, q_target, s, max_rotations))
+        best = max(abs(compose_rotations(q.phi, _walk(q.phi, q_target, s, _K_MAX))
                        @ q_target) for s in starts)
         raise NoConvergenceError(residual=1.0 - best, n_rotations=length)
     first = next(s for s in starts if _reachable(q.phi, q_target, s, length))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -130,18 +131,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("axis", [{"ratio_min": 0.5, "ratio_max": 0.1},
-                                      {"ratio_max": math.inf}, {"ratio_min": math.nan}],
-                             ids=["descending", "infinite", "nan"])
-    def test_ratio_map_bad_ratio_axis_is_2(self, tmp_path, capsys, axis):
+    @pytest.mark.parametrize("axis, named", [
+        ({"ratio_min": 0.5, "ratio_max": 0.1}, "'ratio'"),
+        ({"ratio_max": math.inf}, "'ratio'"), ({"ratio_min": math.nan}, "'ratio'"),
+        ({"n_ratio": 1, "ratio_min": 0.2, "ratio_max": -5.0}, "ratio_max"),
+    ], ids=["descending", "infinite", "nan", "single-column-with-max"])
+    def test_ratio_map_bad_ratio_axis_is_2(self, tmp_path, capsys, axis, named):
         # the ratio axis is checked like every other map axis, before any
-        # arithmetic on it
+        # arithmetic on it; a single column takes ratio_min alone, so a
+        # ratio_max beside it is refused rather than ignored
         out = tmp_path / "o.csv"
         rc = main(["ratio-map", "--config", write_cfg(tmp_path, dict(TINY["ratio-map"], **axis)),
                    "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().out)["error"]
-        assert err["type"] == "ConfigError" and "'ratio'" in err["message"]
+        assert err["type"] == "ConfigError" and named in err["message"]
         assert not out.exists()
 
     def test_uncompensated_analytic_calibration_is_3(self, tmp_path, capsys):
@@ -235,20 +239,10 @@ class TestCheckedInConfigs:
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_every_config_runs_without_scipy(self, tmp_path):
-        # scipy is a test dependency only: every checked-in config runs in
-        # one interpreter in which importing scipy fails
-        runs = [["trace", "fig2_trace", "--method", m] for m in ("analytic", "rwa", "lab")]
-        runs += [["robustness", f"fig4{x}_robustness"] for x in "abc"]
-        runs += [["ey-map", "fig5_ey_map"], ["ratio-map", "fig6_ratio_map"],
-                 ["synth", "synth_x"], ["synth", "synth_haar_orthogonal_axes"]]
-        runs += [["calibrate", c, "--method", m]
-                 for c in ("calibrate_basic", "calibrate_ex_compensation")
-                 for m in ("analytic", "rwa", "lab")]
-        argvs = [[cmd, "--config", str(CONFIGS / f"{name}.json"),
-                  "--out", str(tmp_path / f"{i}-{name}"), *rest]
-                 for i, (cmd, name, *rest) in enumerate(runs)]
+        # scipy is a test dependency only: tools/config_digests.py runs every
+        # checked-in config in one interpreter in which importing scipy fails
         code = textwrap.dedent("""
-            import json, sys
+            import runpy, sys
             from importlib.abc import MetaPathFinder
 
             class RefuseScipy(MetaPathFinder):
@@ -263,13 +257,17 @@ class TestCheckedInConfigs:
                 pass
             else:
                 sys.exit("scipy was not refused")
-            from nverc.cli import main
-            print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+            sys.argv = sys.argv[1:]
+            runpy.run_path(sys.argv[0], run_name="__main__")
         """)
-        res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+        tool = ROOT / "tools" / "config_digests.py"
+        res = subprocess.run([sys.executable, "-c", code, str(tool), str(tmp_path)],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(runs)
+        lines = res.stdout.splitlines()
+        assert len(lines) == 18
+        assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+        assert [line[66:] for line in lines] == sorted(p.name for p in tmp_path.iterdir())
 
     def test_runtime_dependencies_name_no_scipy(self):
         tomllib = pytest.importorskip("tomllib")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from conftest import haar_unitary3, random_plain_params
@@ -131,6 +132,14 @@ class TestLabPropagation:
         # unitarity (Unitary3 construction enforces 1e-10) and reports it
         assert 0.0 < res.norm_drift < 1e-5
         assert abs(np.linalg.norm(res.state.amps) - 1.0) < 1e-12
+
+    @given(hnp.arrays(np.float64, (2, 3, 3), elements=st.floats(-1.0, 1.0)))
+    def test_projection_drift_is_the_operator_norm_distance(self, parts):
+        # u - w vh = w (s - 1) vh, so max |s - 1| is the distance a second
+        # SVD inside the 2-norm would give
+        u = parts[0] + 1j * parts[1]
+        proj, drift = prop._project_unitary(u)
+        assert drift == pytest.approx(np.linalg.norm(u - proj, 2), abs=1e-14)
 
     @pytest.mark.parametrize("spp,bound", [(40, 5e-3), (160, 1e-5)])
     def test_norm_drift_scales_down(self, spp, bound):

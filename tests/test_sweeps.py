@@ -82,6 +82,13 @@ class TestWriteCsv:
     @example([np.array(EDGES)[:, None], np.array(CARRIES)], 5)
     @example([np.arange(2.0)[:, None], np.linspace(0.0, 1.0, sweeps._CSV_BLOCK + 1)],
              sweeps._CSV_BLOCK)
+    # fig5's shape: a per-row overlay, NaN or -inf past a boundary, beside
+    # finite per-cell columns, sliced per block of two rows
+    @example([np.arange(5.0)[:, None], np.linspace(0.0, 1.0, 7),
+              np.linspace(0.01, 0.99, 35).reshape(5, 7),
+              np.array([[1.5], [math.nan], [-math.inf], [math.nan], [2.5]])], 14)
+    # a column constant along the first axis, formatted once per file
+    @example([np.arange(3.0)[:, None], np.array([[-0.0, 1e-12, math.nan, 2.5]])], 5)
     def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
         header = [f"c{j}" for j in range(len(columns))]

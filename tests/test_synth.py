@@ -11,7 +11,7 @@ from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    characteristic_quantities, dq_block, dq_gate_fidelity,
                    dq_rotation, phi_state, synthesize_gate)
-from nverc.synth import (_reachable, _unitary_quaternion, compose_rotations,
+from nverc.synth import (_K_MAX, _reachable, _unitary_quaternion, compose_rotations,
                          haar_unitary2, rotation_quaternion,
                          three_rotation_feasible)
 
@@ -114,13 +114,13 @@ class TestSynthesizeGate:
             synthesize_gate(p, X)
 
     def test_no_convergence_reports_residual(self):
-        # narrow axis separation with a tight rotation budget: both axes sit
-        # near the Bloch x direction, so a pi rotation about y is far out of
-        # reach and the failure must carry the best residual
+        # narrow axis separation: both axes sit near the Bloch x direction,
+        # so a pi rotation about y needs 25 rotations, beyond the budget of
+        # 16, and the failure must carry the best residual
         p = SystemParams(D=500.0, muB=1.0, omega_x=2.001)
         y_gate = np.array([[0, -1j], [1j, 0]], dtype=complex)
         with pytest.raises(NoConvergenceError) as err:
-            synthesize_gate(p, y_gate, max_rotations=4)
+            synthesize_gate(p, y_gate)
         assert 0 < err.value.residual <= 2.0
 
     def test_rejects_bad_targets(self):
@@ -184,15 +184,18 @@ class TestMinimalLength:
         assert seen == {True, False}
 
     def test_budget_is_decided_by_the_minimal_length(self):
-        p = SystemParams(D=500.0, muB=1.0, omega_x=2.001)
+        # the budget is 16 rotations: Z needs exactly 16 for drives in
+        # [2.00242, 2.00315] muB, Y needs 17 in [2.00214, 2.00274] muB
+        # (Y lengths are odd); each drive sits mid-band
+        z_gate = np.diag([1.0, -1.0]).astype(complex)
+        res = synthesize_gate(SystemParams(D=500.0, muB=1.0, omega_x=2.0028), z_gate)
+        assert len(res.rotations) == _K_MAX == 16
+        assert res.fidelity >= 1 - 1e-9
         y_gate = np.array([[0, -1j], [1j, 0]], dtype=complex)
         with pytest.raises(NoConvergenceError) as err:
-            synthesize_gate(p, y_gate, max_rotations=24)
-        assert err.value.n_rotations == 25
+            synthesize_gate(SystemParams(D=500.0, muB=1.0, omega_x=2.0024), y_gate)
+        assert err.value.n_rotations == 17
         assert 0 < err.value.residual <= 1
-        res = synthesize_gate(p, y_gate, max_rotations=25)
-        assert len(res.rotations) == 25
-        assert res.fidelity >= 1 - 1e-9
 
     def test_synthesis_leaves_scipy_optimize_unloaded(self):
         code = ("import sys, numpy as np; from nverc import SystemParams, synthesize_gate; "
