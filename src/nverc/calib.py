@@ -26,12 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ExtractionError
+from .errors import DomainError, ExtractionError
 from .ham import require_resonant, static_hamiltonian
 from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams
-from .strain import phi_from_times
 
 __all__ = [
     "OdmrResult",
@@ -40,6 +39,7 @@ __all__ = [
     "simulate_odmr",
     "rabi_extract",
     "ratio_scan",
+    "phi_from_times",
 ]
 
 
@@ -257,6 +257,28 @@ def _rabi_period(p: SystemParams) -> float:
     if om == 0.0:
         raise ValueError("drive amplitude must be nonzero")
     return 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
+
+
+def phi_from_times(t_prime_meas: float, t_total_meas: float) -> float:
+    """Recover the characteristic angle from two measured times:
+
+        phi = arccos( sqrt( -cos(2 pi T'/T) ) )
+
+    Real for T'/T in [1/4, 3/4]; the depletion time itself satisfies
+    T'/T in [1/4, 1/2], while feeding the complementary time T'' lands in
+    the mirrored upper half.  Outside the band the measurement is
+    inconsistent and a DomainError is raised.
+    """
+    if t_total_meas <= 0.0 or t_prime_meas <= 0.0:
+        raise DomainError("measured times must be positive")
+    ratio = t_prime_meas / t_total_meas
+    if not 0.25 - 1e-12 <= ratio <= 0.75 + 1e-12:
+        raise DomainError(
+            f"T'/T = {ratio:.6f} outside [1/4, 3/4]; times are inconsistent "
+            "with a resonant Raman cycle"
+        )
+    c = -math.cos(2.0 * math.pi * ratio)
+    return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
 
 
 def rabi_extract(

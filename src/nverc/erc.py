@@ -46,8 +46,7 @@ import numpy as np
 
 from .ham import bright_dark_vectors, dressing_matrix, require_resonant
 from .pulses import DQRotation, PulseSegment, PulseSequence, RotationAxis
-from .spin import (KET_0, KET_PLUS, FrameTag, StateVector3, SystemParams,
-                   Unitary3, phi_state)
+from .spin import KET_0, KET_PLUS, StateVector3, SystemParams, Unitary3, phi_state
 
 __all__ = [
     "ErcQuantities",
@@ -69,10 +68,6 @@ class ErcQuantities:
     T_prime: float
     T_second: float
     phi: float
-
-
-def _interaction_frame(p: SystemParams) -> FrameTag:
-    return FrameTag.INTERACTION_D_EZ if p.Ez != 0.0 else FrameTag.INTERACTION_D
 
 
 def characteristic_quantities(p: SystemParams) -> ErcQuantities:
@@ -148,9 +143,10 @@ def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
     """Evolution operator of one constant drive segment, any duration t >= 0.
 
     Exact solution of the rotating-wave Hamiltonian in the interaction
-    frame; dressed systems are handled by conjugating the plain solution.
+    frame ``p.interaction_frame``; dressed systems are handled by
+    conjugating the plain solution.
     """
-    return Unitary3(_erc_matrix(p, t, alpha), _interaction_frame(p))
+    return Unitary3(_erc_matrix(p, t, alpha), p.interaction_frame)
 
 
 def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
@@ -169,7 +165,7 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
         + ea.conjugate() * np.outer(KET_0, phi_state(-lam).amps.conj())
         - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
     )
-    return Unitary3(_dressed(p, u), _interaction_frame(p))
+    return Unitary3(_dressed(p, u), p.interaction_frame)
 
 
 def dq_rotation(
@@ -199,9 +195,9 @@ def dq_rotation(
             PulseSegment(durations[0], alpha, p.omega_x, p.omega_y),
             PulseSegment(durations[1], alpha + r.theta, p.omega_x, p.omega_y),
         ],
-        frame=_interaction_frame(p),
+        frame=p.interaction_frame,
     )
-    return Unitary3(u, _interaction_frame(p)), seq
+    return Unitary3(u, p.interaction_frame), seq
 
 
 def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:

@@ -35,23 +35,40 @@ every closed form runs first (``require_resonant``).  On resonance
 
     H_rwa(p) = G H_rwa(plain muB_eff, omega_eff) G^dag
 
-with a dressing unitary G (``dressing_matrix``) that acts only inside the
-{|+>, |->} doublet: it leaves |0> untouched, so ground-state populations
-and depletion times are those of the plain system.  G is a drive-alignment
-rotation (angle set by omega_y / omega_x) followed by a phase on |->, the
-latter a rotation of the DQ Bloch sphere about its x axis.
+with a dressing unitary G (``dressing_matrix``; as a ``Unitary3``,
+``dressing_unitary``) that acts only inside the {|+>, |->} doublet: it
+leaves |0> untouched, so ground-state populations and depletion times are
+those of the plain system.  G is a drive-alignment rotation (angle set by
+omega_y / omega_x) followed by a phase on |->, the latter a rotation of the
+DQ Bloch sphere about its x axis (``effective_params`` gives its angle and
+the plain-system equivalents).
+
+Each field component acts differently (Doherty et al., Phys. Rep. 528, 1,
+2013).  Ez only shifts the carrier to D + Ez, which spectroscopy picks up;
+it never enters the rotating-wave dynamics.  A transverse-y field dresses
+the doublet coupling to sqrt(muB^2 + Ey^2) and shortens the Rabi cycle
+accordingly.  A transverse-x field detunes the Raman resonance, which an
+orthogonal drive tone restores with
+
+    omega_y / omega_x = Ey/Ex - sign(Ey/Ex) sqrt(Ey^2/Ex^2 + 1),
+
+after which the system reduces to the plain form with
+muB -> sqrt(muB^2 + Ex^2 + Ey^2) and omega -> sqrt(omega_x^2 + omega_y^2).
+sign(0) is taken as +1, so a pure-x field gets ratio -1 (an opposite-phase
+tone of equal amplitude).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResonanceError
 from .pulses import PulseSegment
 from .spin import (KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ,
-                   SZ2, SystemParams)
+                   SZ2, SystemParams, Unitary3)
 
 __all__ = [
     "hamiltonian_lab",
@@ -63,6 +80,9 @@ __all__ = [
     "compensation_ratio",
     "require_resonant",
     "dressing_matrix",
+    "dressing_unitary",
+    "EffectiveParams",
+    "effective_params",
 ]
 
 # relative tolerance of the resonance condition, against its scale
@@ -200,3 +220,37 @@ def dressing_matrix(p: SystemParams) -> np.ndarray:
         np.outer(KET_MINUS, KET_PLUS.conj()) + np.outer(KET_PLUS, KET_MINUS.conj())
     )
     return rot @ (p0 + _P_PLUS + u * _P_MINUS)
+
+
+def dressing_unitary(p: SystemParams) -> Unitary3:
+    """Unitary G mapping plain effective dynamics to the dressed system:
+    H_rwa(p) = G H_rwa(reduced) G^dag.  Identity for a plain system."""
+    require_resonant(p)
+    return Unitary3(dressing_matrix(p), p.interaction_frame)
+
+
+@dataclass(frozen=True)
+class EffectiveParams:
+    """Plain-system equivalents of a dressed (field-compensated) system."""
+
+    muB_eff: float
+    omega_eff: float
+    dq_frame_rotation: float
+    carrier: float
+
+
+def effective_params(p: SystemParams) -> EffectiveParams:
+    """Reduce a (compensated) system to plain effective parameters.
+
+    Raises :class:`ResonanceError` off the resonance condition.  The
+    returned ``dq_frame_rotation`` is the signed rotation
+    atan2(E_tilde, muB) of the DQ Bloch sphere about its x axis that maps
+    dressed to plain states; it reduces to atan(Ey/muB) for a pure-y field.
+    """
+    require_resonant(p)
+    return EffectiveParams(
+        muB_eff=p.muB_eff(),
+        omega_eff=p.omega_eff(),
+        dq_frame_rotation=math.atan2(_dressed_coupling(p)[2], p.muB),
+        carrier=p.carrier,
+    )

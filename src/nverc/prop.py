@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .erc import _erc_matrix, _interaction_frame
+from .erc import _erc_matrix
 from .errors import ResonanceError
 from .ham import hamiltonian_rwa, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSequence
@@ -173,12 +173,12 @@ def propagate(
     time-independent rotating-wave Hamiltonian; the lab frame integrates
     the full time-dependent Hamiltonian with a coherent carrier across
     segments.  Returns the final state, the accumulated propagator (taken
-    from ``_interaction_frame(p)`` to ``frame``) and the worst per-segment
+    from ``p.interaction_frame`` to ``frame``) and the worst per-segment
     unitarity defect that was projected away.
     """
     frame = FrameTag(frame)
     us, drift = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa", cfg)
-    home = _interaction_frame(p)
+    home = p.interaction_frame
     uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home, frame, p)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
 
@@ -186,7 +186,7 @@ def propagate(
 def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     """Closed-form propagator of a whole pulse program (analytic method)."""
     us, _ = _walk(p, seq, [math.inf], "analytic")
-    return Unitary3(us[0], _interaction_frame(p))
+    return Unitary3(us[0], p.interaction_frame)
 
 
 def apply_sequence(
@@ -218,7 +218,7 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     a lab sample integrates from t0 as the truncated program would.  A
     sample at most 1e-15 short of a segment's end counts as that end; one
     past the end (``math.inf`` included) gets the whole program.  Lab
-    propagators are taken to the frame ``_interaction_frame(p)`` by the
+    propagators are taken to the frame ``p.interaction_frame`` by the
     phase exp(+i w Sz^2 t) at their end time t.
     """
     method = _canonical_method(method)
@@ -265,7 +265,7 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     us = np.array([m for m, _ in found]).reshape(-1, 3, 3)
     if method == "lab_numeric":
         t_end = np.array([t for _, t in found]).reshape(-1, 1)
-        w = _frame_rate(_interaction_frame(p), p)
+        w = _frame_rate(p.interaction_frame, p)
         us = np.exp(1j * w * np.diag(SZ2) * t_end)[:, :, None] * us
     return us, drift
 

@@ -113,6 +113,12 @@ class SystemParams:
         """Drive carrier frequency after spectroscopic calibration: D + Ez."""
         return self.D + self.Ez
 
+    @property
+    def interaction_frame(self) -> FrameTag:
+        """Frame of the rotating-wave dynamics: the interaction picture of
+        (D + Ez) Sz^2, tagged ``INTERACTION_D`` when Ez = 0."""
+        return FrameTag.INTERACTION_D_EZ if self.Ez != 0.0 else FrameTag.INTERACTION_D
+
     def muB_eff(self) -> float:
         """Effective field magnitude sqrt(muB^2 + Ex^2 + Ey^2).
 

@@ -36,10 +36,10 @@ import numpy as np
 from . import erc, synth
 from .calib import _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
+from .ham import compensation_ratio
 from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
-from .strain import compensation_ratio, ey_characteristics
 
 __all__ = [
     "load_config",
@@ -118,7 +118,9 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def system_from_config(cfg: dict) -> SystemParams:
+def system_from_config(cfg: dict, swept: tuple[str, ...] = ()) -> SystemParams:
+    """The ``SystemParams`` of a config's "system" block.  A field named in
+    ``swept`` is one the command sets itself, so giving it is refused."""
     units = cfg.get("units", "muB")
     if units not in _UNIT_FACTORS:
         raise ConfigError(f"units must be one of {sorted(_UNIT_FACTORS)}, got {units!r}")
@@ -129,6 +131,10 @@ def system_from_config(cfg: dict) -> SystemParams:
     unknown = set(raw) - {f.name for f in dataclasses.fields(SystemParams)}
     if unknown:
         raise ConfigError(f"unknown system fields: {sorted(unknown)}")
+    for name in swept:
+        if name in raw:
+            raise ConfigError(f"system field {name!r} is set by the sweep, "
+                              "so it is not read; it is refused")
     try:
         vals = {k: factor * float(raw[k]) for k in raw}
     except (TypeError, ValueError) as exc:
@@ -395,7 +401,7 @@ def _ey_row(p, times, observable, target):
     states = _ground_state_states(p, times)
     vals = _observable_values(observable, target, states)
     try:
-        qe = ey_characteristics(p)
+        qe = erc.characteristic_quantities(p)
         overlay = (qe.T_total, qe.T_prime, qe.T_second)
     except NvErcError:
         overlay = (math.nan, math.nan, math.nan)
@@ -405,8 +411,9 @@ def _ey_row(p, times, observable, target):
 def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     """Ground-state population against (Ey, t), with the closed-form
     characteristic-time overlays as extra columns (NaN past the validity
-    boundary Ey = sqrt(omega^2/4 - muB^2))."""
-    p = system_from_config(cfg)
+    boundary Ey = sqrt(omega^2/4 - muB^2)).  The rows sweep Ey with a
+    single drive tone, so the system block may not set Ey or omega_y."""
+    p = system_from_config(cfg, swept=("Ey", "omega_y"))
     n_ey = int(cfg.get("n_ey", 41))
     n_t = int(cfg.get("n_t", 201))
     boundary = math.sqrt(max(p.omega_x**2 / 4.0 - p.muB**2, 0.0))
@@ -418,7 +425,7 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     target = _observable_target(cfg, observable)
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
-    vals, overlays = zip(*(_ey_row(p.replace(Ey=ey, omega_y=0.0), times, observable, target)
+    vals, overlays = zip(*(_ey_row(p.replace(Ey=ey), times, observable, target)
                            for ey in eys))
     vals, overlays = np.array(vals), np.array(overlays)
     meta = {
@@ -440,8 +447,9 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
 def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     """Ground-state population against (omega_y/omega_x, t) in the presence
     of a transverse field; metadata records the analytic compensation ratio
-    and the effective depletion times."""
-    p = system_from_config(cfg)
+    and the effective depletion times.  The columns sweep omega_y, so the
+    system block may not set it."""
+    p = system_from_config(cfg, swept=("omega_y",))
     if p.Ex == 0.0:
         raise ConfigError("ratio map requires a nonzero Ex in the system block")
     n_r = int(cfg.get("n_ratio", 81))

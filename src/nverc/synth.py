@@ -19,7 +19,8 @@ about l keeps the polar angle about l and one about the other axis moves
 it by at most 2 gamma; k = (L - 1) // 2 of the rotations after the first
 are about the other axis.  So L rotations realize the target iff |angle(l, U f) - angle(l, f)| <= 2 k
 gamma (for L = 3 this is ``three_rotation_feasible``), and the shortest L
-passing for either f is minimal.  The walk then splits that polar change
+passing for either f is minimal; it is solved for k directly, per f and
+parity, not searched for.  The walk then splits that polar change
 into k equal steps: a rotation about l puts the tracked vector on a cone
 about the other axis whose half-angle lies mid-way in the range holding
 both step endpoints, a rotation about the other axis makes the step (each
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erc import _interaction_frame, characteristic_quantities, dq_rotation
+from .erc import characteristic_quantities, dq_rotation
 from .errors import AxisDegenerateError, NoConvergenceError
 from .ham import dressing_matrix
 from .pulses import DQRotation, PulseSequence, RotationAxis
@@ -160,6 +161,30 @@ def _reachable(phi: float, q_target: np.ndarray, first: RotationAxis, length: in
     return abs(change) <= 2 * ((length - 1) // 2) * _axis_line_angle(phi) + _ANGLE_TOL
 
 
+def _shortest(phi: float, q_target: np.ndarray) -> tuple[int, RotationAxis]:
+    """Minimal length of an alternating program realizing the target, and
+    its first axis (``MINUS_PHI`` when both reach it), solved from the reach
+    test: per first axis f and parity, the smallest k >= 0 with
+    |change| <= 2 k gamma + ``_ANGLE_TOL`` gives L = 2k + 1 (l = f) or
+    L = 2k + 2 (l the other axis)."""
+    ax = _axes(phi)
+    gamma = _axis_line_angle(phi)
+    options = []
+    for i, first in enumerate((RotationAxis.MINUS_PHI, RotationAxis.PLUS_PHI)):
+        f = ax[first]
+        for l, base in ((f, 1), (ax[_other(first)], 2)):
+            change = abs(_angle(l, _rotate(q_target, f)) - _angle(l, f))
+            k = max(0, math.ceil((change - _ANGLE_TOL) / (2 * gamma)))
+            # the division may round either way; settle k on the test itself
+            while k and change <= 2 * (k - 1) * gamma + _ANGLE_TOL:
+                k -= 1
+            while change > 2 * k * gamma + _ANGLE_TOL:
+                k += 1
+            options.append((2 * k + base, i, first))
+    length, _, first = min(options)
+    return length, first
+
+
 def _turn(n: np.ndarray, x: np.ndarray, ref: np.ndarray, target: float):
     """Angle of the rotation about n that brings ref . x to ``target``
     (clipped to the values it can reach), and the rotated x."""
@@ -236,7 +261,8 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
     ``target`` is a 2x2 unitary on (|+1>, |-1>), matched up to global phase
     with fidelity >= 1 - 1e-9; the returned program acts diagonally on |0>
     by construction (no leakage).  The program alternates the two axes with
-    the minimal length any alternating program can have, deterministically.
+    the minimal length any alternating program can have, deterministically;
+    its sequence and unitary are tagged with the frame ``p.interaction_frame``.
     Raises :class:`AxisDegenerateError` when the two axes are effectively
     parallel, and :class:`NoConvergenceError` with that minimal length when
     it exceeds ``_K_MAX`` = 16.
@@ -265,21 +291,17 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
         g2 = dq_block(dressing_matrix(p))
         q_target = _unitary_quaternion(g2.conj().T @ target @ g2)
 
-    starts = (RotationAxis.MINUS_PHI, RotationAxis.PLUS_PHI)
-    length = 1
-    while not any(_reachable(q.phi, q_target, s, length) for s in starts):
-        length += 1
+    length, first = _shortest(q.phi, q_target)
     if length > _K_MAX:
         # report how close the walk cut short at the budget comes
         best = max(abs(compose_rotations(q.phi, _walk(q.phi, q_target, s, _K_MAX))
-                       @ q_target) for s in starts)
+                       @ q_target) for s in RotationAxis)
         raise NoConvergenceError(residual=1.0 - best, n_rotations=length)
-    first = next(s for s in starts if _reachable(q.phi, q_target, s, length))
     return _finalize(p, _walk(q.phi, q_target, first, length), target)
 
 
 def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult:
-    frame = _interaction_frame(p)
+    frame = p.interaction_frame
     u = np.eye(3, dtype=complex)
     segments = []
     for r in rotations:

@@ -17,7 +17,7 @@ from nverc import (AxisDegenerateError, DQRotation, FrameTag, IntegratorConfig,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    characteristic_quantities, closed_form_unitary,
                    compensation_ratio, dq_rotation, erc_unitary,
-                   ey_characteristics, frame_transform, not_gate_sequence,
+                   frame_transform, not_gate_sequence,
                    phi_state, propagate, rabi_extract, ratio_scan,
                    synthesize_gate)
 from nverc.ham import hamiltonian_rwa
@@ -218,7 +218,7 @@ def test_criterion_08_transverse_y_overlays():
     worst_rel = 0.0
     for ey in np.linspace(0.0, boundary, 33, endpoint=False):
         p = P13.replace(Ey=ey)
-        q = ey_characteristics(p)
+        q = characteristic_quantities(p)
         h = hamiltonian_rwa(p, PulseSegment(1.0, 0.0, p.omega_x))
         w, v = np.linalg.eigh(h)
         c = v[1, :].conj() * v[1, :]

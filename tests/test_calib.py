@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from nverc import calib
 from nverc import (ExtractionError, StateVector3, SystemParams,
                    apply_sequence, characteristic_quantities,
-                   compensation_ratio, ey_characteristics, not_gate_sequence,
+                   compensation_ratio, not_gate_sequence,
                    rabi_extract, ratio_scan, simulate_odmr)
 from nverc.calib import _ground_amplitude_fn
 from nverc.pulses import PulseSegment, PulseSequence
@@ -55,7 +55,7 @@ class TestRabiExtract:
 
     def test_transverse_y_numeric_matches_closed_forms(self):
         p = P13.replace(Ey=0.5)
-        q = ey_characteristics(p)
+        q = characteristic_quantities(p)
         ex = rabi_extract(p, t_max=1.5 * q.T_total, method="rwa")
         assert abs(ex.T_prime - q.T_prime) < 1e-6
         assert abs(ex.T_total - q.T_total) < 1e-6

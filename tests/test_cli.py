@@ -98,7 +98,14 @@ class TestExitCodes:
         ("robustness", dict(BASE_SYSTEM, n=3, n_pointz=7), "'n_pointz'"),
         ("calibrate", dict(BASE_SYSTEM, scan={"t_max": 5.25, "n_pointz": 7}), "'n_pointz'"),
         ("calibrate", dict(BASE_SYSTEM, ratio_grid=[0.0, 0.5, 1.0]), "transverse-x"),
-    ], ids=["method-in-map", "misspelt-key", "misspelt-scan-key", "grid-without-ex"])
+        # the maps set these system fields themselves
+        ("ey-map", dict(BASE_SYSTEM, system={**BASE_SYSTEM["system"], "Ey": 0.9}), "'Ey'"),
+        ("ey-map", dict(BASE_SYSTEM, system={**BASE_SYSTEM["system"], "omega_y": 0.9}),
+         "'omega_y'"),
+        ("ratio-map", dict(EX_SYSTEM, system={**EX_SYSTEM["system"], "omega_y": 2.0}),
+         "'omega_y'"),
+    ], ids=["method-in-map", "misspelt-key", "misspelt-scan-key", "grid-without-ex",
+            "ey-map-sets-ey", "ey-map-sets-omega-y", "ratio-map-sets-omega-y"])
     def test_config_key_not_read_is_2(self, tmp_path, capsys, command, doc, named):
         # a key the command would ignore is refused before anything is written
         out = tmp_path / "o.csv"
@@ -159,6 +166,14 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ResonanceError" and "required omega_y/omega_x" in err["message"]
         assert not outs["analytic"].exists()
+
+    def test_ey_map_with_ex_is_3(self, tmp_path, capsys):
+        # an uncompensated transverse-x field has no closed-form overlay
+        doc = dict(TINY["ey-map"], system={**BASE_SYSTEM["system"], "Ex": 0.1})
+        out = tmp_path / "o.csv"
+        assert main(["ey-map", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResonanceError"
+        assert not out.exists()
 
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         cfg = str(CONFIGS / "synth_haar_orthogonal_axes.json")

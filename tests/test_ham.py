@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_plain_params
 from nverc import PulseSegment, SystemParams
-from nverc.ham import (bright_dark_vectors, dressing_matrix, hamiltonian_lab,
-                       hamiltonian_rwa, static_hamiltonian)
+from nverc.ham import (bright_dark_vectors, compensation_ratio, dressing_matrix,
+                       hamiltonian_lab, hamiltonian_rwa, static_hamiltonian)
 from nverc.spin import KET_MINUS, KET_PLUS, SZ2
 
 
@@ -108,8 +108,6 @@ class TestDressingIdentities:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_compensated_two_tone_reduces(self, rng):
-        from nverc.strain import compensation_ratio
-
         for _ in range(10):
             muB = rng.uniform(0.1, 1.5)
             ex = rng.uniform(0.1, 1.0) * (1 if rng.uniform() < 0.5 else -1)

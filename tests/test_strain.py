@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,7 @@ from nverc import (DomainError, DQRotation, NvErcError, PulseSegment,
                    StateVector3, SystemParams, apply_sequence, bright_dark,
                    characteristic_quantities, compensation_ratio, dq_rotation,
                    dressing_unitary, effective_params, erc_unitary,
-                   ey_characteristics, phi_from_times, rabi_extract,
-                   synthesize_gate)
+                   phi_from_times, rabi_extract, synthesize_gate)
 from nverc.ham import hamiltonian_lab, hamiltonian_rwa
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -26,18 +26,22 @@ PHI_EFF_EY07 = 0.620185992536958
 
 class TestEyCharacteristics:
     def test_reduces_to_plain(self):
-        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
-        assert ey_characteristics(p) == characteristic_quantities(p)
+        # a pure transverse-y field acts as the plain system at muB_eff
+        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=0.6)
+        plain = SystemParams(D=500.0, muB=math.sqrt(1.0 + 0.6**2), omega_x=3.0)
+        got = dataclasses.astuple(characteristic_quantities(p))
+        assert got == pytest.approx(dataclasses.astuple(characteristic_quantities(plain)),
+                                    rel=1e-14)
 
     def test_validity_boundary(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=SQRT5_HALF * 0.999999)
-        ey_characteristics(p)  # still valid
+        characteristic_quantities(p)  # still valid
         with pytest.raises(RegimeError):
-            ey_characteristics(p.replace(Ey=SQRT5_HALF * 1.000001))
+            characteristic_quantities(p.replace(Ey=SQRT5_HALF * 1.000001))
 
     def test_matches_propagated_zero(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=0.5)
-        q = ey_characteristics(p)
+        q = characteristic_quantities(p)
         # oracle: root of the numerically propagated ground-state amplitude
         h = hamiltonian_rwa(p, PulseSegment(1.0, 0.0, p.omega_x))
         amp = lambda t: float(np.real(expm(-1j * h * t)[1, 1]))
@@ -48,12 +52,8 @@ class TestEyCharacteristics:
     def test_total_period_monotone_decreasing(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
         eys = np.linspace(0.0, SQRT5_HALF * 0.98, 25)
-        periods = [ey_characteristics(p.replace(Ey=e)).T_total for e in eys]
+        periods = [characteristic_quantities(p.replace(Ey=e)).T_total for e in eys]
         assert all(a > b for a, b in zip(periods, periods[1:]))
-
-    def test_rejects_other_fields(self):
-        with pytest.raises(ValueError):
-            ey_characteristics(SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ex=0.1))
 
 
 class TestPhiFromTimes:
@@ -66,7 +66,7 @@ class TestPhiFromTimes:
 
     def test_round_trip_with_transverse_y(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=0.7)
-        q = ey_characteristics(p)
+        q = characteristic_quantities(p)
         rec = phi_from_times(q.T_prime, q.T_total)
         assert abs(rec - q.phi) < 1e-10
         assert abs(rec - PHI_EFF_EY07) < 1e-12

@@ -11,8 +11,8 @@ from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    characteristic_quantities, dq_block, dq_gate_fidelity,
                    dq_rotation, phi_state, synthesize_gate)
-from nverc.synth import (_K_MAX, _reachable, _unitary_quaternion, compose_rotations,
-                         haar_unitary2, rotation_quaternion,
+from nverc.synth import (_K_MAX, _reachable, _shortest, _unitary_quaternion,
+                         compose_rotations, haar_unitary2, rotation_quaternion,
                          three_rotation_feasible)
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
@@ -196,6 +196,28 @@ class TestMinimalLength:
             synthesize_gate(SystemParams(D=500.0, muB=1.0, omega_x=2.0024), y_gate)
         assert err.value.n_rotations == 17
         assert 0 < err.value.residual <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=st.floats(1.2e-3, 0.7), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_length_is_the_first_passing_the_reach_test(self, phi, seed):
+        # the oracle is the reach test tried length by length; two shorter
+        # lengths cover both parities, and it is monotone within a parity
+        qt = _unitary_quaternion(haar_unitary2(np.random.default_rng(seed)))
+        length, first = _shortest(phi, qt)
+        assert _reachable(phi, qt, first, length)
+        for shorter in range(max(length - 2, 1), length):
+            for axis in RotationAxis:
+                assert not _reachable(phi, qt, axis, shorter)
+        if first is RotationAxis.PLUS_PHI:
+            assert not _reachable(phi, qt, RotationAxis.MINUS_PHI, length)
+
+    def test_far_beyond_budget_reports_the_minimal_length(self):
+        # phi = 1.2e-3: Y needs 655 rotations, found without trying each
+        p = SystemParams(D=500.0, muB=1.0, omega_x=2.0 / math.cos(1.2e-3))
+        y_gate = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        with pytest.raises(NoConvergenceError) as err:
+            synthesize_gate(p, y_gate)
+        assert err.value.n_rotations == 655
 
     def test_synthesis_leaves_scipy_optimize_unloaded(self):
         code = ("import sys, numpy as np; from nverc import SystemParams, synthesize_gate; "
