@@ -4,9 +4,8 @@ Subcommands: trace, robustness, ey-map, ratio-map, synth, calibrate.
 Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N,
 --plot-script.  ``_TAKES`` says which command takes which of the last
 four; setting one away from its default for any other command is a config
-error, raised before the command runs.  So is a config key that the
-command does not read (``sweeps.CONFIG_KEYS``; keys beginning with "_" are
-comments).
+error, raised before the command runs.  Each command refuses the config
+keys it does not consume itself (``sweeps._refuse_rest``).
 Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
 failure.  Log level comes from the NVERC_LOG environment variable.
 
@@ -115,10 +114,6 @@ def main(argv=None) -> int:
                               f"--{refused[0].replace('_', '-')} "
                               f"(got {getattr(args, refused[0])!r})")
         cfg = sweeps.load_config(args.config)
-        unread = [k for k in cfg
-                  if not k.startswith("_") and k not in sweeps.CONFIG_KEYS[args.command]]
-        if unread:
-            raise ConfigError(f"{args.command} does not read config key {unread[0]!r}")
         if args.method is not None:
             cfg = {**cfg, "method": args.method}
         seed = {} if args.seed is None else {"seed": args.seed}
@@ -128,9 +123,9 @@ def main(argv=None) -> int:
         log.info("%s finished: %s", args.command, summary)
         return EXIT_OK
     except (ConfigError, ValueError, TypeError) as exc:
-        # the library checks a config value where it uses it (int("abc"),
-        # a too-short scan, a descending grid) with the builtin errors, so
-        # one escaping here is a bad config value, not a crash
+        # the library checks a config value where it uses it (a too-short
+        # scan, a descending grid, an unknown method) with the builtin
+        # errors, so one escaping here is a bad config value, not a crash
         log.error("config error: %s", exc)
         print(_error_json(exc))
         return EXIT_CONFIG

@@ -23,6 +23,10 @@ Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
 reproduction runs), "MHz" (ordinary frequency, converted by 2 pi; times
 are then in microseconds) or "rad_per_us" (angular, no conversion).
+Each value is read once, where it acts, by ``_take``: it pops the key from
+the command's own copy of the config and checks its JSON type.  Then
+``_refuse_rest`` refuses every key left over that does not begin with "_"
+(a comment), at the top level and in "system", "scan" and each segment.
 """
 
 from __future__ import annotations
@@ -61,37 +65,57 @@ _EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint3
 
 _UNIT_FACTORS = {"muB": 1.0, "rad_per_us": 1.0, "MHz": 2.0 * math.pi}
 
-# The top-level config keys each CLI command reads; ``nverc.cli`` rejects
-# any other key that does not begin with "_" (a comment).
-_MAP_KEYS = {"units", "system", "t_max", "observable", "target_state"}
-CONFIG_KEYS = {
-    "trace": {"units", "system", "method", "sequence", "start_state", "n_points", "t_max"},
-    "robustness": _MAP_KEYS | {"n"},
-    "ey-map": _MAP_KEYS | {"n_ey", "n_t", "ey_max"},
-    "ratio-map": _MAP_KEYS | {"n_ratio", "n_t", "ratio_min", "ratio_max"},
-    "synth": {"units", "system", "target", "lab_steps_per_period"},
-    "calibrate": {"units", "system", "method", "ratio_grid", "scan"},
-}
-_SCAN_KEYS = {"t_max", "n_points"}
-
 OBSERVABLES = ("pop_plus1", "pop_0", "pop_minus1", "dq_fidelity")
 _OBS_COLUMN = {"pop_plus1": "p_plus1", "pop_0": "p_0",
                "pop_minus1": "p_minus1", "dq_fidelity": "dq_fidelity"}
+_STATES = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}
 
 
-def _check_sweep(axes, observable: str) -> None:
-    """Validate one grid sweep: up to two axes (name, lo, hi, n) of at
-    least two points each, and a known observable."""
-    if len(axes) > 2:
-        raise ConfigError(f"at most 2 sweep axes supported, got {len(axes)}")
-    for name, lo, hi, n in axes:
-        if n < 2:
-            raise ConfigError(f"axis {name!r} needs n >= 2, got {n}")
+def _take(cfg: dict, key: str, default, kind=float, lo=None, scale=1.0):
+    """Pop ``key`` from a command's own copy of its config and return its
+    value, or ``default`` if it is absent (``dataclasses.MISSING``: the key
+    is required).  ``float`` takes a number, not a bool, times ``scale`` (the
+    units factor of a frequency); ``int`` an integer >= ``lo``; another type
+    (``str``, ``list``, ``dict``) a value of it; a tuple or dict of names
+    one of the names, or a list if the tuple holds ``list``."""
+    if key not in cfg:
+        if default is dataclasses.MISSING:
+            raise ConfigError(f"config key {key!r} is required")
+        return default
+    value = cfg.pop(key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        if number:
+            return scale * value
+        want = "a number"
+    elif kind is int:
+        if number and isinstance(value, int) and (lo is None or value >= lo):
+            return value
+        want = "an integer" + ("" if lo is None else f" >= {lo}")
+    elif isinstance(kind, type):
+        if isinstance(value, kind):
+            return value
+        want = "a JSON " + {str: "string", list: "array", dict: "object"}[kind]
+    else:
+        if isinstance(value, str) and value in kind or list in kind and isinstance(value, list):
+            return value
+        want = f"one of {[k for k in kind if isinstance(k, str)]}"
+        want += " or a list" if list in kind else ""
+    raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _refuse_rest(cfg: dict, what: str) -> None:
+    """Refuse the keys of ``cfg`` that were not taken, except comments."""
+    rest = [k for k in cfg if not k.startswith("_")]
+    if rest:
+        raise ConfigError(f"{what} does not read config key {rest[0]!r}")
+
+
+def _check_sweep(*axes) -> None:
+    """Each sweep axis (name, lo, hi) needs a finite increasing range."""
+    for name, lo, hi in axes:
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ConfigError(f"axis {name!r} needs a finite increasing range")
-    if observable not in OBSERVABLES:
-        raise ConfigError(
-            f"observable must be one of {OBSERVABLES}, got {observable!r}")
 
 
 def _observable_values(name: str, target_amps, states: np.ndarray) -> np.ndarray:
@@ -118,53 +142,47 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def system_from_config(cfg: dict, swept: tuple[str, ...] = ()) -> SystemParams:
-    """The ``SystemParams`` of a config's "system" block.  A field named in
-    ``swept`` is one the command sets itself, so giving it is refused."""
-    units = cfg.get("units", "muB")
-    if units not in _UNIT_FACTORS:
-        raise ConfigError(f"units must be one of {sorted(_UNIT_FACTORS)}, got {units!r}")
-    factor = _UNIT_FACTORS[units]
-    raw = cfg.get("system")
-    if not isinstance(raw, dict):
-        raise ConfigError("config field 'system' must be an object")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(SystemParams)}
-    if unknown:
-        raise ConfigError(f"unknown system fields: {sorted(unknown)}")
-    for name in swept:
-        if name in raw:
-            raise ConfigError(f"system field {name!r} is set by the sweep, "
-                              "so it is not read; it is refused")
+def _take_system(cfg: dict, swept: tuple[str, ...] = ()):
+    """A command's own copy of ``cfg`` with "units" and "system" taken, the
+    ``SystemParams`` and the units factor.  A field named in ``swept`` is
+    set by the command itself, so it is not taken: giving it is refused."""
+    cfg = dict(cfg)
+    factor = _UNIT_FACTORS[_take(cfg, "units", "muB", kind=_UNIT_FACTORS)]
+    raw = dict(_take(cfg, "system", dataclasses.MISSING, kind=dict))
+    vals = {f.name: _take(raw, f.name, f.default, scale=factor)
+            for f in dataclasses.fields(SystemParams) if f.name not in swept}
+    _refuse_rest(raw, f"system (the sweep sets {', '.join(swept)})" if swept else "system")
     try:
-        vals = {k: factor * float(raw[k]) for k in raw}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"system fields must be numbers: {exc}") from exc
-    if "D" not in vals or "muB" not in vals or "omega_x" not in vals:
-        raise ConfigError("system requires at least D, muB and omega_x")
-    try:
-        return SystemParams(**vals)
+        return cfg, SystemParams(**vals), factor
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _start_state(cfg: dict) -> StateVector3:
-    spec = cfg.get("start_state", "plus1")
-    presets = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}
+def system_from_config(cfg: dict, swept: tuple[str, ...] = ()) -> SystemParams:
+    """The ``SystemParams`` of a config's "system" block; ``cfg`` is left
+    as it is.  A field named in ``swept`` is refused."""
+    return _take_system(cfg, swept)[1]
+
+
+def _take_state(cfg: dict, key: str, default: str) -> StateVector3:
+    """A state given by preset name or as a list of [re, im] amplitudes."""
+    spec = _take(cfg, key, default, kind=(*_STATES, list))
     if isinstance(spec, str):
-        if spec not in presets:
-            raise ConfigError(f"start_state must be one of {sorted(presets)} or an amplitude list")
-        return StateVector3(presets[spec])
+        return StateVector3(_STATES[spec])
     try:
         amps = [complex(a[0], a[1]) for a in spec]
         return StateVector3.from_unnormalized(np.array(amps))
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad start_state: {exc}") from exc
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
-def _observable_target(cfg: dict, observable: str):
+def _take_observable(cfg: dict, default: str):
+    """A map's observable and, for ``dq_fidelity`` only, its target's
+    amplitudes (``target_state`` is taken only then)."""
+    observable = _take(cfg, "observable", default, kind=OBSERVABLES)
     if observable != "dq_fidelity":
-        return None
-    return _start_state({"start_state": cfg.get("target_state", "minus1")}).amps
+        return observable, None
+    return observable, _take_state(cfg, "target_state", "minus1").amps
 
 
 def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,37 +315,33 @@ def write_plot_script(csv_path: str) -> str:
 
 # ---------------------------------------------------------------- trace ---
 
-def _sequence_from_config(p: SystemParams, cfg: dict) -> PulseSequence:
-    spec = cfg.get("sequence", "not_gate")
+def _take_sequence(cfg: dict, p: SystemParams, factor: float) -> PulseSequence:
+    spec = _take(cfg, "sequence", "not_gate", kind=("not_gate", list))
     if spec == "not_gate":
         return erc.not_gate_sequence(p)
-    if isinstance(spec, list):
-        try:
-            segs = [
-                PulseSegment(
-                    duration=float(s["duration"]),
-                    alpha=float(s["alpha"]),
-                    beta=float(s["beta"]) if "beta" in s else None,
-                    omega_x=float(s.get("omega_x", p.omega_x)),
-                    omega_y=float(s.get("omega_y", p.omega_y)),
-                )
-                for s in spec
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sequence spec: {exc}") from exc
-        return PulseSequence(segs)
-    raise ConfigError("sequence must be 'not_gate' or a list of segments")
+    segs = []
+    for k, s in enumerate(spec):
+        if not isinstance(s, dict):
+            raise ConfigError(f"sequence segment {k} must be a JSON object, got {s!r}")
+        s = dict(s)
+        segs.append(PulseSegment(
+            duration=_take(s, "duration", dataclasses.MISSING),
+            alpha=_take(s, "alpha", dataclasses.MISSING),
+            beta=_take(s, "beta", None),
+            omega_x=_take(s, "omega_x", p.omega_x, scale=factor),
+            omega_y=_take(s, "omega_y", p.omega_y, scale=factor),
+        ))
+        _refuse_rest(s, f"sequence segment {k}")
+    return PulseSequence(segs)
 
 
 def cmd_trace(cfg: dict, out_path: str) -> dict:
     """Population time series of a pulse program (three columns of
     populations against time)."""
-    p = system_from_config(cfg)
-    method = cfg.get("method", "analytic")
-    seq = _sequence_from_config(p, cfg)
-    n = int(cfg.get("n_points", 401))
-    if n < 0:
-        raise ConfigError("n_points must be >= 0")
+    cfg, p, factor = _take_system(cfg)
+    method = _take(cfg, "method", "analytic", kind=str)
+    seq = _take_sequence(cfg, p, factor)
+    n = _take(cfg, "n_points", 401, int, lo=0)
     try:
         q = erc.characteristic_quantities(p)
         characteristic = {"T_total": q.T_total, "T_prime": q.T_prime,
@@ -336,10 +350,11 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     except NvErcError:
         characteristic = None
         t_default = seq.total_duration
-    t_max = float(cfg.get("t_max", t_default))
+    t_max = _take(cfg, "t_max", t_default)
+    s0 = _take_state(cfg, "start_state", "plus1")
+    _refuse_rest(cfg, "trace")
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
-    s0 = _start_state(cfg)
     times = np.linspace(0.0, t_max, n)
     us, drift = _walk(p, seq, times, method)
     amps = us @ s0.amps
@@ -361,13 +376,13 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     """Timing-error landscape: the chosen observable (default: final |-1>
     population) of the two-pulse combination U(t2, pi) U(t1, 0) applied to
     |+1>, over a (t1, t2) grid."""
-    p = system_from_config(cfg)
+    cfg, p, _ = _take_system(cfg)
     q = erc.characteristic_quantities(p)
-    n = int(cfg.get("n", 129))
-    t_max = float(cfg.get("t_max", q.T_total))
-    observable = cfg.get("observable", "pop_minus1")
-    _check_sweep((("t1", 0.0, t_max, n), ("t2", 0.0, t_max, n)), observable)
-    target = _observable_target(cfg, observable)
+    n = _take(cfg, "n", 129, int, lo=2)
+    t_max = _take(cfg, "t_max", q.T_total)
+    observable, target = _take_observable(cfg, "pop_minus1")
+    _refuse_rest(cfg, "robustness")
+    _check_sweep(("t", 0.0, t_max))
     ts = np.linspace(0.0, t_max, n)
     first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
     second = erc._erc_matrix(p, ts, math.pi)
@@ -413,16 +428,16 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     characteristic-time overlays as extra columns (NaN past the validity
     boundary Ey = sqrt(omega^2/4 - muB^2)).  The rows sweep Ey with a
     single drive tone, so the system block may not set Ey or omega_y."""
-    p = system_from_config(cfg, swept=("Ey", "omega_y"))
-    n_ey = int(cfg.get("n_ey", 41))
-    n_t = int(cfg.get("n_t", 201))
+    cfg, p, factor = _take_system(cfg, swept=("Ey", "omega_y"))
+    n_ey = _take(cfg, "n_ey", 41, int, lo=2)
+    n_t = _take(cfg, "n_t", 201, int, lo=2)
     boundary = math.sqrt(max(p.omega_x**2 / 4.0 - p.muB**2, 0.0))
-    ey_max = float(cfg.get("ey_max", 1.2 * boundary))
+    ey_max = _take(cfg, "ey_max", 1.2 * boundary, scale=factor)
     q0 = erc.characteristic_quantities(p)
-    t_max = float(cfg.get("t_max", 1.2 * q0.T_total))
-    observable = cfg.get("observable", "pop_0")
-    _check_sweep((("Ey", 0.0, ey_max, n_ey), ("t", 0.0, t_max, n_t)), observable)
-    target = _observable_target(cfg, observable)
+    t_max = _take(cfg, "t_max", 1.2 * q0.T_total)
+    observable, target = _take_observable(cfg, "pop_0")
+    _refuse_rest(cfg, "ey-map")
+    _check_sweep(("Ey", 0.0, ey_max), ("t", 0.0, t_max))
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
     vals, overlays = zip(*(_ey_row(p.replace(Ey=ey), times, observable, target)
@@ -449,28 +464,23 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     of a transverse field; metadata records the analytic compensation ratio
     and the effective depletion times.  The columns sweep omega_y, so the
     system block may not set it."""
-    p = system_from_config(cfg, swept=("omega_y",))
+    cfg, p, _ = _take_system(cfg, swept=("omega_y",))
     if p.Ex == 0.0:
         raise ConfigError("ratio map requires a nonzero Ex in the system block")
-    n_r = int(cfg.get("n_ratio", 81))
-    n_t = int(cfg.get("n_t", 201))
-    if n_r < 1:
-        raise ConfigError("ratio map needs n_ratio >= 1")
-    if n_r == 1 and "ratio_max" in cfg:
-        raise ConfigError("axis 'ratio' of one point takes ratio_min alone; "
-                          "ratio_max is not read, so it is refused")
+    n_r = _take(cfg, "n_ratio", 81, int, lo=1)
+    n_t = _take(cfg, "n_t", 201, int, lo=2)
     r_star = compensation_ratio(p.Ex, p.Ey)
-    r_min = float(cfg.get("ratio_min", 0.0))
-    r_max = float(cfg.get("ratio_max", 2.0 * abs(r_star) if r_star != 0 else 1.0))
+    r_min = _take(cfg, "ratio_min", 0.0)
+    if n_r > 1:  # a single ratio column takes ratio_min alone
+        r_max = _take(cfg, "ratio_max", 2.0 * abs(r_star) if r_star != 0 else 1.0)
+        _check_sweep(("ratio", r_min, r_max))
     p_res = p.replace(omega_y=r_star * p.omega_x)
     q_eff = erc.characteristic_quantities(p_res)
-    t_max = float(cfg.get("t_max", 1.2 * q_eff.T_total))
-    observable = cfg.get("observable", "pop_0")
-    # a single ratio column has no range to check
-    ratio_axis = (("ratio", r_min, r_max, n_r),) if n_r > 1 else ()
-    _check_sweep(ratio_axis + (("t", 0.0, t_max, n_t),), observable)
+    t_max = _take(cfg, "t_max", 1.2 * q_eff.T_total)
+    observable, target = _take_observable(cfg, "pop_0")
+    _refuse_rest(cfg, "ratio-map")
+    _check_sweep(("t", 0.0, t_max))
     ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
-    target = _observable_target(cfg, observable)
     times = np.linspace(0.0, t_max, n_t)
     vals = np.array([
         _observable_values(observable, target,
@@ -502,32 +512,25 @@ _TARGET_PRESETS = {
 }
 
 
-def _target_from_config(cfg: dict, seed: int) -> np.ndarray:
-    spec = cfg.get("target", "X")
-    if isinstance(spec, str):
-        if spec == "haar":
-            return synth.haar_unitary2(np.random.default_rng(seed))
-        if spec in _TARGET_PRESETS:
-            return _TARGET_PRESETS[spec]
-        raise ConfigError(f"unknown target preset {spec!r}")
-    try:
-        return np.array(
-            [[complex(e[0], e[1]) for e in row] for row in spec], dtype=complex
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad target matrix: {exc}") from exc
-
-
 def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
-    """Synthesize a DQ gate, write the pulse-program JSON and a fidelity
-    report with analytic / rotating-wave / lab cross-checks."""
-    p = system_from_config(cfg)
-    target = _target_from_config(cfg, seed)
+    """Synthesize a DQ gate and write the pulse-program JSON and a fidelity
+    report with analytic / rotating-wave / lab cross-checks; both files are
+    written only after the cross-checks have run."""
+    cfg, p, _ = _take_system(cfg)
+    spec = _take(cfg, "target", "X", kind=(*_TARGET_PRESETS, "haar", list))
+    spp = _take(cfg, "lab_steps_per_period", 80, int, lo=1)
+    _refuse_rest(cfg, "synth")
+    if spec == "haar":
+        target = synth.haar_unitary2(np.random.default_rng(seed))
+    elif isinstance(spec, str):
+        target = _TARGET_PRESETS[spec]
+    else:
+        try:
+            target = np.array([[complex(e[0], e[1]) for e in row] for row in spec],
+                              dtype=complex)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"bad target matrix: {exc}") from exc
     result = synth.synthesize_gate(p, target)
-    seq_json = sequence_to_json(result.sequence, p)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(seq_json)
-
     report = {
         "n_rotations": len(result.rotations),
         "rotations": [{"axis": r.axis.value, "theta": r.theta} for r in result.rotations],
@@ -536,10 +539,11 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     }
     us, _ = _walk(p, result.sequence, [math.inf], "rwa")
     report["fidelity_rwa"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
-    spp = float(cfg.get("lab_steps_per_period", 80))
     cfg_lab = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / spp)
     us, _ = _walk(p, result.sequence, [math.inf], "lab", cfg_lab)
     report["fidelity_lab"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(sequence_to_json(result.sequence, p))
     report_path = out_path + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -550,23 +554,22 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
 
 def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     """Run the simulated calibration pipeline and write the result JSON."""
-    p = system_from_config(cfg)
-    method = cfg.get("method", "analytic")
+    cfg, p, _ = _take_system(cfg)
+    method = _take(cfg, "method", "analytic", kind=str)
+    grid = _take(cfg, "ratio_grid", None, kind=list)
+    scan = dict(_take(cfg, "scan", {}, kind=dict))
+    _refuse_rest(cfg, "calibrate")
     odmr = simulate_odmr(p)
 
     # with a transverse-x field, find the compensating tone first
     best_ratio = None
     p_run = p
-    if "ratio_grid" in cfg:  # ratio_scan rejects a grid without Ex
-        grid = [float(r) for r in cfg["ratio_grid"]]
+    if grid is not None:  # ratio_scan rejects a grid without Ex
         best_ratio = ratio_scan(p, grid).best_ratio
         p_run = p.replace(omega_y=best_ratio * p.omega_x)
-
-    scan_cfg = cfg.get("scan", {})
-    if not isinstance(scan_cfg, dict) or not set(scan_cfg) <= _SCAN_KEYS:
-        raise ConfigError(f"scan reads only {sorted(_SCAN_KEYS)}, got {scan_cfg!r}")
-    t_max = float(scan_cfg.get("t_max", 1.5 * _rabi_period(p_run)))
-    n_points = int(scan_cfg.get("n_points", 256))
+    t_max = _take(scan, "t_max", 1.5 * _rabi_period(p_run))
+    n_points = _take(scan, "n_points", 256, int)
+    _refuse_rest(scan, "scan")
     extraction = rabi_extract(p_run, t_max, n_points, method=method)
     result = {
         **dataclasses.asdict(odmr),

@@ -1,12 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nverc.cli import build_parser, main
 
@@ -104,8 +111,13 @@ class TestExitCodes:
          "'omega_y'"),
         ("ratio-map", dict(EX_SYSTEM, system={**EX_SYSTEM["system"], "omega_y": 2.0}),
          "'omega_y'"),
+        # a target state with the default (population) observable
+        ("robustness", dict(BASE_SYSTEM, n=3, target_state="bogus"), "'target_state'"),
+        ("trace", dict(BASE_SYSTEM, n_points=3,
+                       sequence=[{"duration": 1, "alpha": 0, "extra": 5}]), "'extra'"),
     ], ids=["method-in-map", "misspelt-key", "misspelt-scan-key", "grid-without-ex",
-            "ey-map-sets-ey", "ey-map-sets-omega-y", "ratio-map-sets-omega-y"])
+            "ey-map-sets-ey", "ey-map-sets-omega-y", "ratio-map-sets-omega-y",
+            "target-state-of-population", "unknown-segment-key"])
     def test_config_key_not_read_is_2(self, tmp_path, capsys, command, doc, named):
         # a key the command would ignore is refused before anything is written
         out = tmp_path / "o.csv"
@@ -221,6 +233,168 @@ class TestExitCodes:
         assert rc == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "AxisDegenerateError"
+
+
+def documented_keys():
+    """{command: [(path, JSON type, default cell)]} from the README's
+    config-key tables; the keys every command reads are filed under None."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Config keys"):text.index("### Reproduction configs")]
+    tables, command = {}, None
+    for line in section.splitlines():
+        if m := re.fullmatch(r"#### `([a-z-]+)`", line):
+            command = m.group(1)
+        elif line.startswith("| `"):
+            _, key, json_type, _, default, _ = re.split(r"\s*(?<!\\)\|\s*", line)
+            kind = re.match(r"string or array|\w+", json_type).group()
+            tables.setdefault(command, []).append((key.strip("`"), kind, default))
+    return tables
+
+
+DOCUMENTED = documented_keys()
+SEGMENT = {"duration": 0.5, "alpha": 0.0}
+
+
+def with_key(doc, path, value):
+    """``doc`` with the key at a README path set to ``value``; a
+    ``sequence[]`` key is set in a one-segment program."""
+    doc = copy.deepcopy(doc)
+    head, _, key = path.rpartition(".")
+    if head == "sequence[]":
+        doc["sequence"] = [dict(SEGMENT, **{key: value})]
+    elif head:
+        doc[head] = dict(doc.get(head, {}), **{key: value})
+    else:
+        doc[key] = value
+    return doc
+
+
+def has_key(doc, path):
+    head, _, key = path.rpartition(".")
+    return key in (doc.get(head, {}) if head else doc)
+
+
+def constant_defaults():
+    """(command, path, value) of each documented constant default that the
+    command's TINY config does not set; the keys every command reads are
+    checked on trace."""
+    cases = []
+    for command, rows in DOCUMENTED.items():
+        command = command or "trace"
+        for path, _, default in rows:
+            m = re.fullmatch(r"`(.+)`", default)
+            if not m or has_key(TINY[command], path):
+                continue
+            try:
+                cases.append((command, path, json.loads(m.group(1))))
+            except ValueError:  # a name such as `alpha`, not a JSON value
+                pass
+    return cases
+
+
+# keys consumed only beside another setting
+CONSUMED_WITH = {"target_state": {"observable": "dq_fidelity"}}
+_TEXT = st.text(max_size=4)
+_NUMBER = st.integers(-10, 10) | st.floats()
+_LIST = st.lists(st.integers(0, 3), max_size=2)
+_OBJECT = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+_OTHER = st.booleans() | st.none()
+WRONG_TYPE = {
+    "number": _TEXT | _LIST | _OBJECT | _OTHER,
+    "integer": st.floats() | _TEXT | _LIST | _OBJECT | _OTHER,  # 2.0 is a float
+    "string": _NUMBER | _LIST | _OBJECT | _OTHER,
+    "string or array": _NUMBER | _OBJECT | _OTHER,
+    "array": _TEXT | _NUMBER | _OBJECT | _OTHER,
+    "object": _TEXT | _NUMBER | _LIST | _OTHER,
+}
+TYPED_KEYS = [(command, path, kind) for command in TINY
+              for path, kind, _ in DOCUMENTED[None] + DOCUMENTED[command]]
+WRONG_VALUES = st.sampled_from(TYPED_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), WRONG_TYPE[key[2]]))
+
+
+def run_quiet(argv):
+    """Exit code and stdout of one CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return rc, buf.getvalue()
+
+
+class TestConfigKeys:
+    def test_every_command_has_a_table(self):
+        assert set(DOCUMENTED) == {None, *TINY}
+        assert {kind for _, kind, _ in sum(DOCUMENTED.values(), [])} == set(WRONG_TYPE)
+
+    @settings(max_examples=200)
+    @given(WRONG_VALUES)
+    # counts that were truncated, and a string and bools that were coerced
+    @example((("robustness", "n", "integer"), 2.9))
+    @example((("ratio-map", "n_ratio", "integer"), 1.5))
+    @example((("robustness", "n", "integer"), "17"))
+    @example((("trace", "n_points", "integer"), True))
+    @example((("trace", "t_max", "number"), True))
+    def test_value_of_wrong_json_type_is_2(self, case):
+        (command, path, _), value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o.out"
+            rc, text = run_quiet([command, "--config",
+                                  write_cfg(Path(tmp), with_key(TINY[command], path, value)),
+                                  "--out", str(out)])
+            assert rc == 2
+            assert repr(path.rpartition(".")[2]) in json.loads(text)["error"]["message"]
+            assert not list(Path(tmp).glob("o.out*"))
+
+    @pytest.mark.parametrize("command,path,value", constant_defaults(),
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_documented_default_is_the_real_one(self, tmp_path, command, path, value):
+        base = dict(TINY[command], **CONSUMED_WITH.get(path, {}))
+        written = []
+        for k, doc in enumerate((base, with_key(base, path, value))):
+            run = tmp_path / str(k)
+            run.mkdir()
+            assert main([command, "--config", write_cfg(tmp_path, doc, f"{k}.json"),
+                         "--out", str(run / "o.out")]) == 0
+            written.append({p.name: p.read_bytes() for p in run.iterdir()})
+        assert written[0] == written[1]
+
+    def test_segment_frequency_in_mhz_is_converted(self, tmp_path):
+        # a segment's own omega_x, given as the system's 3 MHz, is the
+        # system's drive and not 3 rad/us
+        doc = {"units": "MHz", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0},
+               "sequence": [{"duration": 0.05, "alpha": 0.0}], "n_points": 5}
+        explicit = dict(doc, sequence=[{"duration": 0.05, "alpha": 0.0, "omega_x": 3.0}])
+        outs = [tmp_path / "implicit.csv", tmp_path / "explicit.csv"]
+        for out, cfg in zip(outs, (doc, explicit)):
+            assert main(["trace", "--config", write_cfg(tmp_path, cfg, out.name + ".json"),
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_ey_max_in_mhz_is_converted(self, tmp_path):
+        doc = {"units": "MHz", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0},
+               "n_ey": 3, "n_t": 4}
+        boundary = math.sqrt(3.0**2 / 4.0 - 1.0)
+        rows = []
+        for name, cfg in (("default", doc), ("explicit", dict(doc, ey_max=1.2 * boundary))):
+            out = tmp_path / f"{name}.csv"
+            assert main(["ey-map", "--config", write_cfg(tmp_path, cfg, name + ".json"),
+                         "--out", str(out)]) == 0
+            lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+            rows.append(np.array([ln.split(",") for ln in lines[1:]], dtype=float))
+        assert np.allclose(rows[0], rows[1], rtol=0.0, atol=1e-12, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spp", ["0", "-5", "1e400", '"nan"', "1"])
+    def test_synth_bad_lab_steps_leaves_no_file(self, tmp_path, capsys, spp):
+        # one step per period passes the type check and fails in the lab
+        # cross-check, after synthesis; nothing is written before it
+        text = json.dumps(TINY["synth"])[:-1] + f', "lab_steps_per_period": {spp}}}'
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "s.json"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "message" in json.loads(capsys.readouterr().out)["error"]
+        assert not out.exists() and not (tmp_path / "s.json.report.json").exists()
 
 
 class TestCheckedInConfigs:

@@ -294,7 +294,7 @@ class TestRobustness:
         cfg = dict(BASE, n=17, observable=observable)
         cmd_robustness(cfg, str(tmp_path / "rob.csv"))
         p = system_from_config(cfg)
-        target = sweeps._observable_target(cfg, observable)
+        target = sweeps._take_observable(dict(cfg), observable)[1]
         ts = np.linspace(0.0, characteristic_quantities(p).T_total, 17)
         second = erc._erc_matrix(p, ts, math.pi)
         want = np.array([
