@@ -108,14 +108,19 @@ def brentq(f, xa, xb, xtol, rtol):
         if fcur == 0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # a denominator underflowed to 0: C's step is then inf or NaN
+                # (fpre, fcur are nonzero), which the test below sends to bisection
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

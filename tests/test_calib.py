@@ -191,6 +191,9 @@ class TestBrentPorts:
     # a case that the 3 |sbis| - delta bound sends to bisection
     @example((-0.2, [(-1.6, 0.4, 7.0), (0.4, -0.6, 6.5), (-1.0, 1.4, 8.8)]),
              (0.8, 5.7), 1e-7, 7e-8, 1e-15)
+    # values near 1e-114, whose extrapolation denominator underflows to 0
+    @example((0.0, [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 7.97366150462496e-115, 2.0)]),
+             (2.0, 2.0), 1.0, 9.658437359094018e-07, 5.379308608749283e-08)
     def test_brentq_equals_scipy(self, fn, bracket, scale, xtol, rtol):
         f = cos_sum(*fn, scale)
         lo, width = bracket
