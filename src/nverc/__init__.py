@@ -18,13 +18,11 @@ from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      RegimeError, ResonanceError)
 from .ham import (EffectiveParams, compensation_ratio, dressing_unitary,
                   effective_params)
-from .prop import (IntegratorConfig, PropagationResult, apply_sequence,
-                   frame_transform, propagate, sequence_unitary)
+from .prop import PropagationResult, apply_sequence, frame_transform, propagate, sequence_unitary
 from .pulses import (DQRotation, PulseSegment, PulseSequence, RotationAxis,
                      SEQUENCE_SCHEMA, sequence_from_json, sequence_to_json)
 from .spin import (DQBlochPoint, FrameTag, StateVector3, SystemParams,
-                   Unitary3, dq_projection, phi_state, spin_matrices,
-                   state_fidelity, unitary_fidelity)
+                   Unitary3, dq_projection, phi_state, spin_matrices)
 from .synth import SynthesisResult, dq_block, dq_gate_fidelity, synthesize_gate
 
 __version__ = "0.1.0"
@@ -34,12 +32,11 @@ __all__ = [
     # core types
     "SystemParams", "StateVector3", "Unitary3", "DQBlochPoint", "FrameTag",
     "PulseSegment", "PulseSequence", "DQRotation", "RotationAxis",
-    "ErcQuantities", "EffectiveParams", "IntegratorConfig", "PropagationResult",
+    "ErcQuantities", "EffectiveParams", "PropagationResult",
     "SynthesisResult", "OdmrResult", "RabiExtraction", "RatioScanResult",
     # operations
-    "spin_matrices", "phi_state", "dq_projection", "state_fidelity",
-    "unitary_fidelity", "characteristic_quantities", "bright_dark",
-    "erc_unitary", "closed_form_unitary", "dq_rotation", "not_gate_sequence",
+    "spin_matrices", "phi_state", "dq_projection", "characteristic_quantities",
+    "bright_dark", "erc_unitary", "closed_form_unitary", "dq_rotation", "not_gate_sequence",
     "apply_sequence", "sequence_unitary", "synthesize_gate", "dq_block",
     "dq_gate_fidelity", "propagate", "frame_transform",
     "phi_from_times", "compensation_ratio", "effective_params",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import require_resonant, static_hamiltonian
-from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
+from .prop import _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams
 
@@ -41,6 +41,9 @@ __all__ = [
     "ratio_scan",
     "phi_from_times",
 ]
+
+
+ROOT_XTOL = 1e-14  # absolute bracket width at which rabi_extract stops a root
 
 
 @dataclass(frozen=True)
@@ -245,12 +248,11 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     if method == "rwa_numeric":
         evolve = _rwa_evolver(p, seg)
         return lambda t: evolve(t)[..., 1, 1].real
-    cfg = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / 80.0)
 
     def lab_amp(t):
         t = np.asarray(t, dtype=float)
         seq = PulseSequence([replace(seg, duration=float(np.max(t)))])
-        us, _ = _walk(p, seq, t.reshape(-1), "lab", cfg)
+        us, _ = _walk(p, seq, t.reshape(-1), "lab", steps_per_period=80)
         return us[:, 1, 1].real.reshape(t.shape)
 
     return lab_amp
@@ -317,7 +319,7 @@ def rabi_extract(
         if vals[i] == 0.0:
             zeros.append(ts[i])
         elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(brentq(amp, ts[i], ts[i + 1], xtol=1e-14, rtol=1e-15))
+            zeros.append(brentq(amp, ts[i], ts[i + 1], xtol=ROOT_XTOL, rtol=1e-15))
         if len(zeros) == 2:
             break
     if len(zeros) < 2:

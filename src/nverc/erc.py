@@ -190,13 +190,8 @@ def dq_rotation(
     pa = np.outer(phi_state(ax_angle).amps, phi_state(ax_angle).amps.conj())
     po = np.outer(phi_state(orth_angle).amps, phi_state(orth_angle).amps.conj())
     u = _dressed(p, np.exp(-1j * r.theta) * p0 + np.exp(1j * r.theta) * pa + po)
-    seq = PulseSequence(
-        [
-            PulseSegment(durations[0], alpha, p.omega_x, p.omega_y),
-            PulseSegment(durations[1], alpha + r.theta, p.omega_x, p.omega_y),
-        ],
-        frame=p.interaction_frame,
-    )
+    seq = PulseSequence([PulseSegment(durations[0], alpha, p.omega_x, p.omega_y),
+                         PulseSegment(durations[1], alpha + r.theta, p.omega_x, p.omega_y)])
     return Unitary3(u, p.interaction_frame), seq
 
 

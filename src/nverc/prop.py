@@ -24,11 +24,11 @@ segment for all its samples, and the power is taken by binary squaring
 of the raw RK4 matrix, so the result is RK4 on a period-aligned
 grid at the cost of one or two periods, whatever the segment length.
 
-``max_step`` bounds the RK4 step: one period takes ceil(T_c / max_step)
-steps, and ``max_step = T_c / n`` gives exactly n steps per period.  The
-default of one twentieth of a carrier period is adequate for quick looks,
-while quantitative rotating-wave comparisons want 100+ steps per period
-(RK4 phase error scales as T D^5 h^4).  The raw RK4 propagator is
+``steps_per_period`` = n is the RK4 resolution: one period takes exactly
+n steps, and a remainder r takes ceil(r n / T_c).  The default
+``LAB_STEPS_PER_PERIOD`` = 20 is adequate for quick looks, while
+quantitative rotating-wave comparisons want 100+ steps per period (RK4
+phase error scales as T D^5 h^4).  The raw RK4 propagator is
 projected onto the unitary group after every segment and the projection
 distance is reported as ``norm_drift``.  The power is taken before the
 projection, so the per-period non-unitarity compounds over the N periods
@@ -51,7 +51,6 @@ from .pulses import PulseSequence
 from .spin import SZ2, FrameTag, StateVector3, SystemParams, Unitary3
 
 __all__ = [
-    "IntegratorConfig",
     "PropagationResult",
     "propagate",
     "apply_sequence",
@@ -60,21 +59,7 @@ __all__ = [
     "rwa_segment_unitary",
 ]
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """RK4 step bound for lab-frame integration.
-
-    ``max_step = None`` selects one twentieth of a carrier period.
-    """
-
-    max_step: float | None = None
-
-    def __post_init__(self):
-        if self.max_step is not None and not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
-
-    def lab_step(self, carrier: float) -> float:
-        return self.max_step if self.max_step is not None else (2.0 * math.pi / carrier) / 20.0
+LAB_STEPS_PER_PERIOD = 20  # RK4 steps per carrier period, by default
 
 
 @dataclass(frozen=True)
@@ -116,17 +101,17 @@ def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
     return w @ vh, float(np.max(np.abs(s - 1.0)))
 
 
-def _lab_segment(p, seg, t0, cfg, taus, u):
+def _lab_segment(p, seg, t0, steps_per_period, taus, u):
     """Raw lab propagators of ``seg`` from t0, continuing ``u``, for each
-    duration in ``taus``; the carrier period is integrated at most once."""
+    duration in ``taus``; the carrier period is integrated at most once,
+    in exactly ``steps_per_period`` steps."""
     hs = static_hamiltonian(p)
     ax, ay = lab_drive_operators(seg)
     period = 2.0 * math.pi / p.carrier
-    step = cfg.lab_step(p.carrier)
 
-    def rk4(duration, u0):
+    def rk4(duration, n_steps, u0):
         return _kernels.rk4_lab_segment(hs, ax, ay, p.carrier, seg.alpha, seg.beta,
-                                        t0, duration, _n_steps(duration, step), u0)
+                                        t0, duration, n_steps, u0)
 
     u_period = None
     out = []
@@ -135,16 +120,17 @@ def _lab_segment(p, seg, t0, cfg, taus, u):
         v = u
         if n_periods:
             if u_period is None:
-                u_period = rk4(period, np.eye(3, dtype=complex))
+                u_period = rk4(period, steps_per_period, np.eye(3, dtype=complex))
             v = np.linalg.matrix_power(u_period, n_periods) @ v
         if rest:
-            v = rk4(rest, v)
+            v = rk4(rest, _n_steps(rest, period / steps_per_period), v)
         out.append(v)
     return out
 
 
 def _n_steps(duration, step):
-    """ceil(duration / step), at least 1, not rounded up by a last-bit excess."""
+    """ceil(duration / step), at least 1, not rounded up by a last-bit excess
+    (so a duration of n steps gives n)."""
     return max(1, math.ceil(duration / step * (1.0 - 1e-12)))
 
 
@@ -165,19 +151,21 @@ def propagate(
     seq: PulseSequence,
     s: StateVector3,
     frame: FrameTag = FrameTag.INTERACTION_D,
-    cfg: IntegratorConfig | None = None,
+    steps_per_period: int = LAB_STEPS_PER_PERIOD,
 ) -> PropagationResult:
     """Propagate a state through a pulse program in the requested frame.
 
     Interaction frames use exact per-segment matrix exponentials of the
     time-independent rotating-wave Hamiltonian; the lab frame integrates
     the full time-dependent Hamiltonian with a coherent carrier across
-    segments.  Returns the final state, the accumulated propagator (taken
-    from ``p.interaction_frame`` to ``frame``) and the worst per-segment
+    segments, ``steps_per_period`` RK4 steps per carrier period.  Returns
+    the final state, the accumulated propagator (taken from
+    ``p.interaction_frame`` to ``frame``) and the worst per-segment
     unitarity defect that was projected away.
     """
     frame = FrameTag(frame)
-    us, drift = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa", cfg)
+    us, drift = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa",
+                      steps_per_period)
     home = p.interaction_frame
     uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home, frame, p)
     return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
@@ -208,7 +196,7 @@ def apply_sequence(
 
 
 def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
-          cfg: IntegratorConfig | None = None) -> tuple[np.ndarray, float]:
+          steps_per_period: int = LAB_STEPS_PER_PERIOD) -> tuple[np.ndarray, float]:
     """Interaction-frame propagators (n, 3, 3) of a pulse program at n
     ascending sample times, and the worst unitarity defect that the lab
     method projected away (0 for the others).
@@ -218,11 +206,13 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     a lab sample integrates from t0 as the truncated program would.  A
     sample at most 1e-15 short of a segment's end counts as that end; one
     past the end (``math.inf`` included) gets the whole program.  Lab
-    propagators are taken to the frame ``p.interaction_frame`` by the
-    phase exp(+i w Sz^2 t) at their end time t.
+    integration takes ``steps_per_period`` RK4 steps per carrier period,
+    and its propagators are taken to the frame ``p.interaction_frame`` by
+    the phase exp(+i (D + Ez) Sz^2 t) at their end time t.
     """
     method = _canonical_method(method)
-    cfg = cfg or IntegratorConfig()
+    if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
+        raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
     drift = 0.0
 
     def run(seg, t0, taus, u):
@@ -238,7 +228,7 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
         if method == "rwa_numeric":
             return rwa_segment_unitary(p, seg, taus) @ u
         out = []
-        for m in _lab_segment(p, seg, t0, cfg, taus.tolist(), u):
+        for m in _lab_segment(p, seg, t0, steps_per_period, taus.tolist(), u):
             m, d = _project_unitary(m)
             drift = max(drift, d)
             out.append(m)
@@ -265,8 +255,7 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     us = np.array([m for m, _ in found]).reshape(-1, 3, 3)
     if method == "lab_numeric":
         t_end = np.array([t for _, t in found]).reshape(-1, 1)
-        w = _frame_rate(p.interaction_frame, p)
-        us = np.exp(1j * w * np.diag(SZ2) * t_end)[:, :, None] * us
+        us = np.exp(1j * p.carrier * np.diag(SZ2) * t_end)[:, :, None] * us
     return us, drift
 
 

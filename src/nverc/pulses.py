@@ -2,7 +2,9 @@
 
 A :class:`PulseSequence` serializes to the ``nverc-seq/1`` JSON document:
 ordered segments with fields ``{duration, alpha, beta, omega_x, omega_y}``
-plus a header carrying the frame tag and the system parameters.
+plus a header carrying the system parameters and their frame tag
+``SystemParams.interaction_frame``, the frame the program's propagator is
+expressed in.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-from .spin import FrameTag, SystemParams
+from .spin import SystemParams
 
 __all__ = [
     "PulseSegment",
@@ -66,14 +68,12 @@ class PulseSegment:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulse segments with the frame their propagator is declared in."""
+    """Ordered pulse segments."""
 
     segments: tuple[PulseSegment, ...]
-    frame: FrameTag = FrameTag.INTERACTION_D
 
-    def __init__(self, segments, frame: FrameTag = FrameTag.INTERACTION_D):
+    def __init__(self, segments):
         object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "frame", FrameTag(frame))
 
     @property
     def total_duration(self) -> float:
@@ -110,7 +110,7 @@ class DQRotation:
 def sequence_to_json(seq: PulseSequence, params: SystemParams) -> str:
     doc = {
         "schema": SEQUENCE_SCHEMA,
-        "frame": seq.frame.value,
+        "frame": params.interaction_frame.value,
         "params": asdict(params),
         # the schema's key order, which is not PulseSegment's (beta last)
         "segments": [
@@ -148,7 +148,10 @@ def sequence_from_json(text: str) -> tuple[PulseSequence, SystemParams]:
             )
             for s in doc["segments"]
         ]
-        frame = FrameTag(doc.get("frame", FrameTag.INTERACTION_D.value))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed sequence document: {exc}") from exc
-    return PulseSequence(segments, frame), params
+    frame = params.interaction_frame.value
+    if doc.get("frame", frame) != frame:
+        raise ConfigError(f"sequence frame {doc['frame']!r} is not the frame {frame!r} "
+                          "of its parameters")
+    return PulseSequence(segments), params

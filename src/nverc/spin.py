@@ -40,8 +40,6 @@ __all__ = [
     "KET_M1",
     "KET_PLUS",
     "KET_MINUS",
-    "state_fidelity",
-    "unitary_fidelity",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -283,13 +281,3 @@ def dq_projection(s: StateVector3) -> DQBlochPoint:
         leak=float(abs(a0) ** 2),
     )
 
-
-def state_fidelity(a: StateVector3, b: StateVector3) -> float:
-    return a.fidelity(b)
-
-
-def unitary_fidelity(u: Unitary3 | np.ndarray, v: Unitary3 | np.ndarray) -> float:
-    """Global-phase-insensitive |tr(U^dag V)| / 3."""
-    um = u.m if isinstance(u, Unitary3) else np.asarray(u)
-    vm = v.m if isinstance(v, Unitary3) else np.asarray(v)
-    return abs(np.trace(um.conj().T @ vm)) / 3.0

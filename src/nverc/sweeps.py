@@ -24,7 +24,8 @@ the "units" field: "muB" (dimensionless, already angular, the default for
 reproduction runs), "MHz" (ordinary frequency, converted by 2 pi; times
 are then in microseconds) or "rad_per_us" (angular, no conversion).
 Each value is read once, where it acts, by ``_take``: it pops the key from
-the command's own copy of the config and checks its JSON type.  Then
+the command's own copy of the config and checks its JSON type; ``_numbers``
+checks that each element of a number array is a JSON number.  Then
 ``_refuse_rest`` refuses every key left over that does not begin with "_"
 (a comment), at the top level and in "system", "scan" and each segment.
 """
@@ -38,10 +39,10 @@ import math
 import numpy as np
 
 from . import erc, synth
-from .calib import _rabi_period, rabi_extract, ratio_scan, simulate_odmr
+from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .ham import compensation_ratio
-from .prop import IntegratorConfig, _canonical_method, _rwa_evolver, _walk
+from .prop import _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -74,8 +75,8 @@ _STATES = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}
 def _take(cfg: dict, key: str, default, kind=float, lo=None, scale=1.0):
     """Pop ``key`` from a command's own copy of its config and return its
     value, or ``default`` if it is absent (``dataclasses.MISSING``: the key
-    is required).  ``float`` takes a number, not a bool, times ``scale`` (the
-    units factor of a frequency); ``int`` an integer >= ``lo``; another type
+    is required).  ``float`` takes a number that fits a float, not a bool,
+    times ``scale`` (the units factor of a frequency); ``int`` an integer >= ``lo``; another type
     (``str``, ``list``, ``dict``) a value of it; a tuple or dict of names
     one of the names, or a list if the tuple holds ``list``."""
     if key not in cfg:
@@ -86,7 +87,7 @@ def _take(cfg: dict, key: str, default, kind=float, lo=None, scale=1.0):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
         if number:
-            return scale * value
+            return scale * _numbers(key, [value])[0]
         want = "a number"
     elif kind is int:
         if number and isinstance(value, int) and (lo is None or value >= lo):
@@ -102,6 +103,21 @@ def _take(cfg: dict, key: str, default, kind=float, lo=None, scale=1.0):
         want = f"one of {[k for k in kind if isinstance(k, str)]}"
         want += " or a list" if list in kind else ""
     raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _numbers(key: str, values, size=None) -> list[float]:
+    """``values``, a JSON array of numbers (of ``size`` of them, if given),
+    as floats.  Anything else, a bool, a string or an integer too large for
+    a float among them, is refused naming ``key``."""
+    if isinstance(values, list) and size in (None, len(values)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} holds an integer too large for a float, "
+                              f"got {values!r}") from None
+    want = f"{size} numbers" if size else "numbers"
+    raise ConfigError(f"config key {key!r} must hold an array of {want}, got {values!r}")
 
 
 def _refuse_rest(cfg: dict, what: str) -> None:
@@ -169,10 +185,10 @@ def _take_state(cfg: dict, key: str, default: str) -> StateVector3:
     spec = _take(cfg, key, default, kind=(*_STATES, list))
     if isinstance(spec, str):
         return StateVector3(_STATES[spec])
+    amps = [complex(*_numbers(key, a, 2)) for a in spec]
     try:
-        amps = [complex(a[0], a[1]) for a in spec]
         return StateVector3.from_unnormalized(np.array(amps))
-    except (TypeError, ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
@@ -526,9 +542,9 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
         target = _TARGET_PRESETS[spec]
     else:
         try:
-            target = np.array([[complex(e[0], e[1]) for e in row] for row in spec],
-                              dtype=complex)
-        except (TypeError, ValueError, IndexError) as exc:
+            target = np.array([[complex(*_numbers("target", e, 2)) for e in row]
+                               for row in spec], dtype=complex)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad target matrix: {exc}") from exc
     result = synth.synthesize_gate(p, target)
     report = {
@@ -539,8 +555,7 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     }
     us, _ = _walk(p, result.sequence, [math.inf], "rwa")
     report["fidelity_rwa"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
-    cfg_lab = IntegratorConfig(max_step=(2 * math.pi / p.carrier) / spp)
-    us, _ = _walk(p, result.sequence, [math.inf], "lab", cfg_lab)
+    us, _ = _walk(p, result.sequence, [math.inf], "lab", spp)
     report["fidelity_lab"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(sequence_to_json(result.sequence, p))
@@ -557,6 +572,7 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     cfg, p, _ = _take_system(cfg)
     method = _take(cfg, "method", "analytic", kind=str)
     grid = _take(cfg, "ratio_grid", None, kind=list)
+    grid = None if grid is None else _numbers("ratio_grid", grid)
     scan = dict(_take(cfg, "scan", {}, kind=dict))
     _refuse_rest(cfg, "calibrate")
     odmr = simulate_odmr(p)
@@ -575,7 +591,7 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
         **dataclasses.asdict(odmr),
         **dataclasses.asdict(extraction),
         "best_ratio": best_ratio,
-        "tolerances": {"root_xtol": 1e-14, "ratio_refine": "bounded_minimize"},
+        "tolerances": {"root_xtol": ROOT_XTOL, "ratio_refine": "bounded_minimize"},
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

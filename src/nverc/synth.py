@@ -262,7 +262,7 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
     with fidelity >= 1 - 1e-9; the returned program acts diagonally on |0>
     by construction (no leakage).  The program alternates the two axes with
     the minimal length any alternating program can have, deterministically;
-    its sequence and unitary are tagged with the frame ``p.interaction_frame``.
+    its unitary is tagged with the frame ``p.interaction_frame``.
     Raises :class:`AxisDegenerateError` when the two axes are effectively
     parallel, and :class:`NoConvergenceError` with that minimal length when
     it exceeds ``_K_MAX`` = 16.
@@ -301,7 +301,6 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
 
 
 def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult:
-    frame = p.interaction_frame
     u = np.eye(3, dtype=complex)
     segments = []
     for r in rotations:
@@ -311,5 +310,5 @@ def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult
     fid = dq_gate_fidelity(dq_block(u), target)
     if fid < 1.0 - TARGET_INFIDELITY:
         raise NoConvergenceError(residual=1.0 - fid, n_rotations=len(rotations))
-    return SynthesisResult(tuple(rotations), PulseSequence(segments, frame=frame),
-                           Unitary3(u, frame), fid)
+    return SynthesisResult(tuple(rotations), PulseSequence(segments),
+                           Unitary3(u, p.interaction_frame), fid)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_RESULTS, random_plain_params
-from nverc import (AxisDegenerateError, DQRotation, FrameTag, IntegratorConfig,
+from nverc import (AxisDegenerateError, DQRotation, FrameTag,
                    NoConvergenceError, PulseSegment, PulseSequence,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    characteristic_quantities, closed_form_unitary,
@@ -38,10 +38,6 @@ def record(criterion, name, ok, detail=""):
 def sample_params():
     rng = np.random.default_rng(421)
     return random_plain_params(rng, 50)
-
-
-def lab_cfg(p, spp):
-    return IntegratorConfig(max_step=(2.0 * math.pi / p.carrier) / spp)
 
 
 def test_criterion_01_closed_form_identities(sample_params):
@@ -88,9 +84,8 @@ def test_criterion_04_population_swap_analytic_and_lab():
     ok_analytic = (abs(swap.populations()[2] - 1.0) < 1e-9
                    and abs(hold.populations()[1] - 1.0) < 1e-9)
 
-    cfg = lab_cfg(P13, 160)
-    swap_lab = propagate(P13, seq, StateVector3(KET_P1), FrameTag.LAB, cfg).state
-    hold_lab = propagate(P13, seq, StateVector3(KET_0), FrameTag.LAB, cfg).state
+    swap_lab = propagate(P13, seq, StateVector3(KET_P1), FrameTag.LAB, 160).state
+    hold_lab = propagate(P13, seq, StateVector3(KET_0), FrameTag.LAB, 160).state
     d_swap = abs(swap_lab.populations()[2] - 1.0)
     d_hold = abs(hold_lab.populations()[1] - 1.0)
     ok_lab = d_swap < 5e-3 and d_hold < 5e-3
@@ -290,14 +285,13 @@ def test_criterion_11_rotating_wave_convergence():
     for ratio in ratios:
         d = ratio * P13.omega_x
         p = SystemParams(D=d, muB=1.0, omega_x=3.0)
-        cfg = lab_cfg(p, 160)
         acc = []
         for alpha in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             seq = PulseSequence([
                 PulseSegment(q.T_prime, alpha, p.omega_x),
                 PulseSegment(q.T_second, alpha + math.pi, p.omega_x),
             ])
-            res = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, cfg)
+            res = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, 160)
             u_int = frame_transform(res.unitary, 0.0, seq.total_duration,
                                     FrameTag.LAB, FrameTag.INTERACTION_D, p)
             u_ref = dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, math.pi))[0]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -135,6 +136,44 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ConfigError" and "t_max" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,named", [
+        (dict(BASE_SYSTEM, t_max="HUGE"), "'t_max'"),
+        (dict(BASE_SYSTEM, system=dict(BASE_SYSTEM["system"], D="HUGE")), "'D'"),
+        (dict(BASE_SYSTEM, sequence=[{"duration": "HUGE", "alpha": 0.0}]), "'duration'"),
+    ], ids=["t_max", "system-D", "segment-duration"])
+    def test_integer_beyond_float_range_is_2(self, tmp_path, capsys, doc, named):
+        # a JSON integer is exact, so one too large for a float used to
+        # raise OverflowError (exit 1) where it was scaled
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400))
+        out = tmp_path / "o.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and named in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,doc,named", [
+        ("calibrate", dict(EX_SYSTEM, ratio_grid=["0.0", "0.25", "0.5", "0.75", "1.0"]),
+         "'ratio_grid'"),
+        ("trace", dict(BASE_SYSTEM, n_points=3, start_state=[[True, 0], [0, 0], [0, 0]]),
+         "'start_state'"),
+        ("trace", dict(BASE_SYSTEM, n_points=3, start_state=[[1, 0, 5], [0, 0], [0, 0]]),
+         "'start_state'"),
+        ("trace", dict(BASE_SYSTEM, n_points=3, start_state=[{"re": 1}, [0, 0], [0, 0]]),
+         "'start_state'"),
+        ("synth", dict(BASE_SYSTEM, target=[[[0, 0], [True, 0]], [[True, 0], [0, 0]]]),
+         "'target'"),
+    ], ids=["ratio-grid-strings", "state-bool", "state-triple", "state-object", "target-bool"])
+    def test_array_element_not_a_number_is_2(self, tmp_path, capsys, command, doc, named):
+        # each element of a number array is a JSON number, as a scalar key's
+        # value is: strings and bools were converted, and extra entries dropped
+        out = tmp_path / "o.out"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and named in err["message"]
+        assert not list(tmp_path.glob("o.out*"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
@@ -457,6 +496,11 @@ class TestCheckedInConfigs:
         assert len(lines) == 18
         assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
         assert [line[66:] for line in lines] == sorted(p.name for p in tmp_path.iterdir())
+
+    def test_digests_run_every_config(self):
+        # a config missing from the tool's table would escape the byte check
+        runs = runpy.run_path(str(ROOT / "tools" / "config_digests.py"))["RUNS"]
+        assert {name for _, name, _ in runs} == {p.stem for p in CONFIGS.glob("*.json")}
 
     def test_runtime_dependencies_name_no_scipy(self):
         tomllib = pytest.importorskip("tomllib")

@@ -240,7 +240,7 @@ class TestDQRotation:
         u2, s2 = dq_rotation(P13, r2)
         start = StateVector3(u1.m.conj().T @ (u2.m.conj().T @ KET_P1))
         assert abs(np.abs(start.amps[1]) ** 2) < 1e-12  # equatorial start
-        seq = PulseSequence(list(s1.segments) + list(s2.segments), frame=s1.frame)
+        seq = PulseSequence(list(s1.segments) + list(s2.segments))
         final = apply_sequence(P13, seq, start, method="analytic")
         assert abs(final.amps[0]) ** 2 > 1 - 1e-9
 

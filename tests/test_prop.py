@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from conftest import haar_unitary3, random_plain_params
-from nverc import (FrameTag, IntegratorConfig, PulseSegment, PulseSequence,
+from nverc import (FrameTag, PulseSegment, PulseSequence,
                    StateVector3, SystemParams, Unitary3,
                    characteristic_quantities, erc_unitary, frame_transform,
                    not_gate_sequence, propagate)
@@ -17,23 +17,6 @@ from nverc.ham import hamiltonian_lab, lab_drive_operators, static_hamiltonian
 from nverc.spin import KET_0, KET_P1
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
-
-
-def lab_cfg(p, steps_per_period):
-    return IntegratorConfig(max_step=(2 * math.pi / p.carrier) / steps_per_period)
-
-
-class TestIntegratorConfig:
-    def test_defaults(self):
-        cfg = IntegratorConfig()
-        assert cfg.lab_step(500.0) == pytest.approx((2 * math.pi / 500.0) / 20.0)
-
-    @pytest.mark.parametrize("kw", [
-        {"max_step": 0.0}, {"max_step": float("nan")}, {"max_step": -1.0},
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            IntegratorConfig(**kw)
 
 
 class TestRwaPropagation:
@@ -88,7 +71,7 @@ class TestLabPropagation:
     def test_population_swap_within_rwa_error(self):
         seq = not_gate_sequence(P13)
         res = propagate(P13, seq, StateVector3(KET_P1), frame=FrameTag.LAB,
-                        cfg=lab_cfg(P13, 40))
+                        steps_per_period=40)
         pops = res.state.populations()
         assert abs(pops[2] - 1.0) < 5e-3
         assert abs(pops[1]) < 5e-3
@@ -99,10 +82,10 @@ class TestLabPropagation:
         q = characteristic_quantities(p)
         seq = PulseSequence([PulseSegment(q.T_prime, 0.3, p.omega_x)])
         s = StateVector3(KET_0)
-        ref = propagate(p, seq, s, frame=FrameTag.LAB, cfg=lab_cfg(p, 640)).unitary.m
+        ref = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=640).unitary.m
         errs = []
         for spp in (20, 40, 80):
-            u = propagate(p, seq, s, frame=FrameTag.LAB, cfg=lab_cfg(p, spp)).unitary.m
+            u = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=spp).unitary.m
             errs.append(np.linalg.norm(u - ref, 2))
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
@@ -113,7 +96,7 @@ class TestLabPropagation:
         seg = PulseSegment(q.T_prime, 0.0, p.omega_x)
         seq = PulseSequence([seg])
         s = StateVector3(KET_0)
-        u_fixed = propagate(p, seq, s, frame=FrameTag.LAB, cfg=lab_cfg(p, 1280)).unitary.m
+        u_fixed = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=1280).unitary.m
         # an independent adaptive reference: DOP853 on the lab Hamiltonian
         sol = solve_ivp(
             lambda t, y: (-1j * hamiltonian_lab(p, seg, t) @ y.reshape(3, 3)).ravel(),
@@ -127,7 +110,7 @@ class TestLabPropagation:
     def test_norm_drift_reported_and_projected(self):
         seq = not_gate_sequence(P13)
         res = propagate(P13, seq, StateVector3(KET_P1), frame=FrameTag.LAB,
-                        cfg=lab_cfg(P13, 160))
+                        steps_per_period=160)
         # raw RK4 drifts by ~7e-7 at this step; the projection restores
         # unitarity (Unitary3 construction enforces 1e-10) and reports it
         assert 0.0 < res.norm_drift < 1e-5
@@ -145,7 +128,7 @@ class TestLabPropagation:
     def test_norm_drift_scales_down(self, spp, bound):
         seq = not_gate_sequence(P13)
         res = propagate(P13, seq, StateVector3(KET_P1), frame=FrameTag.LAB,
-                        cfg=lab_cfg(P13, spp))
+                        steps_per_period=spp)
         assert res.norm_drift < bound
 
     def test_rwa_discrepancy_shrinks_with_carrier(self):
@@ -157,7 +140,7 @@ class TestLabPropagation:
             period = 2 * math.pi / p.carrier
             seq = PulseSequence([PulseSegment(period, 0.0, p.omega_x)])
             res = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                            cfg=lab_cfg(p, 160))
+                            steps_per_period=160)
             u_int = frame_transform(res.unitary, 0.0, period,
                                     FrameTag.LAB, FrameTag.INTERACTION_D, p)
             u_rwa = erc_unitary(p, period, 0.0)
@@ -202,7 +185,7 @@ class TestFrameTransform:
         res = propagate(p, seq, StateVector3(KET_P1), frame)
         assert res.unitary.frame == frame
         got = frame_transform(res.unitary, 0.0, seq.total_duration, frame, FrameTag.LAB, p)
-        lab = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, lab_cfg(p, 200))
+        lab = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, 200)
         assert np.linalg.norm(got.m - lab.unitary.m, 2) < 2.0 * p.omega_x / p.carrier
 
     def test_frame_mismatch_rejected(self, rng):
@@ -276,8 +259,7 @@ class TestPeriodPower:
 
     def run(self, duration):
         seg = PulseSegment(duration, *SEG_ARGS)
-        cfg = IntegratorConfig(max_step=T_C / self.SPP)
-        u = prop._lab_segment(P_FULL, seg, self.T0, cfg, [duration],
+        u = prop._lab_segment(P_FULL, seg, self.T0, self.SPP, [duration],
                               np.eye(3, dtype=complex))[0]
         return u, _stepped_segment(P_FULL, seg, self.T0, self.SPP)
 
@@ -310,11 +292,14 @@ class TestPeriodPower:
     @pytest.mark.parametrize("D", [100.0, 287.0, 500.0, 2870.0])
     @pytest.mark.parametrize("spp", [1, 3, 7, 20, 80, 160, 1280])
     def test_max_step_gives_exact_steps_per_period(self, kernel_calls, D, spp):
+        # the period takes spp steps, and a remainder's step bound T_c/spp
+        # gives back exactly spp steps over a whole period
         p = SystemParams(D=D, muB=1.0, omega_x=3.0, Ez=0.37)
         period = 2 * math.pi / p.carrier
-        seq = PulseSequence([PulseSegment(3 * period, 0.2, p.omega_x)], frame=FrameTag.LAB)
-        propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, cfg=lab_cfg(p, spp))
+        seq = PulseSequence([PulseSegment(3 * period, 0.2, p.omega_x)])
+        propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, steps_per_period=spp)
         assert [n for _, n in kernel_calls] == [spp]
+        assert prop._n_steps(period, period / spp) == spp
 
     def test_batched_kernel_matches_stepping(self):
         seg = PulseSegment(1.0, *SEG_ARGS)
@@ -339,11 +324,26 @@ class TestPeriodPower:
         duration = frac * q.T_total
         seq = PulseSequence([PulseSegment(duration, alpha, P13.omega_x)])
         res = propagate(P13, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                        cfg=lab_cfg(P13, 80))
+                        steps_per_period=80)
         u_int = frame_transform(res.unitary, 0.0, duration,
                                 FrameTag.LAB, FrameTag.INTERACTION_D, P13)
         err = np.linalg.norm(u_int.m - erc_unitary(P13, duration, alpha).m, 2)
         assert err < 2.0 * P13.omega_x / P13.carrier
+
+
+class TestStepsPerPeriod:
+    @pytest.mark.parametrize("spp", [0, -1, 2.0, None, True])
+    def test_walk_refuses(self, spp):
+        with pytest.raises(ValueError, match="steps_per_period"):
+            prop._walk(P13, not_gate_sequence(P13), [math.inf], "lab", spp)
+
+    def test_default_steps_per_period(self, kernel_calls):
+        period = 2 * math.pi / P13.carrier
+        seq = PulseSequence([PulseSegment(3 * period, 0.2, P13.omega_x)])
+        propagate(P13, seq, StateVector3(KET_0), FrameTag.LAB)
+        prop._walk(P13, seq, [math.inf], "lab")
+        assert [n for _, n in kernel_calls] == [prop.LAB_STEPS_PER_PERIOD] * 2
+        assert prop.LAB_STEPS_PER_PERIOD == 20
 
 
 class TestProgramEngine:
@@ -362,7 +362,7 @@ class TestProgramEngine:
         times = np.sort(fracs) * seq.total_duration
         ana, _ = prop._walk(P13, seq, times, "analytic")
         rwa, _ = prop._walk(P13, seq, times, "rwa")
-        lab, _ = prop._walk(P13, seq, times, "lab", lab_cfg(P13, 80))
+        lab, _ = prop._walk(P13, seq, times, "lab", 80)
         assert np.max(np.abs(rwa - ana)) < 1e-12
         err = np.max(np.linalg.norm(lab - ana, 2, axis=(1, 2)))
         assert err < 2.0 * len(segs) * P13.omega_x / P13.carrier

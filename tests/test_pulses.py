@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -54,19 +55,32 @@ class TestSerialization:
            segs=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-7.0, 7.0),
                                    st.floats(0.0, 10.0), st.floats(-1.0, 1.0),
                                    st.none() | st.floats(-7.0, 7.0)),
-                         max_size=5),
-           frame=st.sampled_from([FrameTag.INTERACTION_D, FrameTag.INTERACTION_D_EZ]))
-    def test_roundtrip(self, fields, segs, frame):
+                         max_size=5))
+    def test_roundtrip(self, fields, segs):
         ex, ey, ez = fields
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ex=ex, Ey=ey, Ez=ez)
         seq = PulseSequence([PulseSegment(d, a, ox, omega_y=oy, beta=b)
-                             for d, a, ox, oy, b in segs], frame)
+                             for d, a, ox, oy, b in segs])
         text, seq2, p2 = self._roundtrip(seq, p)
         assert '"nverc-seq/1"' in text
+        assert json.loads(text)["frame"] == p.interaction_frame.value
         assert p2 == p
-        assert seq2.frame == seq.frame
-        for a, b in zip(seq.segments, seq2.segments):
-            assert a == b
+        assert seq2 == seq
+
+    @pytest.mark.parametrize("ez", [0.0, 0.5])
+    def test_frame_must_be_the_parameters_frame(self, ez):
+        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ez=ez)
+        doc = json.loads(sequence_to_json(PulseSequence([PulseSegment(1.0, 0.2, 3.0)]), p))
+        for frame in FrameTag:
+            doc["frame"] = frame.value
+            if frame == p.interaction_frame:
+                assert sequence_from_json(json.dumps(doc))[1] == p
+            else:
+                with pytest.raises(ConfigError, match="frame"):
+                    sequence_from_json(json.dumps(doc))
+        del doc["frame"]
+        seq, p2 = sequence_from_json(json.dumps(doc))
+        assert (seq, p2) == (PulseSequence([PulseSegment(1.0, 0.2, 3.0)]), p)
 
     def test_schema_version_enforced(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0)

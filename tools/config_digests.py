@@ -13,7 +13,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from nverc.cli import main
+from nverc import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 METHODS = ("analytic", "rwa", "lab")
@@ -24,13 +24,19 @@ RUNS += [("synth", name, None) for name in ("synth_x", "synth_haar_orthogonal_ax
 RUNS += [("calibrate", name, m) for name in ("calibrate_basic", "calibrate_ex_compensation")
          for m in METHODS]
 
-out_dir = Path(sys.argv[1])
-out_dir.mkdir(parents=True, exist_ok=True)
-for command, name, method in RUNS:
-    suffix = ".json" if command in ("synth", "calibrate") else ".csv"
-    out = out_dir / (name + (f"_{method}" if method else "") + suffix)
-    argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]
-    if main(argv + (["--method", method] if method else [])) != 0:
-        sys.exit(f"{command} {name} {method or ''} failed")
-for path in sorted(out_dir.iterdir()):
-    print(hashlib.sha256(path.read_bytes()).hexdigest(), "", path.name)
+
+
+def main(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for command, name, method in RUNS:
+        suffix = ".json" if command in ("synth", "calibrate") else ".csv"
+        out = out_dir / (name + (f"_{method}" if method else "") + suffix)
+        argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]
+        if cli.main(argv + (["--method", method] if method else [])) != 0:
+            sys.exit(f"{command} {name} {method or ''} failed")
+    for path in sorted(out_dir.iterdir()):
+        print(hashlib.sha256(path.read_bytes()).hexdigest(), "", path.name)
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]))
