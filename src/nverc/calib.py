@@ -233,8 +233,8 @@ def simulate_odmr(p: SystemParams) -> OdmrResult:
 def _ground_amplitude_fn(p: SystemParams, method: str):
     """Continuous-time real ground-state amplitude Re<0|U(t)|0> for a single
     resonant segment at phase 0, at a scalar or ascending array of times.
-    The lab form runs one program over the longest time at 80 steps per
-    carrier period; the interaction-frame phase leaves <0|U|0> unchanged."""
+    The lab form runs one program over the longest time at 80 Magnus steps
+    per carrier period; <0|U|0> is the same in every frame."""
     method = _canonical_method(method)
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
@@ -252,7 +252,7 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     def lab_amp(t):
         t = np.asarray(t, dtype=float)
         seq = PulseSequence([replace(seg, duration=float(np.max(t)))])
-        us, _ = _walk(p, seq, t.reshape(-1), "lab", steps_per_period=80)
+        us = _walk(p, seq, t.reshape(-1), "lab", steps_per_period=80)
         return us[:, 1, 1].real.reshape(t.shape)
 
     return lab_amp

@@ -2,11 +2,11 @@
 
 Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
-retained) with fixed-step RK4, and propagates the time-independent
-rotating-wave Hamiltonians by exact matrix exponentiation per segment.
-``_rwa_evolver`` holds the package's one eigendecomposition of H_rwa;
-``rwa_segment_unitary`` and the calibration root finders evaluate any array
-of durations through it.
+retained) by fixed-step fourth-order Magnus in the frame of the carrier
+(``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
+exact matrix exponentiation per segment.  ``_rwa_evolver`` holds the
+package's one eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the
+calibration root finders evaluate any array of durations through it.
 
 Every pulse program runs through one walker, ``_walk``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -15,31 +15,24 @@ array of sample times; ``propagate``, ``apply_sequence``,
 ``sequence_unitary``, traces, the synthesis cross-checks and the lab
 calibration amplitude are each one call of it.
 
-Within one constant-drive segment the lab Hamiltonian is periodic with the
-carrier period T_c = 2 pi / (D + Ez), so a segment of duration N T_c + r
-starting at t0 propagates as U_r U_P^N (Floquet; Shirley, Phys. Rev. 138,
-B979, 1965).  The fixed-step scheme integrates only U_P, one period from
-t0, and the remainder U_r, also from t0; U_P is integrated once per
-segment for all its samples, and the power is taken by binary squaring
-of the raw RK4 matrix, so the result is RK4 on a period-aligned
-grid at the cost of one or two periods, whatever the segment length.
-
-``steps_per_period`` = n is the RK4 resolution: one period takes exactly
-n steps, and a remainder r takes ceil(r n / T_c).  The default
-``LAB_STEPS_PER_PERIOD`` = 20 is adequate for quick looks, while
-quantitative rotating-wave comparisons want 100+ steps per period (RK4
-phase error scales as T D^5 h^4).  The raw RK4 propagator is
-projected onto the unitary group after every segment and the projection
-distance is reported as ``norm_drift``.  The power is taken before the
-projection, so the per-period non-unitarity compounds over the N periods
-exactly as it does under step-by-step integration and ``norm_drift``
-grows with segment length.
+In a constant-drive segment the carrier-frame Hamiltonian has the period
+P = T_c / 2, half the carrier period T_c = 2 pi / (D + Ez), so a segment
+of duration N P + r from t0 propagates as U_r U_P^N (Floquet; Shirley,
+Phys. Rev. 138, B979, 1965).  U_P, one period from t0, is integrated once
+per segment and raised to the power through its eigendecomposition, and
+U_r from t0: stepping on a period-aligned grid at the cost of one or two
+periods, unitary to rounding, whatever the segment length.
+``steps_per_period`` = n is the resolution: a carrier period takes exactly
+n steps (for odd n, P = T_c), a remainder r takes ceil(r n / T_c).  The
+default 8 puts the fig2 lab populations within 2e-5 of a converged run;
+the error falls as h^4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,14 +52,13 @@ __all__ = [
     "rwa_segment_unitary",
 ]
 
-LAB_STEPS_PER_PERIOD = 20  # RK4 steps per carrier period, by default
+LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
 
 
 @dataclass(frozen=True)
 class PropagationResult:
     state: StateVector3
     unitary: Unitary3
-    norm_drift: float
 
 
 def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
@@ -94,38 +86,44 @@ def _rwa_evolver(p: SystemParams, seg):
     return evolve
 
 
-def _project_unitary(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest unitary (polar factor) and the operator-norm distance to it,
-    max |s - 1| over the singular values, as u - w vh = w (s - 1) vh."""
-    w, s, vh = np.linalg.svd(u)
-    return w @ vh, float(np.max(np.abs(s - 1.0)))
-
-
 def _lab_segment(p, seg, t0, steps_per_period, taus, u):
-    """Raw lab propagators of ``seg`` from t0, continuing ``u``, for each
-    duration in ``taus``; the carrier period is integrated at most once,
-    in exactly ``steps_per_period`` steps."""
-    hs = static_hamiltonian(p)
-    ax, ay = lab_drive_operators(seg)
-    period = 2.0 * math.pi / p.carrier
-
-    def rk4(duration, n_steps, u0):
-        return _kernels.rk4_lab_segment(hs, ax, ay, p.carrier, seg.alpha, seg.beta,
-                                        t0, duration, n_steps, u0)
-
-    u_period = None
+    """Interaction-frame lab propagators of ``seg`` from t0, continuing
+    ``u``, for each duration in ``taus``.  An even ``steps_per_period`` n
+    integrates the half carrier period in n/2 steps, an odd n the whole
+    period in n steps."""
+    magnus = partial(_kernels.magnus_lab_segment, static_hamiltonian(p),
+                     *lab_drive_operators(seg), p.carrier, seg.alpha, seg.beta, t0)
+    period, n = 2.0 * math.pi / p.carrier, steps_per_period
+    if n % 2 == 0:
+        period, n = period / 2.0, n // 2
+    power = None
     out = []
     for tau in taus:
         n_periods, rest = _period_split(tau, period)
         v = u
         if n_periods:
-            if u_period is None:
-                u_period = rk4(period, steps_per_period, np.eye(3, dtype=complex))
-            v = np.linalg.matrix_power(u_period, n_periods) @ v
+            if power is None:
+                power = _floquet_power(magnus(period, n, np.eye(3, dtype=complex)))
+            v = power(n_periods) @ v
         if rest:
-            v = rk4(rest, _n_steps(rest, period / steps_per_period), v)
+            v = magnus(rest, _n_steps(rest, period / n), v)
         out.append(v)
     return out
+
+
+def _floquet_power(u):
+    """N -> u^N for a one-period propagator u, unitary to rounding for any N
+    (squaring would double u's defect per squaring).  With u turned to put
+    -1 mid-way in the widest gap of its spectrum, its Cayley transform
+    K = -i (1 + u)^-1 (1 - u) is Hermitian and well conditioned; ``eigh``
+    gives orthonormal eigenvectors and the eigenphases -2 atan(k)."""
+    theta = sorted(np.angle(np.linalg.eigvals(u)).tolist())
+    gaps = zip(theta, theta[1:] + [theta[0] + 2.0 * math.pi])
+    turn = math.pi - max((b - a, 0.5 * (a + b)) for a, b in gaps)[1]
+    turned = np.exp(1j * turn) * u
+    w, v = np.linalg.eigh(-1j * np.linalg.solve(np.eye(3) + turned, np.eye(3) - turned))
+    phases = -2.0 * np.arctan(w) - turn
+    return lambda n_periods: (v * np.exp(1j * n_periods * phases)) @ v.conj().T
 
 
 def _n_steps(duration, step):
@@ -158,22 +156,21 @@ def propagate(
     Interaction frames use exact per-segment matrix exponentials of the
     time-independent rotating-wave Hamiltonian; the lab frame integrates
     the full time-dependent Hamiltonian with a coherent carrier across
-    segments, ``steps_per_period`` RK4 steps per carrier period.  Returns
-    the final state, the accumulated propagator (taken from
-    ``p.interaction_frame`` to ``frame``) and the worst per-segment
-    unitarity defect that was projected away.
+    segments, ``steps_per_period`` Magnus steps per carrier period.
+    Returns the final state and the accumulated propagator, taken from
+    ``p.interaction_frame`` to ``frame``.
     """
     frame = FrameTag(frame)
-    us, drift = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa",
-                      steps_per_period)
+    us = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa",
+               steps_per_period)
     home = p.interaction_frame
     uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home, frame, p)
-    return PropagationResult(state=uni.apply(s), unitary=uni, norm_drift=drift)
+    return PropagationResult(state=uni.apply(s), unitary=uni)
 
 
 def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     """Closed-form propagator of a whole pulse program (analytic method)."""
-    us, _ = _walk(p, seq, [math.inf], "analytic")
+    us = _walk(p, seq, [math.inf], "analytic")
     return Unitary3(us[0], p.interaction_frame)
 
 
@@ -188,36 +185,31 @@ def apply_sequence(
 
     ``method``: ``analytic`` (closed forms), ``rwa_numeric`` (per-segment
     matrix exponential of the rotating-wave Hamiltonian) or ``lab_numeric``
-    (full lab-frame integration, counter-rotating terms included, result
-    transformed back to the interaction frame).
+    (full lab-frame integration, counter-rotating terms included, in the
+    interaction frame).
     """
-    us, _ = _walk(p, seq, [math.inf], method)
+    us = _walk(p, seq, [math.inf], method)
     return StateVector3((us @ s.amps)[0])
 
 
 def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
-          steps_per_period: int = LAB_STEPS_PER_PERIOD) -> tuple[np.ndarray, float]:
+          steps_per_period: int = LAB_STEPS_PER_PERIOD) -> np.ndarray:
     """Interaction-frame propagators (n, 3, 3) of a pulse program at n
-    ascending sample times, and the worst unitarity defect that the lab
-    method projected away (0 for the others).
+    ascending sample times.
 
     The program runs once, skipping zero-duration segments: a sample inside
     a segment continues from the propagator at the segment's start t0, and
     a lab sample integrates from t0 as the truncated program would.  A
     sample at most 1e-15 short of a segment's end counts as that end; one
     past the end (``math.inf`` included) gets the whole program.  Lab
-    integration takes ``steps_per_period`` RK4 steps per carrier period,
-    and its propagators are taken to the frame ``p.interaction_frame`` by
-    the phase exp(+i (D + Ez) Sz^2 t) at their end time t.
+    integration takes ``steps_per_period`` Magnus steps per carrier period.
     """
     method = _canonical_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
         raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
-    drift = 0.0
 
     def run(seg, t0, taus, u):
         """``u`` continued from t0 over each duration in ``taus`` of ``seg``."""
-        nonlocal drift
         if method == "analytic":
             if seg.omega_y != 0.0 and seg.beta != seg.alpha:
                 raise ResonanceError(
@@ -227,15 +219,10 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
             return _erc_matrix(ps, taus, seg.alpha) @ u
         if method == "rwa_numeric":
             return rwa_segment_unitary(p, seg, taus) @ u
-        out = []
-        for m in _lab_segment(p, seg, t0, steps_per_period, taus.tolist(), u):
-            m, d = _project_unitary(m)
-            drift = max(drift, d)
-            out.append(m)
-        return np.array(out)
+        return np.array(_lab_segment(p, seg, t0, steps_per_period, taus.tolist(), u))
 
     times = np.asarray(times, dtype=float)
-    found = []  # (propagator, time it ends at) per sample
+    found = []  # one propagator per sample
     u = np.eye(3, dtype=complex)
     t1 = 0.0
     for seg in seq:
@@ -247,28 +234,21 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
         taus = times[len(found):np.searchsorted(times, t1 - 1e-15)] - t0
         inside = taus[taus > 0.0]
         # samples at the segment's start (or 1e-15 short of it)
-        found.extend([(u, t0)] * (len(taus) - len(inside)))
+        found.extend([u] * (len(taus) - len(inside)))
         us = run(seg, t0, np.append(inside, seg.duration), u)
-        found.extend(zip(us[:-1], t0 + inside))
+        found.extend(us[:-1])
         u = us[-1]
-    found.extend([(u, t1)] * (len(times) - len(found)))
-    us = np.array([m for m, _ in found]).reshape(-1, 3, 3)
-    if method == "lab_numeric":
-        t_end = np.array([t for _, t in found]).reshape(-1, 1)
-        us = np.exp(1j * p.carrier * np.diag(SZ2) * t_end)[:, :, None] * us
-    return us, drift
+    found.extend([u] * (len(times) - len(found)))
+    return np.array(found).reshape(-1, 3, 3)
+
+
+_METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",
+            "lab": "lab_numeric", "lab_numeric": "lab_numeric"}
 
 
 def _canonical_method(method: str) -> str:
-    aliases = {
-        "analytic": "analytic",
-        "rwa": "rwa_numeric",
-        "rwa_numeric": "rwa_numeric",
-        "lab": "lab_numeric",
-        "lab_numeric": "lab_numeric",
-    }
     try:
-        return aliases[method]
+        return _METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; use analytic, rwa or lab") from None
 

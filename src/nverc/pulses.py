@@ -132,6 +132,8 @@ def sequence_from_json(text: str) -> tuple[PulseSequence, SystemParams]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid sequence JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a sequence document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SEQUENCE_SCHEMA:
         raise ConfigError(
             f"unsupported sequence schema {doc.get('schema')!r}, expected {SEQUENCE_SCHEMA!r}"

@@ -198,8 +198,8 @@ class Unitary3:
     """3x3 unitary evolution operator together with its reference frame.
 
     Construction verifies ||U^dag U - 1||_op < 1e-10 and rejects anything
-    worse; numerical propagators are expected to project onto the unitary
-    group before wrapping their result.
+    worse; the numerical propagators of ``nverc.prop`` are unitary to
+    rounding by construction, so nothing is projected before wrapping.
     """
 
     m: np.ndarray = field(repr=False)

@@ -372,7 +372,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     times = np.linspace(0.0, t_max, n)
-    us, drift = _walk(p, seq, times, method)
+    us = _walk(p, seq, times, method)
     amps = us @ s0.amps
     rows = np.array([[t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2]
                      for t, a in zip(times, amps)]).reshape(-1, 4)
@@ -383,7 +383,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
         "characteristic": characteristic,
     }
     _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], list(rows.T))
-    return {"rows": len(rows), "out": out_path, "norm_drift": drift}
+    return {"rows": len(rows), "out": out_path}
 
 
 # ----------------------------------------------------------- robustness ---
@@ -553,10 +553,9 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
         "total_duration": result.sequence.total_duration,
         "fidelity_analytic": result.fidelity,
     }
-    us, _ = _walk(p, result.sequence, [math.inf], "rwa")
-    report["fidelity_rwa"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
-    us, _ = _walk(p, result.sequence, [math.inf], "lab", spp)
-    report["fidelity_lab"] = synth.dq_gate_fidelity(synth.dq_block(us[0]), target)
+    for method in ("rwa", "lab"):
+        u = _walk(p, result.sequence, [math.inf], method, spp)[0]
+        report[f"fidelity_{method}"] = synth.dq_gate_fidelity(synth.dq_block(u), target)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(sequence_to_json(result.sequence, p))
     report_path = out_path + ".report.json"

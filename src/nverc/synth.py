@@ -72,8 +72,8 @@ def dq_block(m: np.ndarray | Unitary3) -> np.ndarray:
 
 
 def dq_gate_fidelity(m: np.ndarray, target: np.ndarray) -> float:
-    """Global-phase-insensitive |tr(M^dag V)| / 2 on the DQ block."""
-    return abs(np.trace(m.conj().T @ target)) / 2.0
+    """Global-phase-insensitive |tr(M^dag V)| / 2 on the DQ block, capped at 1."""
+    return min(1.0, abs(np.trace(m.conj().T @ target)) / 2.0)
 
 
 def _quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

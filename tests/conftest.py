@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from nverc import SystemParams
+
+# environment for child interpreters: they find the package under src/ as
+# this one does through pyproject's pythonpath, installed or not
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 # no per-example deadline: on a shared machine it times the neighbours'
 # load, not the code under test

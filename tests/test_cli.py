@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CHILD_ENV
 from nverc.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -422,11 +423,8 @@ class TestConfigKeys:
             rows.append(np.array([ln.split(",") for ln in lines[1:]], dtype=float))
         assert np.allclose(rows[0], rows[1], rtol=0.0, atol=1e-12, equal_nan=True)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("spp", ["0", "-5", "1e400", '"nan"', "1"])
+    @pytest.mark.parametrize("spp", ["0", "-5", "1e400", '"nan"'])
     def test_synth_bad_lab_steps_leaves_no_file(self, tmp_path, capsys, spp):
-        # one step per period passes the type check and fails in the lab
-        # cross-check, after synthesis; nothing is written before it
         text = json.dumps(TINY["synth"])[:-1] + f', "lab_steps_per_period": {spp}}}'
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -434,6 +432,17 @@ class TestConfigKeys:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "message" in json.loads(capsys.readouterr().out)["error"]
         assert not out.exists() and not (tmp_path / "s.json.report.json").exists()
+
+    def test_synth_one_lab_step_per_period_runs(self, tmp_path):
+        # every Magnus step is unitary, so even one step per carrier period
+        # gives a propagator and fidelities in [0, 1]
+        cfg = write_cfg(tmp_path, dict(TINY["synth"], lab_steps_per_period=1))
+        out = tmp_path / "s.json"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "s.json.report.json").read_text())
+        assert out.exists()
+        for key in ("fidelity_analytic", "fidelity_rwa", "fidelity_lab"):
+            assert 0.0 <= report[key] <= 1.0
 
 
 class TestCheckedInConfigs:
@@ -464,7 +473,7 @@ class TestCheckedInConfigs:
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         code = "import sys, nverc.cli; sys.exit('scipy.optimize' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=CHILD_ENV).returncode == 0
 
     def test_every_config_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: tools/config_digests.py runs every
@@ -490,7 +499,7 @@ class TestCheckedInConfigs:
         """)
         tool = ROOT / "tools" / "config_digests.py"
         res = subprocess.run([sys.executable, "-c", code, str(tool), str(tmp_path)],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=CHILD_ENV)
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
         assert len(lines) == 18
@@ -514,6 +523,6 @@ class TestCheckedInConfigs:
         res = subprocess.run(
             [sys.executable, "-m", "nverc.cli", "trace", "--config", cfg,
              "--out", str(tmp_path / "t.csv"), "--jobs", "1"],
-            capture_output=True,
+            capture_output=True, env=CHILD_ENV,
         )
         assert res.returncode == 0

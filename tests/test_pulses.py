@@ -89,7 +89,9 @@ class TestSerialization:
             sequence_from_json(text)
 
     def test_malformed_document(self):
-        with pytest.raises(ConfigError):
-            sequence_from_json("{not json")
+        # not JSON, JSON that is not an object, an object missing its keys
+        for text in ("{not json", "[]", '"x"', "null"):
+            with pytest.raises(ConfigError):
+                sequence_from_json(text)
         with pytest.raises(ConfigError):
             sequence_from_json('{"schema": "nverc-seq/1", "segments": [{}], "params": {}}')

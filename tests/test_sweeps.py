@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ def read_csv(path):
 
 
 BASE = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 3.0}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def percent_body(columns):
@@ -191,28 +193,23 @@ class TestProgramWalker:
     @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
     def test_matches_restart_from_zero(self, method):
         s0 = StateVector3(np.array([0.6, 0.48j, 0.64]))
-        us, drift = prop._walk(self.P, self.SEQ, self.TIMES, method)
+        us = prop._walk(self.P, self.SEQ, self.TIMES, method)
         # propagators, applied afterwards, give the restarted states
         got = us @ s0.amps
         want = truncated_reference(self.P, self.SEQ, s0, self.TIMES, method)
         assert got.shape == (len(self.TIMES), 3)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.array_equal(got[0], s0.amps)
-        if method == "lab":
-            # the defect projected away by the default 20 steps per period
-            assert 1e-6 < drift < 0.1
-        else:
-            assert drift == 0.0
 
     def test_lab_trace_work_is_linear(self, tmp_path, monkeypatch):
         calls = []
-        kernel = _kernels.rk4_lab_segment
+        kernel = _kernels.magnus_lab_segment
 
         def counted(*args, **kwargs):
             calls.append(1)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "rk4_lab_segment", counted)
+        monkeypatch.setattr(_kernels, "magnus_lab_segment", counted)
         segs = [{"duration": 0.7, "alpha": 0.0}, {"duration": 1.1, "alpha": 1.3},
                 {"duration": 0.5, "alpha": -0.4}]
         n = 40
@@ -220,7 +217,22 @@ class TestProgramWalker:
         res = cmd_trace(cfg, str(tmp_path / "lab.csv"))
         # one carrier period per segment, one remainder per sample and end
         assert 0 < len(calls) <= n + 2 * len(segs)
-        assert res["norm_drift"] > 0.0
+        assert res["rows"] == n
+
+    def test_fig2_lab_trace_converged_at_the_default(self, tmp_path, monkeypatch):
+        # the default resolution puts the lab populations within 1e-4 of a
+        # run at 160 steps per carrier period
+        with open(CONFIGS / "fig2_trace.json", encoding="utf-8") as fh:
+            cfg = dict(json.load(fh), method="lab")
+        cmd_trace(dict(cfg), str(tmp_path / "default.csv"))
+        walk = prop._walk
+        monkeypatch.setattr(sweeps, "_walk",
+                            lambda p, seq, times, method: walk(p, seq, times, method, 160))
+        cmd_trace(dict(cfg), str(tmp_path / "fine.csv"))
+        _, _, rows = read_csv(tmp_path / "default.csv")
+        _, _, ref = read_csv(tmp_path / "fine.csv")
+        assert rows.shape == ref.shape == (501, 4)
+        assert np.max(np.abs(rows - ref)) < 1e-4
 
     def test_robustness_builds_no_unitary_per_cell(self, tmp_path, monkeypatch):
         built = []

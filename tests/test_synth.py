@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHILD_ENV
 from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError,
                    RotationAxis, StateVector3, SystemParams, apply_sequence,
                    characteristic_quantities, dq_block, dq_gate_fidelity,
@@ -224,4 +225,4 @@ class TestMinimalLength:
                 "synthesize_gate(SystemParams(D=500.0, muB=1.0, omega_x=3.0), "
                 "np.array([[0, 1], [1, 0]], dtype=complex)); "
                 "sys.exit('scipy.optimize' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=CHILD_ENV).returncode == 0
