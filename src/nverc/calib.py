@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ExtractionError
-from .ham import require_resonant, static_hamiltonian
+from .ham import hamiltonian_rwa, require_resonant, static_hamiltonian
 from .prop import _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams
@@ -246,7 +246,7 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        evolve = _rwa_evolver(p, seg)
+        evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
         return lambda t: evolve(t)[..., 1, 1].real
 
     def lab_amp(t):
@@ -345,7 +345,7 @@ _DEPLETION_GRID = 512
 def _min_ground_population(p: SystemParams, ratio: float, window: float):
     """Minimum over time of the |0> population under the two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
-    evolve = _rwa_evolver(p, seg)
+    evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
 
     def p0(t):
         return np.abs(evolve(t)[..., 1, 1]) ** 2

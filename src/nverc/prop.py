@@ -6,7 +6,9 @@ retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
 exact matrix exponentiation per segment.  ``_rwa_evolver`` holds the
 package's one eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the
-calibration root finders evaluate any array of durations through it.
+calibration root finders evaluate any array of durations through it, and
+the spectral maps evaluate one population over a uniform time grid for a
+whole stack of H_rwa, decomposed by one batched ``eigh``.
 
 Every pulse program runs through one walker, ``_walk``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -65,25 +67,55 @@ def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
     """Exact exp(-i H_rwa t) via Hermitian eigendecomposition, for a scalar
     or array of durations t (default ``seg.duration``); shape
     ``t.shape + (3, 3)``."""
-    return _rwa_evolver(p, seg)(seg.duration if duration is None else duration)
+    evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
+    return evolve(seg.duration if duration is None else duration)
 
 
-def _rwa_evolver(p: SystemParams, seg):
-    """(t, column=None) -> ``rwa_segment_unitary(p, seg, t)``, or only its
-    column ``column`` (shape ``t.shape + (3,)``), decomposing H_rwa once for
-    every later call."""
-    w, v = np.linalg.eigh(hamiltonian_rwa(p, seg))
+def _rwa_evolver(h: np.ndarray, bra=None):
+    """Decompose H_rwa once, by one ``eigh``, for every call of the function
+    returned.
+
+    Without ``bra``, ``h`` is one (3, 3) matrix: t -> exp(-i h t) for a
+    scalar or array of durations t, shape ``t.shape + (3, 3)``.
+
+    With a bra <a| (shape (3,)), the grid mode over a stack ``h`` of shape
+    (m, 3, 3): (t_max, n_t) -> |<a| exp(-i h_i t_k) |0>|^2 of shape
+    (m, n_t), on the grid t_k = k dt of ``np.linspace(0, t_max, n_t)``.
+    The amplitude is sum_j c_j e^(-i w_j t_k) with c_j = <a|v_j><v_j|0>.
+    Writing k = q B + r with B = ceil(sqrt(n_t)) factors each phase as
+    e^(-i w_j q B dt) e^(-i w_j r dt): a row takes 2 sqrt(n_t) exponentials
+    per eigenvalue and one (n_t / B, 3) @ (3, B) product, and the rows are
+    filled one at a time, so no (m, n_t) complex array is built.
+    """
+    w, v = np.linalg.eigh(h)
+    if bra is not None:
+        c = (bra @ v) * v[..., 1, :].conj()
+        return partial(_grid_populations, w, c)
     vh = v.conj().T
 
-    def evolve(duration, column=None):
+    def evolve(duration):
         t = np.asarray(duration, dtype=float)
-        if column is not None:
-            return (np.exp(-1j * w * t[..., None]) * vh[:, column]) @ v.T
         vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
         # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
         return (vw.reshape(-1, 3) @ vh).reshape(vw.shape)
 
     return evolve
+
+
+def _grid_populations(w, c, t_max, n_t):
+    """|sum_j c_ij e^(-i w_ij t_k)|^2, shape (m, n_t), for eigenvalues ``w``
+    and weights ``c`` of shape (m, 3), at t_k = k t_max / (n_t - 1)."""
+    dt = t_max / (n_t - 1)                       # np.linspace's step
+    b = math.isqrt(n_t - 1) + 1                  # ceil(sqrt(n_t))
+    n_q = -(-n_t // b)
+    # fast[i, j, r] = e^(-i w_ij r dt), slow[i, q, j] = c_ij e^(-i w_ij q B dt)
+    fast = np.exp(-1j * w[:, :, None] * (np.arange(b) * dt))
+    slow = c[:, None, :] * np.exp(-1j * w[:, None, :] * (np.arange(0, n_q * b, b) * dt)[:, None])
+    out = np.empty((len(w), n_t))
+    for row, s, f in zip(out, slow, fast):
+        a = (s @ f).reshape(-1)[:n_t]            # the amplitude at t_(q B + r)
+        row[:] = a.real * a.real + a.imag * a.imag
+    return out
 
 
 def _lab_segment(p, seg, t0, steps_per_period, taus, u):

@@ -5,19 +5,22 @@ CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``prop._walk``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation, and every command runs in one process;
-an ``ey-map`` or ``ratio-map`` row evaluates only the |0> column of the
-rotating-wave propagator.  ``_write_csv`` takes one column per header
-field, shaped on the map's grid: a column constant along the first axis
-(the time axis) is formatted once per file, the others ``_CSV_BLOCK``
-cells at a time, and each block goes straight to the open file, so
-neither a whole-file float matrix nor its text is built.  Formatting has
-two tiers: ``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0
-and of positive values in [1e-10, 1e13), and every other field is
-formatted alone with ``%`` in front of its own separator.  Each
-``cmd_*`` takes only its config and output path (``cmd_synth`` also the
-seed of random targets); which CLI flag reaches which command is decided
-in ``nverc.cli``.
+map row is one array operation, and every command runs in one process.
+Every map observable is a population |<a|psi>|^2 with one bra <a|; the
+rows of an ``ey-map`` or ``ratio-map`` come from one batched ``eigh`` of
+their stacked rotating-wave Hamiltonians, which gives <a|U(t)|0> on the
+map's time grid as a sum of three phases (``prop._rwa_evolver``).
+``_write_csv`` takes one column per header field, shaped on the map's
+grid: a column constant along the first axis (the time axis) is
+formatted once per file, the others ``_CSV_BLOCK`` cells at a time, and
+each block goes straight to the open file, so neither a whole-file float
+matrix nor its text is built.  Formatting has two tiers:
+``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0 and of
+positive values in [1e-10, 1e13), four digits at a time from a table, and
+every other field is formatted alone with ``%`` in front of its own
+separator.  Each ``cmd_*`` takes only its config and output path
+(``cmd_synth`` also the seed of random targets); which CLI flag reaches
+which command is decided in ``nverc.cli``.
 
 Config files are single JSON documents.  Frequencies are interpreted per
 the "units" field: "muB" (dimensionless, already angular, the default for
@@ -41,7 +44,7 @@ import numpy as np
 from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .ham import compensation_ratio
+from .ham import compensation_ratio, hamiltonian_rwa
 from .prop import _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
@@ -63,6 +66,9 @@ _CSV_BLOCK = 4096  # cells (at least one first-axis row) per write; bounds peak 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _FIELD = np.frombuffer(b"0.000000000000e+00,", np.uint8)
 _EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint32)
+# the 4 ASCII digits of 0..9999, each as one uint32 in memory order
+_DIGITS4 = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
+                    -1).reshape(-1, 4).view(np.uint32)[:, 0]
 
 _UNIT_FACTORS = {"muB": 1.0, "rad_per_us": 1.0, "MHz": 2.0 * math.pi}
 
@@ -70,6 +76,7 @@ OBSERVABLES = ("pop_plus1", "pop_0", "pop_minus1", "dq_fidelity")
 _OBS_COLUMN = {"pop_plus1": "p_plus1", "pop_0": "p_0",
                "pop_minus1": "p_minus1", "dq_fidelity": "dq_fidelity"}
 _STATES = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}
+_OBS_BRA = {"pop_plus1": KET_P1, "pop_0": KET_0, "pop_minus1": KET_M1}  # real: bra = ket
 
 
 def _take(cfg: dict, key: str, default, kind=float, lo=None, scale=1.0):
@@ -134,17 +141,6 @@ def _check_sweep(*axes) -> None:
             raise ConfigError(f"axis {name!r} needs a finite increasing range")
 
 
-def _observable_values(name: str, target_amps, states: np.ndarray) -> np.ndarray:
-    """Vectorized observable over an (n, 3) array of state amplitudes."""
-    if name == "pop_plus1":
-        return np.abs(states[:, 0]) ** 2
-    if name == "pop_0":
-        return np.abs(states[:, 1]) ** 2
-    if name == "pop_minus1":
-        return np.abs(states[:, 2]) ** 2
-    return np.abs(states @ np.conj(target_amps)) ** 2
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,12 +189,13 @@ def _take_state(cfg: dict, key: str, default: str) -> StateVector3:
 
 
 def _take_observable(cfg: dict, default: str):
-    """A map's observable and, for ``dq_fidelity`` only, its target's
-    amplitudes (``target_state`` is taken only then)."""
+    """A map's observable, a population |<a|psi>|^2, and its bra <a|: a
+    basis state, or for ``dq_fidelity`` the conjugate of the target state
+    (``target_state`` is taken only then)."""
     observable = _take(cfg, "observable", default, kind=OBSERVABLES)
     if observable != "dq_fidelity":
-        return observable, None
-    return observable, _take_state(cfg, "target_state", "minus1").amps
+        return observable, _OBS_BRA[observable]
+    return observable, _take_state(cfg, "target_state", "minus1").amps.conj()
 
 
 def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,13 +220,16 @@ def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n[~exact] = 0.0
     buf = np.empty(x.shape + (19,), np.uint8)
     buf[...] = _FIELD
-    # digit j of n is floor(n / 10^(12-j)) - 10 floor(n / 10^(13-j)); exact,
-    # as n < 2^53 and n / 10^m is never within one rounding of another integer
-    prev = 0.0
-    for j, pos in enumerate((0, *range(2, 14))):
-        q = np.floor(n / _POW10[12 - j])
-        buf[..., pos] = q - 10 * prev + 48
-        prev = q
+    # n = d0 10^12 + g1 10^8 + g2 10^4 + g3, each split exact: n < 2^53, and
+    # a quotient below 10^4 is never within one rounding of another integer
+    d0 = np.floor(n / 1e12)
+    rest = n - d0 * 1e12
+    g1 = np.floor(rest / 1e8)
+    rest -= g1 * 1e8
+    g2 = np.floor(rest / 1e4)
+    buf[..., 0] = d0 + 48
+    for pos, g in ((2, g1), (6, g2), (10, rest - g2 * 1e4)):
+        buf[..., pos:pos + 4].view(np.uint32)[..., 0] = _DIGITS4.take(g.astype(np.intp))
     buf[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
     return buf, exact
 
@@ -374,16 +374,16 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     times = np.linspace(0.0, t_max, n)
     us = _walk(p, seq, times, method)
     amps = us @ s0.amps
-    rows = np.array([[t, abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2]
-                     for t, a in zip(times, amps)]).reshape(-1, 4)
+    # np.hypot rounds as the scalar abs(); the SIMD complex np.abs does not
+    pops = np.hypot(amps.real, amps.imag) ** 2
     meta = {
         "command": "trace",
         "params": dataclasses.asdict(p),
         "method": _canonical_method(method),
         "characteristic": characteristic,
     }
-    _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], list(rows.T))
-    return {"rows": len(rows), "out": out_path}
+    _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], [times, *pops.T])
+    return {"rows": n, "out": out_path}
 
 
 # ----------------------------------------------------------- robustness ---
@@ -396,7 +396,7 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     q = erc.characteristic_quantities(p)
     n = _take(cfg, "n", 129, int, lo=2)
     t_max = _take(cfg, "t_max", q.T_total)
-    observable, target = _take_observable(cfg, "pop_minus1")
+    observable, bra = _take_observable(cfg, "pop_minus1")
     _refuse_rest(cfg, "robustness")
     _check_sweep(("t", 0.0, t_max))
     ts = np.linspace(0.0, t_max, n)
@@ -404,7 +404,7 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     second = erc._erc_matrix(p, ts, math.pi)
     # states[i, j] = second[j] @ first[i], each the same 3x3 product as alone
     states = (second[None] @ first[:, None, :, None])[..., 0]
-    vals = _observable_values(observable, target, states.reshape(-1, 3)).reshape(n, n)
+    vals = np.abs(states @ bra) ** 2
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     meta = {
         "command": "robustness",
@@ -422,21 +422,21 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
 
 # ---------------------------------------------------------------- ey map ---
 
-def _ground_state_states(p, times):
-    """Amplitude trajectories of |0> under the constant two-tone drive."""
-    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
-    return _rwa_evolver(p, seg)(times, column=1)
+def _ground_state_states(systems, bra, t_max: float, n_t: int) -> np.ndarray:
+    """|<a|U_i(t)|0>|^2, shape (len(systems), n_t), under the constant
+    two-tone drive of each system i, on ``np.linspace(0, t_max, n_t)``:
+    one ``eigh`` of the stacked rotating-wave Hamiltonians for all rows."""
+    h = np.array([hamiltonian_rwa(p, PulseSegment(0.0, 0.0, p.omega_x, p.omega_y))
+                  for p in systems])
+    return _rwa_evolver(h, bra)(t_max, n_t)
 
 
-def _ey_row(p, times, observable, target):
-    states = _ground_state_states(p, times)
-    vals = _observable_values(observable, target, states)
+def _ey_overlay(p) -> tuple[float, float, float]:
     try:
         qe = erc.characteristic_quantities(p)
-        overlay = (qe.T_total, qe.T_prime, qe.T_second)
+        return qe.T_total, qe.T_prime, qe.T_second
     except NvErcError:
-        overlay = (math.nan, math.nan, math.nan)
-    return vals, overlay
+        return math.nan, math.nan, math.nan
 
 
 def cmd_ey_map(cfg: dict, out_path: str) -> dict:
@@ -451,14 +451,14 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     ey_max = _take(cfg, "ey_max", 1.2 * boundary, scale=factor)
     q0 = erc.characteristic_quantities(p)
     t_max = _take(cfg, "t_max", 1.2 * q0.T_total)
-    observable, target = _take_observable(cfg, "pop_0")
+    observable, bra = _take_observable(cfg, "pop_0")
     _refuse_rest(cfg, "ey-map")
     _check_sweep(("Ey", 0.0, ey_max), ("t", 0.0, t_max))
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
-    vals, overlays = zip(*(_ey_row(p.replace(Ey=ey), times, observable, target)
-                           for ey in eys))
-    vals, overlays = np.array(vals), np.array(overlays)
+    systems = [p.replace(Ey=ey) for ey in eys]
+    vals = _ground_state_states(systems, bra, t_max, n_t)
+    overlays = np.array([_ey_overlay(q) for q in systems])
     meta = {
         "command": "ey_map",
         "params": dataclasses.asdict(p),
@@ -493,16 +493,13 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     p_res = p.replace(omega_y=r_star * p.omega_x)
     q_eff = erc.characteristic_quantities(p_res)
     t_max = _take(cfg, "t_max", 1.2 * q_eff.T_total)
-    observable, target = _take_observable(cfg, "pop_0")
+    observable, bra = _take_observable(cfg, "pop_0")
     _refuse_rest(cfg, "ratio-map")
     _check_sweep(("t", 0.0, t_max))
     ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
     times = np.linspace(0.0, t_max, n_t)
-    vals = np.array([
-        _observable_values(observable, target,
-                           _ground_state_states(p.replace(omega_y=r * p.omega_x), times))
-        for r in ratios
-    ])
+    vals = _ground_state_states([p.replace(omega_y=r * p.omega_x) for r in ratios],
+                                bra, t_max, n_t)
     meta = {
         "command": "ratio_map",
         "params": dataclasses.asdict(p),

@@ -15,9 +15,27 @@ from nverc import (FrameTag, PulseSegment, PulseSequence,
 from nverc import _kernels, prop
 from nverc.ham import (hamiltonian_lab, hamiltonian_rwa, lab_drive_operators,
                        static_hamiltonian)
-from nverc.spin import KET_0, KET_P1, SZ2
+from nverc.spin import KET_0, KET_M1, KET_P1, SZ2
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
+
+
+@st.composite
+def dressed_stacks(draw):
+    """Rotating-wave Hamiltonians (m, 3, 3) of one or of 2-12 random dressed
+    systems: fields Ex, Ey and Ez and a second tone whose phase beta
+    differs from alpha."""
+    field = st.floats(-1.0, 1.0)
+    rows = []
+    for _ in range(draw(st.sampled_from([1, 2, 12]))):
+        mu, om = draw(st.floats(0.05, 2.0)), draw(st.floats(0.1, 4.0))
+        p = SystemParams(D=500.0, muB=mu, omega_x=om,
+                         Ex=draw(field), Ey=draw(field), Ez=draw(field))
+        alpha = draw(st.floats(-math.pi, math.pi))
+        seg = PulseSegment(0.0, alpha, om, om * draw(field),
+                           beta=alpha + draw(st.floats(0.1, 2.0 * math.pi - 0.1)))
+        rows.append(hamiltonian_rwa(p, seg))
+    return np.array(rows)
 
 
 class TestRwaPropagation:
@@ -51,6 +69,11 @@ class TestBatchedRwaSegment:
 
     @pytest.mark.parametrize("kind", ["plain", "two-tone", "Ex", "Ey"])
     def test_column_equals_full_propagator_column(self, rng, kind):
+        # the grid mode's |<a|U(t_k)|0>|^2, for each basis bra <a|, against
+        # the full propagator's |0> column; both round the phases w t, so the
+        # bound grows with max|w| t_max
+        t_max, n_t = 50.0, 64
+        ts = np.linspace(0.0, t_max, n_t)
         for _ in range(10):
             mu = rng.uniform(0.05, 2.0)
             om = mu * rng.uniform(2.1, 8.0)
@@ -60,11 +83,31 @@ class TestBatchedRwaSegment:
             p = SystemParams(D=500.0, muB=mu, omega_x=om, **field)
             seg = PulseSegment(0.0, rng.uniform(-math.pi, math.pi), p.omega_x, p.omega_y,
                                beta=rng.uniform(-math.pi, math.pi))
-            evolve = prop._rwa_evolver(p, seg)
-            ts = rng.uniform(0.0, 50.0, 64)
-            full = evolve(ts)
-            for j in range(3):
-                assert np.max(np.abs(evolve(ts, column=j) - full[:, :, j])) <= 1e-15
+            h = hamiltonian_rwa(p, seg)
+            column = prop._rwa_evolver(h)(ts)[:, :, 1]
+            bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.linalg.eigvalsh(h))) * t_max)
+            for bra in (KET_P1, KET_0, KET_M1):
+                got = prop._rwa_evolver(h[None], bra)(t_max, n_t)
+                assert got.shape == (1, n_t)
+                assert np.max(np.abs(got[0] - np.abs(column @ bra) ** 2)) <= bound
+
+    @settings(max_examples=200)
+    @given(dressed_stacks(), st.sampled_from(["plus1", "zero", "minus1", "target"]),
+           st.sampled_from([2, 3, 7, 64, 65, 6001]), st.floats(0.1, 10.0), st.data())
+    def test_grid_equals_full_propagator(self, h, which, n_t, t_max, data):
+        # the grid mode's |<a|U(t_k)|0>|^2 against the full propagator's
+        # |0> column on the same np.linspace grid, row by row
+        if which == "target":
+            z = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+                          .filter(lambda z: np.linalg.norm(z) > 0.1))
+            bra = np.conj(np.array(z[:3]) + 1j * np.array(z[3:])) / np.linalg.norm(z)
+        else:
+            bra = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}[which]
+        got = prop._rwa_evolver(h, bra)(t_max, n_t)
+        ts = np.linspace(0.0, t_max, n_t)
+        want = [np.abs(prop._rwa_evolver(row)(ts)[..., :, 1] @ bra) ** 2 for row in h]
+        assert got.shape == (len(h), n_t)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestLabPropagation:

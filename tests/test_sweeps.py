@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -91,6 +92,11 @@ class TestWriteCsv:
               np.array([[1.5], [math.nan], [-math.inf], [math.nan], [2.5]])], 14)
     # a column constant along the first axis, formatted once per file
     @example([np.arange(3.0)[:, None], np.array([[-0.0, 1e-12, math.nan, 2.5]])], 5)
+    # a zero 4-digit group, and carries across each group boundary
+    @example([np.array([1.000000000001, 1.000100010001e-05, 1.000000010000e+07,
+                        9.999999999999e+12])], sweeps._CSV_BLOCK)
+    @example([np.array([1.00009999999995, 1.99999999999995, 1.00000000999999995,
+                        1.0000099999999995e-3, 5.99999999999996e-10])], sweeps._CSV_BLOCK)
     def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
         header = [f"c{j}" for j in range(len(columns))]
@@ -151,6 +157,21 @@ class TestTrace:
         meta, _, rows = read_csv(out)
         assert meta["method"] == "lab_numeric"
         assert abs(rows[-1, 3] - 1.0) < 5e-3
+
+    @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
+    def test_populations_equal_scalar_loop(self, tmp_path, monkeypatch, method):
+        # the array populations against the per-sample abs(a) ** 2 loop they
+        # replace: equal to one ulp (the loop squares through pow)
+        written = []
+        monkeypatch.setattr(sweeps, "_write_csv", lambda *args: written.append(args[3]))
+        cfg = dict(BASE, sequence="not_gate", start_state="plus1", n_points=51,
+                   method=method)
+        cmd_trace(cfg, str(tmp_path / "t.csv"))
+        p = system_from_config(cfg)
+        times = written[0][0]
+        amps = sweeps._walk(p, erc.not_gate_sequence(p), times, method) @ KET_P1
+        loop = np.array([[abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2] for a in amps])
+        np.testing.assert_array_max_ulp(np.array(written[0][1:]).T, loop, maxulp=1)
 
     def test_zero_length_trace_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -306,12 +327,11 @@ class TestRobustness:
         cfg = dict(BASE, n=17, observable=observable)
         cmd_robustness(cfg, str(tmp_path / "rob.csv"))
         p = system_from_config(cfg)
-        target = sweeps._take_observable(dict(cfg), observable)[1]
+        bra = sweeps._take_observable(dict(cfg), observable)[1]
         ts = np.linspace(0.0, characteristic_quantities(p).T_total, 17)
         second = erc._erc_matrix(p, ts, math.pi)
         want = np.array([
-            sweeps._observable_values(observable, target,
-                                      second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1))
+            np.abs(second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1) @ bra) ** 2
             for t1 in ts
         ])
         assert np.array_equal(written[0][2], want)
@@ -407,6 +427,20 @@ class TestRatioMap:
         wb, wd = (om**2 / 4) / obar**2, mu**2 / obar**2
         for _, t, p0 in rows:
             assert p0 == pytest.approx((math.cos(obar * t) * wb + wd) ** 2, abs=1e-10)
+
+    def test_peak_memory_within_twice_the_output(self, tmp_path):
+        # rows are evaluated one at a time and written in blocks, so the
+        # (n_ratio, n_t) float output is the one large array of the run
+        cfg = {"units": "muB",
+               "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7, "Ey": -0.7},
+               "n_ratio": 81, "n_t": 6001}
+        tracemalloc.start()
+        try:
+            cmd_ratio_map(cfg, str(tmp_path / "ratio.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 81 * 6001 * 8
 
 
 class TestSynthCommand:
