@@ -20,10 +20,14 @@ calibration amplitude are each one call of it.
 In a constant-drive segment the carrier-frame Hamiltonian has the period
 P = T_c / 2, half the carrier period T_c = 2 pi / (D + Ez), so a segment
 of duration N P + r from t0 propagates as U_r U_P^N (Floquet; Shirley,
-Phys. Rev. 138, B979, 1965).  U_P, one period from t0, is integrated once
-per segment and raised to the power through its eigendecomposition, and
-U_r from t0: stepping on a period-aligned grid at the cost of one or two
-periods, unitary to rounding, whatever the segment length.
+Phys. Rev. 138, B979, 1965).  U_P, one period from t0, is raised to the
+power through its eigendecomposition, and U_r is integrated from t0:
+stepping on a period-aligned grid at the cost of one or two periods,
+unitary to rounding, whatever the segment length.  A lab walk plans the
+whole program first; U_P of every segment that needs it and U_r of every
+sample are then rows of one stacked kernel call, the powers come from one
+batched decomposition, and the results are chained with the propagators
+at the segment starts.
 ``steps_per_period`` = n is the resolution: a carrier period takes exactly
 n steps (for odd n, P = T_c), a remainder r takes ceil(r n / T_c).  The
 default 8 puts the fig2 lab populations within 2e-5 of a converged run;
@@ -118,62 +122,98 @@ def _grid_populations(w, c, t_max, n_t):
     return out
 
 
-def _lab_segment(p, seg, t0, steps_per_period, taus, u):
-    """Interaction-frame lab propagators of ``seg`` from t0, continuing
-    ``u``, for each duration in ``taus``.  An even ``steps_per_period`` n
-    integrates the half carrier period in n/2 steps, an odd n the whole
-    period in n steps."""
-    magnus = partial(_kernels.magnus_lab_segment, static_hamiltonian(p),
-                     *lab_drive_operators(seg), p.carrier, seg.alpha, seg.beta, t0)
+def _lab_propagators(p, plan, steps_per_period):
+    """For each planned segment ``(seg, t0, taus)``, the function
+    ``(u, dest)`` that writes the interaction-frame lab propagators of
+    ``seg`` from t0 over each duration in ``taus`` but the last, continuing
+    the propagator u at t0, into ``dest`` and returns the last.
+
+    One row-kernel call integrates, from the identity, first one period of
+    every segment that some duration spans whole periods of, then every
+    duration's remainder.  An even ``steps_per_period`` n integrates the
+    half carrier period in n/2 steps, an odd n the whole period in n steps.
+    """
+    if not plan:
+        return []
     period, n = 2.0 * math.pi / p.carrier, steps_per_period
     if n % 2 == 0:
         period, n = period / 2.0, n // 2
-    power = None
-    out = []
-    for tau in taus:
-        n_periods, rest = _period_split(tau, period)
-        v = u
-        if n_periods:
-            if power is None:
-                power = _floquet_power(magnus(period, n, np.eye(3, dtype=complex)))
-            v = power(n_periods) @ v
-        if rest:
-            v = magnus(rest, _n_steps(rest, period / n), v)
-        out.append(v)
-    return out
+    hs = static_hamiltonian(p)
+    harmonics = [_kernels._harmonics(hs, *lab_drive_operators(seg), p.carrier, seg.alpha, seg.beta)
+                 for seg, _, _ in plan]
+    h0, v = (np.array(m) for m in zip(*harmonics))
+    splits = [_period_split(taus, period) for _, _, taus in plan]
+    powered = [i for i, (n_periods, _) in enumerate(splits) if n_periods.any()]
+    rests = [rest[rest > 0.0] for _, rest in splits]
+    counts = [len(r) for r in rests]
+    which = np.concatenate([powered, np.repeat(np.arange(len(plan)), counts)]).astype(int)
+    us = _kernels.magnus_lab_rows(
+        h0, v, p.carrier, which, np.array([t0 for _, t0, _ in plan])[which],
+        np.concatenate([np.full(len(powered), period), *rests]),
+        np.concatenate([np.full(len(powered), n), *(_n_steps(r, period / n) for r in rests)]))
+    power = _floquet_power(us[:len(powered)]) if powered else None
+    slot = {i: k for k, i in enumerate(powered)}
+    ends = len(powered) + np.cumsum(counts)
+    return [partial(_lab_chain, power, slot.get(i), n_periods, us[end - count:end], rest > 0.0)
+            for i, ((n_periods, rest), count, end) in enumerate(zip(splits, counts, ends))]
+
+
+def _lab_chain(power, j, n_periods, remainders, has_rest, u, dest):
+    """u continued, for each duration, by ``power(j, N)`` if it spans N > 0
+    whole periods, then by its remainder's propagator, the next of
+    ``remainders``, if it has one; in blocks of ``_kernels._BLOCK``
+    durations.  Writes all but the last into ``dest`` and returns the last."""
+    rest_row = np.cumsum(has_rest) - 1
+    for lo in range(0, len(n_periods), _kernels._BLOCK):
+        hi = min(lo + _kernels._BLOCK, len(n_periods))
+        x = np.repeat(u[None], hi - lo, axis=0)
+        i = np.flatnonzero(n_periods[lo:hi])
+        if len(i):
+            x[i] = power(j, n_periods[lo + i]) @ u
+        i = np.flatnonzero(has_rest[lo:hi])
+        x[i] = remainders[rest_row[lo + i]] @ x[i]
+        dest[lo:hi] = x[:len(dest) - lo]
+    return x[-1]
 
 
 def _floquet_power(u):
-    """N -> u^N for a one-period propagator u, unitary to rounding for any N
-    (squaring would double u's defect per squaring).  With u turned to put
-    -1 mid-way in the widest gap of its spectrum, its Cayley transform
+    """(j, N) -> u[j]^N for each count in the array N, for a stack u of
+    one-period propagators; unitary to rounding for any N (squaring would
+    double u's defect per squaring).  With u turned to put -1 mid-way in
+    the widest gap of its spectrum, its Cayley transform
     K = -i (1 + u)^-1 (1 - u) is Hermitian and well conditioned; ``eigh``
     gives orthonormal eigenvectors and the eigenphases -2 atan(k)."""
-    theta = sorted(np.angle(np.linalg.eigvals(u)).tolist())
-    gaps = zip(theta, theta[1:] + [theta[0] + 2.0 * math.pi])
-    turn = math.pi - max((b - a, 0.5 * (a + b)) for a, b in gaps)[1]
-    turned = np.exp(1j * turn) * u
+    turn = np.array([[_widest_gap_turn(row)] for row in np.angle(np.linalg.eigvals(u)).tolist()])
+    turned = np.exp(1j * turn)[..., None] * u
     w, v = np.linalg.eigh(-1j * np.linalg.solve(np.eye(3) + turned, np.eye(3) - turned))
     phases = -2.0 * np.arctan(w) - turn
-    return lambda n_periods: (v * np.exp(1j * n_periods * phases)) @ v.conj().T
+    vh = v.conj().swapaxes(-1, -2)
+    return lambda j, n_periods: (
+        (v[j] * np.exp(1j * n_periods[:, None] * phases[j])[:, None, :]) @ vh[j])
+
+
+def _widest_gap_turn(theta):
+    """The turn that puts -1 mid-way in the widest gap between eigenphases
+    ``theta`` on the circle."""
+    theta = sorted(theta)
+    gaps = zip(theta, theta[1:] + [theta[0] + 2.0 * math.pi])
+    return math.pi - max((b - a, 0.5 * (a + b)) for a, b in gaps)[1]
 
 
 def _n_steps(duration, step):
     """ceil(duration / step), at least 1, not rounded up by a last-bit excess
-    (so a duration of n steps gives n)."""
-    return max(1, math.ceil(duration / step * (1.0 - 1e-12)))
+    (so a duration of n steps gives n); elementwise."""
+    return np.maximum(1, np.ceil(duration / step * (1.0 - 1e-12)).astype(int))
 
 
 def _period_split(duration, period):
-    """(N, r) with duration = N period + r; r within 1e-12 period of 0 or of
-    a full period is snapped to 0."""
-    n = math.floor(duration / period)
+    """(N, r) with duration = N period + r, elementwise; r within 1e-12
+    period of 0 or of a full period is snapped to 0."""
+    n = np.floor(duration / period)
     rest = duration - n * period
-    if rest > period * (1.0 - 1e-12):
-        n, rest = n + 1, 0.0
-    elif rest < period * 1e-12:
-        rest = 0.0
-    return n, rest
+    whole = rest > period * (1.0 - 1e-12)
+    rest = np.where(whole | (rest < period * 1e-12), 0.0, rest)
+    return (n + whole).astype(int), rest
 
 
 def propagate(
@@ -235,43 +275,61 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     sample at most 1e-15 short of a segment's end counts as that end; one
     past the end (``math.inf`` included) gets the whole program.  Lab
     integration takes ``steps_per_period`` Magnus steps per carrier period.
+
+    A first pass plans each segment's durations; the second computes their
+    propagators from the segment start and chains them with u, the
+    propagator at that start: per segment for the closed forms, all
+    segments at once for the lab method (``_lab_propagators``).
     """
     method = _canonical_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
         raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
 
-    def run(seg, t0, taus, u):
-        """``u`` continued from t0 over each duration in ``taus`` of ``seg``."""
-        if method == "analytic":
-            if seg.omega_y != 0.0 and seg.beta != seg.alpha:
-                raise ResonanceError(
-                    "analytic propagation requires beta == alpha on two-tone segments"
-                )
-            ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-            return _erc_matrix(ps, taus, seg.alpha) @ u
-        if method == "rwa_numeric":
-            return rwa_segment_unitary(p, seg, taus) @ u
-        return np.array(_lab_segment(p, seg, t0, steps_per_period, taus.tolist(), u))
-
     times = np.asarray(times, dtype=float)
-    found = []  # one propagator per sample
-    u = np.eye(3, dtype=complex)
+    plan, ends = [], []  # (seg, t0, taus), and where the segment's samples end
+    done = 0
     t1 = 0.0
     for seg in seq:
         t0, t1 = t1, t1 + seg.duration
         if seg.duration == 0.0:
             continue
-        if len(found) == len(times):
+        if done == len(times):
             break
-        taus = times[len(found):np.searchsorted(times, t1 - 1e-15)] - t0
-        inside = taus[taus > 0.0]
-        # samples at the segment's start (or 1e-15 short of it)
-        found.extend([u] * (len(taus) - len(inside)))
-        us = run(seg, t0, np.append(inside, seg.duration), u)
-        found.extend(us[:-1])
-        u = us[-1]
-    found.extend([u] * (len(times) - len(found)))
-    return np.array(found).reshape(-1, 3, 3)
+        taus = times[done:np.searchsorted(times, t1 - 1e-15)] - t0
+        done += len(taus)
+        plan.append((seg, t0, np.append(taus[taus > 0.0], seg.duration)))
+        ends.append(done)
+    if method == "lab_numeric":
+        steps = _lab_propagators(p, plan, steps_per_period)
+    else:
+        steps = [partial(_closed_propagators, p, method, seg, taus) for seg, _, taus in plan]
+    found = np.empty((len(times), 3, 3), dtype=complex)  # one propagator per sample
+    u = np.eye(3, dtype=complex)
+    done = 0
+    for (_, _, taus), end, step in zip(plan, ends, steps):
+        inside = end - len(taus) + 1
+        found[done:inside] = u  # samples at the segment's start (or 1e-15 short of it)
+        u = step(u, found[inside:end])
+        done = end
+    found[done:] = u
+    return found
+
+
+def _closed_propagators(p, method, seg, taus, u, dest):
+    """The analytic or rotating-wave counterpart of ``_lab_chain``: u
+    continued over each duration in ``taus``, all but the last written into
+    ``dest``, the last returned."""
+    if method == "analytic":
+        if seg.omega_y != 0.0 and seg.beta != seg.alpha:
+            raise ResonanceError(
+                "analytic propagation requires beta == alpha on two-tone segments"
+            )
+        ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
+        us = _erc_matrix(ps, taus, seg.alpha) @ u
+    else:
+        us = rwa_segment_unitary(p, seg, taus) @ u
+    dest[:] = us[:-1]
+    return us[-1]
 
 
 _METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",

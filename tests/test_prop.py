@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,9 +254,11 @@ class TestFrameTransform:
 
 def _carrier_frame(hs, ax, ay, wc, alpha, beta, t):
     """H_I(t) by its definition: (H_lab(t) - wc Sz^2) with entry (j, k)
-    turned by exp(i wc t (s_j - s_k)), s = diag(Sz^2)."""
+    turned by exp(i wc t (s_j - s_k)), s = diag(Sz^2); for a scalar or an
+    array of times t, shape t.shape + (3, 3)."""
     s = np.diag(SZ2).real
-    h = hs + math.cos(wc * t - alpha) * ax + math.cos(wc * t - beta) * ay - wc * SZ2
+    t = np.asarray(t, dtype=float)[..., None, None]
+    h = hs + np.cos(wc * t - alpha) * ax + np.cos(wc * t - beta) * ay - wc * SZ2
     return h * np.exp(1j * wc * t * (s[:, None] - s[None, :]))
 
 
@@ -263,13 +266,13 @@ def _magnus_stepping(hs, ax, ay, wc, alpha, beta, t0, duration, n_steps, u0):
     """Reference: step U_I itself through n_steps two-point Gauss Magnus
     steps, each exponent taken by expm."""
     h = duration / n_steps
+    t = t0 + h * np.arange(n_steps)
+    h1, h2 = (_carrier_frame(hs, ax, ay, wc, alpha, beta, t + c * h)
+              for c in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
+    omega = -0.5j * h * (h1 + h2) + math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1)
     u = np.array(u0, dtype=complex, copy=True)
-    for k in range(n_steps):
-        t = t0 + k * h
-        h1, h2 = (_carrier_frame(hs, ax, ay, wc, alpha, beta, t + c * h)
-                  for c in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
-        omega = -0.5j * h * (h1 + h2) + math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1)
-        u = expm(omega) @ u
+    for step in expm(omega):
+        u = step @ u
     return u
 
 
@@ -304,16 +307,27 @@ def _stepped_segment(p, seg, t0, spp):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record (duration, n_steps) of every kernel call the propagator makes."""
+    """Record (duration, n_steps) of every row of every kernel call the
+    propagator makes."""
     calls = []
 
     def spy(*args):
-        calls.append((args[7], args[8]))
+        calls.extend(zip(np.asarray(args[5]).tolist(), np.asarray(args[6]).tolist()))
         return real(*args)
 
-    real = _kernels.magnus_lab_segment
-    monkeypatch.setattr(_kernels, "magnus_lab_segment", spy)
+    real = _kernels.magnus_lab_rows
+    monkeypatch.setattr(_kernels, "magnus_lab_rows", spy)
     return calls
+
+
+def _lab_segment(p, seg, t0, spp, taus):
+    """Lab propagators (len(taus), 3, 3) of the one segment ``seg`` from
+    t0, through the walker's lab engine."""
+    taus = np.asarray(taus, dtype=float)
+    step, = prop._lab_propagators(p, [(seg, t0, taus)], spp)
+    out = np.empty((len(taus), 3, 3), dtype=complex)
+    out[-1] = step(np.eye(3, dtype=complex), out[:-1])
+    return out
 
 
 class TestPeriodPower:
@@ -322,8 +336,7 @@ class TestPeriodPower:
 
     def run(self, duration):
         seg = PulseSegment(duration, *SEG_ARGS)
-        u = prop._lab_segment(P_FULL, seg, self.T0, self.SPP, [duration],
-                              np.eye(3, dtype=complex))[0]
+        u = _lab_segment(P_FULL, seg, self.T0, self.SPP, [duration])[0]
         return u, _stepped_segment(P_FULL, seg, self.T0, self.SPP)
 
     def test_matches_explicit_stepping(self, kernel_calls):
@@ -370,10 +383,14 @@ class TestPeriodPower:
         args = _kernel_args(P_FULL, seg)
         rng = np.random.default_rng(3)
         u0 = haar_unitary3(rng)
-        # 1500 steps spans more than one batch of the kernel
-        for n in (1, 5, 24, 1500):
-            duration = n * T_C / 24
-            u = _kernels.magnus_lab_segment(*args, self.T0, duration, n, u0)
+        # rows of different lengths share chunks; 1500 steps spans more
+        # than one block of the kernel
+        ns = [1, 5, 24, 1500, 3]
+        durations = [n * T_C / 24 for n in ns]
+        h0, v = _kernels._harmonics(*args)
+        us = _kernels.magnus_lab_rows(h0[None], v[None], P_FULL.carrier, [0] * len(ns),
+                                      [self.T0] * len(ns), durations, ns) @ u0
+        for u, duration, n in zip(us, durations, ns):
             ref = _magnus_stepping(*args, self.T0, duration, n, u0)
             assert np.max(np.abs(u - ref)) < 1e-12
 
@@ -432,6 +449,97 @@ class TestProgramEngine:
         assert err < 2.0 * len(segs) * P13.omega_x / P13.carrier
 
 
+@st.composite
+def lab_programs(draw):
+    """(p, seq, times, spp) for the batched lab walk: a plain system or a
+    dressed two-tone one with Ez != 0; 1-5 segments, zero-duration ones
+    included, of whole periods plus a remainder that may lie within 1e-12
+    periods of 0 or of a full period; samples at 0, on every boundary,
+    5e-16 short of it, at such remainders inside a segment, and past the
+    end.  The carrier is low so that explicit stepping stays cheap."""
+    spp = draw(st.sampled_from([1, 2, 3, 8, 80]))
+    om = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        field = st.floats(-1.0, 1.0)
+        p = SystemParams(D=draw(st.floats(30.0, 60.0)), muB=draw(st.floats(0.1, 2.0)),
+                         omega_x=om, omega_y=om * draw(field), Ex=draw(field),
+                         Ey=draw(field), Ez=draw(st.sampled_from([-1.0, 1.0])) * draw(
+                             st.floats(0.1, 2.0)))
+    else:
+        p = SystemParams(D=draw(st.floats(30.0, 60.0)), muB=draw(st.floats(0.1, 2.0)),
+                         omega_x=om)
+    period = 2 * math.pi / p.carrier / (2 if spp % 2 == 0 else 1)
+    edge = st.floats(0.0, 1e-12)
+    fraction = st.one_of(st.floats(0.0, 1.0), edge, edge.map(lambda x: 1.0 - x))
+
+    def span():
+        return (draw(st.integers(0, 2)) + draw(fraction)) * period
+
+    segs, times, t1 = [], [0.0], 0.0
+    for _ in range(draw(st.integers(1, 5))):
+        alpha = draw(st.floats(-math.pi, math.pi))
+        beta = alpha + draw(st.floats(0.1, 2 * math.pi - 0.1))
+        duration = draw(st.sampled_from([0.0, span()]))
+        segs.append(PulseSegment(duration, alpha, p.omega_x, p.omega_y, beta=beta))
+        t0, t1 = t1, t1 + duration
+        times += [t1, t1 - 5e-16] + [t0 + min(span(), duration) for _ in range(2)]
+    times.append(t1 + draw(st.floats(0.0, 1.0)))
+    return p, PulseSequence(segs), np.sort(times), spp
+
+
+def _stepped_program(p, seq, times, spp):
+    """Lab propagators at each time by explicit stepping of the program
+    truncated there: in each segment its whole periods stepped through
+    from its start, then its remainder, on the walker's step grid."""
+    period = 2 * math.pi / p.carrier / (2 if spp % 2 == 0 else 1)
+    n = spp // 2 if spp % 2 == 0 else spp
+    out = []
+    for t in times:
+        u, t1 = np.eye(3, dtype=complex), 0.0
+        for seg in seq:
+            t0, t1 = t1, t1 + seg.duration
+            if seg.duration == 0.0:
+                continue
+            tau = seg.duration if t >= t1 - 1e-15 else t - t0
+            if tau <= 0.0:
+                break
+            args = _kernel_args(p, seg)
+            n_periods, rest = prop._period_split(tau, period)
+            if n_periods:
+                u = _magnus_stepping(*args, t0, n_periods * period, n_periods * n, u)
+            if rest:
+                u = _magnus_stepping(*args, t0 + n_periods * period, rest,
+                                     prop._n_steps(rest, period / n), u)
+        out.append(u)
+    return np.array(out)
+
+
+class TestBatchedLabWalk:
+    @settings(max_examples=40)
+    @given(program=lab_programs())
+    def test_matches_explicit_stepping(self, program):
+        # every period and remainder of the program comes from one stacked
+        # kernel call; each sample must still equal its own truncated run
+        p, seq, times, spp = program
+        us = prop._walk(p, seq, times, "lab", spp)
+        assert np.max(np.abs(us - _stepped_program(p, seq, times, spp))) < 1e-12
+
+    def test_memory_is_bounded(self):
+        # 20,000 samples at 80 steps per period are about 400,000 steps; the
+        # kernel forms at most _BLOCK step matrices at once, so the traced
+        # peak stays near the 2.9 MB of propagators returned
+        seq = PulseSequence([PulseSegment(0.7, 0.0, 3.0), PulseSegment(1.1, 1.3, 3.0)])
+        times = np.linspace(0.0, seq.total_duration, 20_000)
+        tracemalloc.start()
+        try:
+            us = prop._walk(P13, seq, times, "lab", 80)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert us.shape == (20_000, 3, 3)
+        assert peak <= 10e6
+
+
 class TestCarrierFrame:
     SEG = PulseSegment(1.0, *SEG_ARGS, beta=-0.5)
 
@@ -467,6 +575,5 @@ class TestCarrierFrame:
 class TestKernels:
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
-            _kernels.magnus_lab_segment(np.eye(3), np.eye(3), np.eye(3),
-                                        1.0, 0.0, 0.0, 0.0, 1.0, 0,
-                                        np.eye(3, dtype=complex))
+            _kernels.magnus_lab_rows(np.eye(3)[None], np.eye(3)[None], 1.0,
+                                     [0, 0], [0.0, 0.0], [1.0, 1.0], [2, 0])

@@ -224,21 +224,24 @@ class TestProgramWalker:
 
     def test_lab_trace_work_is_linear(self, tmp_path, monkeypatch):
         calls = []
-        kernel = _kernels.magnus_lab_segment
+        kernel = _kernels.magnus_lab_rows
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(len(args[6]))
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "magnus_lab_segment", counted)
+        monkeypatch.setattr(_kernels, "magnus_lab_rows", counted)
         segs = [{"duration": 0.7, "alpha": 0.0}, {"duration": 1.1, "alpha": 1.3},
                 {"duration": 0.5, "alpha": -0.4}]
-        n = 40
-        cfg = dict(BASE, sequence=segs, n_points=n, method="lab")
-        res = cmd_trace(cfg, str(tmp_path / "lab.csv"))
-        # one carrier period per segment, one remainder per sample and end
-        assert 0 < len(calls) <= n + 2 * len(segs)
-        assert res["rows"] == n
+        for n in (40, 400):
+            calls.clear()
+            cfg = dict(BASE, sequence=segs, n_points=n, method="lab")
+            res = cmd_trace(cfg, str(tmp_path / "lab.csv"))
+            assert res["rows"] == n
+            # the whole walk in at most two kernel calls, whatever n; one
+            # carrier period per segment, one remainder per sample and end
+            assert 0 < len(calls) <= 2
+            assert sum(calls) <= n + 2 * len(segs)
 
     def test_fig2_lab_trace_converged_at_the_default(self, tmp_path, monkeypatch):
         # the default resolution puts the lab populations within 1e-4 of a
