@@ -73,6 +73,7 @@ from .spin import (KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ,
 __all__ = [
     "hamiltonian_lab",
     "hamiltonian_rwa",
+    "hamiltonian_rwa_stack",
     "static_hamiltonian",
     "lab_drive_operators",
     "bright_dark_vectors",
@@ -94,7 +95,11 @@ _OP_EX = SX @ SX - SY @ SY                 # == |+1><-1| + |-1><+1|
 _OP_EY = -(SX @ SY + SY @ SX)              # == i|+1><-1| - i|-1><+1|
 _P_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
 _P_MINUS = np.outer(KET_MINUS, KET_MINUS.conj())
-for _a in (_OP_EX, _OP_EY, _P_PLUS, _P_MINUS):
+# the drive and dq couplings of H_rwa: |+><0|, |-><0| and |+1><-1|
+_DRIVE_X = np.outer(KET_PLUS, KET_0.conj())
+_DRIVE_Y = np.outer(KET_MINUS, KET_0.conj())
+_DQ = np.outer(KET_P1, KET_M1.conj())
+for _a in (_OP_EX, _OP_EY, _P_PLUS, _P_MINUS, _DRIVE_X, _DRIVE_Y, _DQ):
     _a.setflags(write=False)
 
 
@@ -137,18 +142,33 @@ def hamiltonian_rwa(p: SystemParams, seg: PulseSegment) -> np.ndarray:
     (D + Ez) Sz^2 together with the matching carrier.
     """
     h = p.muB * SZ.copy()  # == muB (|-><+| + |+><-|) on the DQ doublet
-    drive = (seg.omega_x / 2.0) * np.exp(1j * seg.alpha) * np.outer(KET_PLUS, KET_0.conj())
+    drive = (seg.omega_x / 2.0) * np.exp(1j * seg.alpha) * _DRIVE_X
     if seg.omega_y != 0.0:
-        drive = drive + 1j * (seg.omega_y / 2.0) * np.exp(1j * seg.beta) * np.outer(
-            KET_MINUS, KET_0.conj()
-        )
+        drive = drive + 1j * (seg.omega_y / 2.0) * np.exp(1j * seg.beta) * _DRIVE_Y
     h += drive + drive.conj().T
     if p.Ex != 0.0:
         h += p.Ex * (_P_PLUS - _P_MINUS)
     if p.Ey != 0.0:
-        dq = 1j * p.Ey * np.outer(KET_P1, KET_M1.conj())
+        dq = 1j * p.Ey * _DQ
         h += dq + dq.conj().T
     return h
+
+
+def hamiltonian_rwa_stack(systems, segments) -> np.ndarray:
+    """``hamiltonian_rwa`` of each (system, segment) pair, shape (m, 3, 3),
+    by the same arithmetic over arrays, in one pass.  A term whose field is
+    zero is left out of its row, so each row has the bits of its
+    Hamiltonian built alone."""
+    mu, ox, oy, alpha, beta, ex, ey = np.array(
+        [(p.muB, s.omega_x, s.omega_y, s.alpha, s.beta, p.Ex, p.Ey)
+         for p, s in zip(systems, segments)], dtype=float).reshape(-1, 7).T[..., None, None]
+    h = mu * SZ
+    drive = (ox / 2.0) * np.exp(1j * alpha) * _DRIVE_X
+    drive = np.where(oy != 0.0, drive + 1j * (oy / 2.0) * np.exp(1j * beta) * _DRIVE_Y, drive)
+    h += drive + drive.conj().swapaxes(-1, -2)
+    h = np.where(ex != 0.0, h + ex * (_P_PLUS - _P_MINUS), h)
+    dq = 1j * ey * _DQ
+    return np.where(ey != 0.0, h + (dq + dq.conj().swapaxes(-1, -2)), h)
 
 
 def bright_dark_vectors(muB: float, omega: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:

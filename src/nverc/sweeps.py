@@ -11,14 +11,14 @@ rows of an ``ey-map`` or ``ratio-map`` come from one batched ``eigh`` of
 their stacked rotating-wave Hamiltonians, which gives <a|U(t)|0> on the
 map's time grid as a sum of three phases (``prop._rwa_evolver``).
 ``_write_csv`` takes one column per header field, shaped on the map's
-grid: a column constant along the first axis (the time axis) is
-formatted once per file, the others ``_CSV_BLOCK`` cells at a time, and
-each block goes straight to the open file, so neither a whole-file float
-matrix nor its text is built.  Formatting has two tiers:
-``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0 and of
-positive values in [1e-10, 1e13), four digits at a time from a table, and
-every other field is formatted alone with ``%`` in front of its own
-separator.  Each ``cmd_*`` takes only its config and output path
+grid, and reuses one row buffer of ``_CSV_BLOCK`` cells per file: a
+column constant along the first axis (the time axis) is laid out in it
+once, the others block by block, and each block goes straight to the
+open file.  ``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0
+and of positive values in [1e-10, 1e13), near-ties decided exactly, four
+digits at a time from a table; every other (slow) field is formatted with
+``%`` once per distinct value and spliced in front of its own separator.
+Each ``cmd_*`` takes only its config and output path
 (``cmd_synth`` also the seed of random targets); which CLI flag reaches
 which command is decided in ``nverc.cli``.
 
@@ -36,6 +36,7 @@ checks that each element of a number array is a JSON number.  Then
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -44,7 +45,7 @@ import numpy as np
 from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .ham import compensation_ratio, hamiltonian_rwa
+from .ham import compensation_ratio, hamiltonian_rwa_stack
 from .prop import _canonical_method, _rwa_evolver, _walk
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
@@ -64,7 +65,8 @@ CSV_SCHEMA = "nverc-csv/1"
 _FLOAT_FMT = "%.12e"
 _CSV_BLOCK = 4096  # cells (at least one first-axis row) per write; bounds peak memory
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
-_FIELD = np.frombuffer(b"0.000000000000e+00,", np.uint8)
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)  # Veltkamp halves,
+_POW10_LO = _POW10 - _POW10_HI                    # 26 bits each: products with them are exact
 _EXP = np.frombuffer(b"".join(b"e%+03d" % (12 - k) for k in range(23)), np.uint32)
 # the 4 ASCII digits of 0..9999, each as one uint32 in memory order
 _DIGITS4 = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
@@ -198,50 +200,59 @@ def _take_observable(cfg: dict, default: str):
     return observable, _take_state(cfg, "target_state", "minus1").amps.conj()
 
 
-def _format_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_FLOAT_FMT`` bytes of each value of a float array, each
-    followed by ',', as ``uint8`` of shape ``x.shape + (19,)``, and the mask
-    of values whose bytes are exact.  Those are +0.0 (n = 0 with exponent
-    +00) and the values x in [1e-10, 1e13) whose 13 digits
-    n = round(x 10^(12-e)), e = floor(log10 x), come from one correctly
-    rounded product that is not within 2 ulps of a tie and keeps n at 13
-    digits.  The bytes of any other value (a far 2-digit exponent, a
-    near-tie, a sign, nan, inf, a 3-digit exponent) are not meaningful."""
+def _format_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay out the ``_FLOAT_FMT`` bytes of a float array in ``out[..., :18]``
+    (``uint8``, of a shape ``x.shape + (19,)`` broadcasts to; '.' and the
+    separator are left as they are) and return the mask of exact ones: +0.0
+    and the x in [1e-10, 1e13) whose 13 digits n = round(x 10^k), k = 12 -
+    floor(log10 x), stay 13.  p = x 10^k rounded is within 2^-10 of the
+    product (p < 2^44), so it decides n outside 2^-9 of a tie; inside, the
+    exact residual (TwoProduct, Dekker 1971) does, and an exact tie goes to
+    the even n, as in ``%``.  Slow values (a far 2-digit exponent, a decade
+    carry, a sign, nan, inf, a 3-digit exponent) get meaningless bytes."""
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(x))                    # nan/-inf off the fast set
-        exact = (e >= -10) & (e <= 12) & ~np.signbit(x)
-        k = np.where(exact, 12 - e, 12).astype(np.intp)  # 12: exponent +00
+        exact = np.abs(e - 1.0) <= 11.0              # -10 <= e <= 12, so x > 0
+        kf = 12.0 - e
+        kf[~exact] = 12.0                            # exponent +00
+        k = kf.astype(np.intp)
         p = x * _POW10[k]                            # k <= 22: 10^k is exact
         n = np.floor(p)
         frac = p - n
+        band = exact & (np.abs(frac - 0.5) < 2.0**-9)
         n += frac > 0.5
-        exact &= (np.abs(frac - 0.5) > 2 * np.spacing(p)) & (n >= 1e12) & (n < 1e13)
-        exact |= (x == 0.0) & ~np.signbit(x)         # +0.0: n = 0 below
-        n[~exact] = 0.0
-    buf = np.empty(x.shape + (19,), np.uint8)
-    buf[...] = _FIELD
-    # n = d0 10^12 + g1 10^8 + g2 10^4 + g3, each split exact: n < 2^53, and
-    # a quotient below 10^4 is never within one rounding of another integer
-    d0 = np.floor(n / 1e12)
-    rest = n - d0 * 1e12
-    g1 = np.floor(rest / 1e8)
-    rest -= g1 * 1e8
-    g2 = np.floor(rest / 1e4)
-    buf[..., 0] = d0 + 48
-    for pos, g in ((2, g1), (6, g2), (10, rest - g2 * 1e4)):
-        buf[..., pos:pos + 4].view(np.uint32)[..., 0] = _DIGITS4.take(g.astype(np.intp))
-    buf[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
-    return buf, exact
+        if band.any():
+            i = np.flatnonzero(band)
+            xb, pb, kb = x.take(i), p.take(i), k.take(i)
+            c = 134217729.0 * xb                     # Veltkamp split, 2^27 + 1
+            hi, ph, pl = c - (c - xb), _POW10_HI[kb], _POW10_LO[kb]
+            # the sign of x 10^k - (n + 1/2): exact, as the residual of p is
+            d = (frac.take(i) - 0.5) + (((hi * ph - pb) + hi * pl + (xb - hi) * ph)
+                                        + (xb - hi) * pl)
+            nb = np.floor(pb)
+            n.put(i, nb + ((d > 0) | ((d == 0) & (nb % 2 == 1))))
+        exact &= (n >= 1e12) & (n < 1e13)
+        exact |= x.view(np.uint64) == 0              # +0.0: n = 0 below
+    n = np.where(exact, n, 0.0).astype(np.int64)
+    for pos in (10, 6, 2):                           # n = d0 10^12 + g1 10^8 + g2 10^4 + g3
+        q = n // 10000
+        out[..., pos:pos + 4].view(np.uint32)[..., 0] = _DIGITS4.take(n - q * 10000)
+        n = q
+    out[..., 0] = n + 48
+    out[..., 14:18].view(np.uint32)[..., 0] = _EXP.take(k)
+    return exact
 
 
 def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     """Write one float column per header field.  The columns broadcast to a
-    grid of at most 2 axes whose cells, in C order, are the rows.  A column
-    constant along the first axis is formatted once; the others are
-    formatted together, ``_CSV_BLOCK`` cells (at least one first-axis row)
-    at a time, and each block goes straight to the file.  A field that
-    ``_format_fields`` cannot lay out is formatted alone with ``%`` and
-    spliced in front of its own separator byte; no row is formatted whole."""
+    grid of at most 2 axes whose cells, in C order, are the rows.  One row
+    buffer of at most ``_CSV_BLOCK`` cells (or one first-axis row) serves
+    the file: '.', separators and the columns constant along the first axis
+    are laid out in it once; per block, each run of adjacent columns alike
+    in shape is formatted into its slots in one call (a per-row column once
+    per row).  A block is written from the buffer itself, or with its slow
+    fields spliced in front of their separators, each distinct slow value
+    formatted with ``%`` once per file."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
@@ -249,41 +260,49 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     if len(shape) > 2:
         raise ValueError(f"CSV columns broadcast to {shape}, more than 2 axes")
     cols = [c.reshape(-1, 1) if len(shape) < 2 else np.atleast_2d(c) for c in cols]
-    n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
-    once = {j: _format_fields(c) for j, c in enumerate(cols) if len(c) == 1 < n_outer}
+    n_outer, n_inner = shape if len(shape) == 2 else (math.prod(shape), 1)
     step = max(1, _CSV_BLOCK // max(n_inner, 1))
+    buf = np.empty((min(n_outer, step), n_inner, len(cols), 19), np.uint8)
+    buf[..., 1], buf[..., 18], buf[:, :, -1, 18] = 46, 44, 10  # '.', ',' and '\n'
+    def lay(run, out):  # a run's values, shaped (rows, inner, columns), and their mask
+        x = run[0][..., None] if len(run) == 1 else np.concatenate([c[..., None] for c in run], -1)
+        return x, _format_fields(x, out)
+    runs, j = [], 0  # (first, stop, constant along the first axis)
+    for (const, _), run in itertools.groupby((len(c) == 1 < n_outer, c.shape[1]) for c in cols):
+        runs.append((j, j := j + len(list(run)), const))
+    once = {j: lay(cols[j:stop], buf[:, :, j:stop]) for j, stop, const in runs if const}
+    texts: dict[int, bytes] = {}  # the % bytes of each slow value, by its bits
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
     with open(path, "wb") as fh:
         fh.write("".join(lines).encode("utf-8"))
         for k in range(0, n_outer, step):
-            block = [c if j in once else c[k:k + step] for j, c in enumerate(cols)]
-            buf, exact = _format_fields(np.concatenate(
-                [c.ravel() for j, c in enumerate(block) if j not in once]))
-            rows = np.empty((min(step, n_outer - k), n_inner, len(cols), 19), np.uint8)
-            ok = np.empty(rows.shape[:3], bool)
-            start = 0
-            for j, c in enumerate(block):
-                if j in once:
-                    fields, flags = once[j]
-                else:
-                    stop = start + c.size
-                    fields = buf[start:stop].reshape(c.shape + (19,))
-                    flags = exact[start:stop].reshape(c.shape)
-                    start = stop
-                rows[:, :, j] = fields
-                ok[:, :, j] = flags
-            rows[:, :, -1, 18] = 10                  # '\n' ends each row
-            text = rows.tobytes()
-            bad = np.flatnonzero(~ok)
-            values = np.stack(np.broadcast_arrays(*block), axis=-1).reshape(-1)[bad]
-            out, done = [], 0
-            for i, v in zip(bad.tolist(), values.tolist()):
-                out += [text[done:19 * i], (_FLOAT_FMT % v).encode()]
+            rows = buf[:n_outer - k]                 # the last block: a prefix view
+            at, values = [], []                      # the slow fields' cells and values
+            for j, stop, const in runs:
+                x, exact = once[j] if const else lay([c[k:k + len(rows)] for c in cols[j:stop]],
+                                                     rows[:, :, j:stop])
+                if not exact.all():
+                    grid = rows.shape[:2] + (stop - j,)
+                    if exact.shape != grid:          # a constant or per-row run
+                        x, exact = np.broadcast_to(x, grid), np.broadcast_to(exact, grid)
+                    r, i, jj = np.nonzero(~exact)
+                    at.append((r * n_inner + i) * len(cols) + j + jj)
+                    values.append(x[r, i, jj])
+            if not at:
+                fh.write(rows)
+                continue
+            order = np.argsort(np.concatenate(at))
+            at, values = np.concatenate(at)[order], np.concatenate(values)[order]
+            text, parts, done = memoryview(rows).cast("B"), [], 0
+            for i, v, bits in zip(at.tolist(), values.tolist(), values.view(np.int64).tolist()):
+                if bits not in texts:
+                    texts[bits] = (_FLOAT_FMT % v).encode()
+                parts += [text[done:19 * i], texts[bits]]
                 done = 19 * i + 18                   # the field's own separator follows
-            out.append(text[done:])
-            fh.write(b"".join(out))
+            parts.append(text[done:])
+            fh.write(b"".join(parts))
 
 
 _PLOT_TEMPLATE = '''\
@@ -426,8 +445,8 @@ def _ground_state_states(systems, bra, t_max: float, n_t: int) -> np.ndarray:
     """|<a|U_i(t)|0>|^2, shape (len(systems), n_t), under the constant
     two-tone drive of each system i, on ``np.linspace(0, t_max, n_t)``:
     one ``eigh`` of the stacked rotating-wave Hamiltonians for all rows."""
-    h = np.array([hamiltonian_rwa(p, PulseSegment(0.0, 0.0, p.omega_x, p.omega_y))
-                  for p in systems])
+    h = hamiltonian_rwa_stack(systems, [PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)
+                                        for p in systems])
     return _rwa_evolver(h, bra)(t_max, n_t)
 
 

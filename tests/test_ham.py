@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_plain_params
 from nverc import PulseSegment, SystemParams
 from nverc.ham import (bright_dark_vectors, compensation_ratio, dressing_matrix,
-                       hamiltonian_lab, hamiltonian_rwa, static_hamiltonian)
+                       hamiltonian_lab, hamiltonian_rwa, hamiltonian_rwa_stack,
+                       static_hamiltonian)
 from nverc.spin import KET_MINUS, KET_PLUS, SZ2
 
 
@@ -90,6 +93,22 @@ class TestRwaHamiltonian:
         h1 = hamiltonian_rwa(p, seg_for(p))
         h2 = hamiltonian_rwa(p.replace(Ez=0.0), seg_for(p))
         assert np.array_equal(h1, h2)
+
+    # a field is zero (so its term is left out) or a signed value, and the
+    # drive phases are zero or not, so every row takes a mix of branches
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)] * 5,
+                              st.floats(0.0, 3.0), st.sampled_from([None, 0.0]) | st.floats(-7.0, 7.0)),
+                    min_size=1, max_size=12))
+    def test_stack_equals_each_row_bit_for_bit(self, rows):
+        systems = [SystemParams(D=500.0, muB=mu, omega_x=ox, Ex=ex, Ey=ey)
+                   for ox, _, _, ex, ey, mu, _ in rows]
+        segs = [PulseSegment(0.0, alpha, ox, oy, beta) for ox, oy, alpha, _, _, _, beta in rows]
+        stack = hamiltonian_rwa_stack(systems, segs)
+        assert stack.shape == (len(rows), 3, 3)
+        # bytes, not values: a -0.0 for a +0.0 would differ here
+        assert stack.tobytes() == np.array(
+            [hamiltonian_rwa(p, s) for p, s in zip(systems, segs)]).tobytes()
 
 
 class TestDressingIdentities:

@@ -61,6 +61,8 @@ CARRIES = [float(np.nextafter(10.0**k, 0)) for k in range(-10, 13)] + [
 EDGES = [0.0, -0.0, 5e-324, 1e-99, 9.9999999999999e99]
 VALUES = (st.floats() | st.floats(1e-10, 1e13) | TIES
           | st.sampled_from(CARRIES + EDGES))
+TIE_NEIGHBOURS = [float(np.nextafter(t, t + side)) for t in (1234567890122.5, 1234567890123.5)
+                  for side in (-1.0, 0.0, 1.0)]
 
 
 @st.composite
@@ -97,6 +99,14 @@ class TestWriteCsv:
                         9.999999999999e+12])], sweeps._CSV_BLOCK)
     @example([np.array([1.00009999999995, 1.99999999999995, 1.00000000999999995,
                         1.0000099999999995e-3, 5.99999999999996e-10])], sweeps._CSV_BLOCK)
+    # exact ties n + 1/2 with an even and an odd n (% rounds them to even),
+    # and the doubles next to each
+    @example([np.array(TIE_NEIGHBOURS)], sweeps._CSV_BLOCK)
+    # fig6's analytic ratio, a near-tie repeated along its grid row
+    @example([np.array([[0.0], [0.4349242404917499]]), np.linspace(0.0, 1.0, 7)], 7)
+    # a near-tie below and above n + 1/2 at each exponent from -10 to 12
+    @example([np.array([float(f"{m}e{k}") for k in range(-10, 13)
+                        for m in ("9.8765432109865", "4.0000000000005")])], sweeps._CSV_BLOCK)
     def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
         header = [f"c{j}" for j in range(len(columns))]
@@ -107,6 +117,46 @@ class TestWriteCsv:
                 _, head, body = fh.read().split(b"\n", 2)
         assert head.decode() == ",".join(header)
         assert body == percent_body(columns)
+
+    def test_near_ties_are_fast_and_exact(self):
+        # seeded values within 4 ulps of a rounding tie n + 1/2 of the
+        # 13-digit format, at every exponent of the fast set
+        rng = np.random.default_rng(21)
+        ties = [float(f"{n}5e{k - 13}") for k in range(-10, 13)
+                for n in rng.integers(10**12, 10**13 - 1, 40)]
+        x = np.array(ties)[:, None] + np.zeros(9)
+        for j in range(1, 5):
+            x[:, 4 + j] = np.nextafter(x[:, 3 + j], np.inf)
+            x[:, 4 - j] = np.nextafter(x[:, 5 - j], 0.0)
+        out = np.empty(x.shape + (19,), np.uint8)
+        out[..., 1], out[..., 18] = ord("."), ord(",")
+        assert sweeps._format_fields(x, out).all()
+        assert out.tobytes() == b"".join(b"%.12e," % v for v in x.ravel().tolist())
+
+    def test_slow_values_formatted_once_per_file(self):
+        # fig5's shape: per-row overlays, NaN past a boundary, beside 301
+        # inner cells; a slow value is spliced into every cell of its row
+        # but formatted once, in whichever block it comes up
+        rng = np.random.default_rng(5)
+        nan_rows = np.where(np.arange(45) < 38, rng.uniform(0.5, 2.0, 45), math.nan)[:, None]
+        neg_rows = np.where(np.arange(45) % 2 == 0, 1.5, -2.5)[:, None]
+        columns = [np.arange(45.0)[:, None], np.linspace(0.0, 4.2, 301),
+                   rng.uniform(0.01, 0.99, (45, 301)), nan_rows, neg_rows]
+        calls = []
+
+        class CountingFormat(str):
+            def __mod__(self, value):
+                calls.append(value)
+                return str.__mod__(self, value)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(sweeps, "_FLOAT_FMT", CountingFormat("%.12e")), \
+                mock.patch.object(sweeps, "_CSV_BLOCK", 602):
+            _write_csv(f"{tmp}/x.csv", {}, [f"c{j}" for j in range(5)], columns)
+            with open(f"{tmp}/x.csv", "rb") as fh:
+                body = fh.read().split(b"\n", 2)[2]
+        assert body == percent_body(columns)
+        assert sorted(map(str, calls)) == ["-2.5", "nan"]
 
 
 class TestConfigParsing:
