@@ -18,11 +18,10 @@ from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      RegimeError, ResonanceError)
 from .ham import (EffectiveParams, compensation_ratio, dressing_unitary,
                   effective_params)
-from .prop import PropagationResult, apply_sequence, frame_transform, propagate, sequence_unitary
+from .prop import evolve, sequence_unitary
 from .pulses import (DQRotation, PulseSegment, PulseSequence, RotationAxis,
                      SEQUENCE_SCHEMA, sequence_from_json, sequence_to_json)
-from .spin import (DQBlochPoint, FrameTag, StateVector3, SystemParams,
-                   Unitary3, dq_projection, phi_state, spin_matrices)
+from .spin import FrameTag, StateVector3, SystemParams, Unitary3, phi_state
 from .synth import SynthesisResult, dq_block, dq_gate_fidelity, synthesize_gate
 
 __version__ = "0.1.0"
@@ -30,15 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core types
-    "SystemParams", "StateVector3", "Unitary3", "DQBlochPoint", "FrameTag",
+    "SystemParams", "StateVector3", "Unitary3", "FrameTag",
     "PulseSegment", "PulseSequence", "DQRotation", "RotationAxis",
-    "ErcQuantities", "EffectiveParams", "PropagationResult",
+    "ErcQuantities", "EffectiveParams",
     "SynthesisResult", "OdmrResult", "RabiExtraction", "RatioScanResult",
     # operations
-    "spin_matrices", "phi_state", "dq_projection", "characteristic_quantities",
+    "phi_state", "characteristic_quantities",
     "bright_dark", "erc_unitary", "closed_form_unitary", "dq_rotation", "not_gate_sequence",
-    "apply_sequence", "sequence_unitary", "synthesize_gate", "dq_block",
-    "dq_gate_fidelity", "propagate", "frame_transform",
+    "evolve", "sequence_unitary", "synthesize_gate", "dq_block", "dq_gate_fidelity",
     "phi_from_times", "compensation_ratio", "effective_params",
     "dressing_unitary", "simulate_odmr", "rabi_extract", "ratio_scan",
     "sequence_to_json", "sequence_from_json", "SEQUENCE_SCHEMA",

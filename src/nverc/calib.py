@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import hamiltonian_rwa, require_resonant, static_hamiltonian
-from .prop import _canonical_method, _rwa_evolver, _walk
+from .prop import _canonical_method, _rwa_evolver, evolve
 from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams
 
@@ -246,13 +246,13 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
-        return lambda t: evolve(t)[..., 1, 1].real
+        rwa = _rwa_evolver(hamiltonian_rwa(p, seg))
+        return lambda t: rwa(t)[..., 1, 1].real
 
     def lab_amp(t):
         t = np.asarray(t, dtype=float)
         seq = PulseSequence([replace(seg, duration=float(np.max(t)))])
-        us = _walk(p, seq, t.reshape(-1), "lab", steps_per_period=80)
+        us = evolve(p, seq, t.reshape(-1), "lab", steps_per_period=80)
         return us[:, 1, 1].real.reshape(t.shape)
 
     return lab_amp
@@ -345,10 +345,10 @@ _DEPLETION_GRID = 512
 def _min_ground_population(p: SystemParams, ratio: float, window: float):
     """Minimum over time of the |0> population under the two-tone drive."""
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
-    evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
+    rwa = _rwa_evolver(hamiltonian_rwa(p, seg))
 
     def p0(t):
-        return np.abs(evolve(t)[..., 1, 1]) ** 2
+        return np.abs(rwa(t)[..., 1, 1]) ** 2
 
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
     vals = p0(ts)

@@ -5,17 +5,17 @@ time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
 exact matrix exponentiation per segment.  ``_rwa_evolver`` holds the
-package's one eigendecomposition of H_rwa; ``rwa_segment_unitary`` and the
+package's one eigendecomposition of H_rwa; rotating-wave segments and the
 calibration root finders evaluate any array of durations through it, and
 the spectral maps evaluate one population over a uniform time grid for a
 whole stack of H_rwa, decomposed by one batched ``eigh``.
 
-Every pulse program runs through one walker, ``_walk``, for all three
+Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
-integration.  It returns interaction-frame propagators at any ascending
-array of sample times; ``propagate``, ``apply_sequence``,
-``sequence_unitary``, traces, the synthesis cross-checks and the lab
-calibration amplitude are each one call of it.
+integration.  It returns interaction-frame propagators at any
+non-decreasing array of sample times; traces, the synthesis cross-checks,
+the lab calibration amplitude and ``sequence_unitary`` are each one call
+of it.
 
 In a constant-drive segment the carrier-frame Hamiltonian has the period
 P = T_c / 2, half the carrier period T_c = 2 pi / (D + Ez), so a segment
@@ -37,7 +37,6 @@ the error falls as h^4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -47,32 +46,11 @@ from .erc import _erc_matrix
 from .errors import ResonanceError
 from .ham import hamiltonian_rwa, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSequence
-from .spin import SZ2, FrameTag, StateVector3, SystemParams, Unitary3
+from .spin import SystemParams, Unitary3
 
-__all__ = [
-    "PropagationResult",
-    "propagate",
-    "apply_sequence",
-    "sequence_unitary",
-    "frame_transform",
-    "rwa_segment_unitary",
-]
+__all__ = ["evolve", "sequence_unitary"]
 
 LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    state: StateVector3
-    unitary: Unitary3
-
-
-def rwa_segment_unitary(p: SystemParams, seg, duration=None) -> np.ndarray:
-    """Exact exp(-i H_rwa t) via Hermitian eigendecomposition, for a scalar
-    or array of durations t (default ``seg.duration``); shape
-    ``t.shape + (3, 3)``."""
-    evolve = _rwa_evolver(hamiltonian_rwa(p, seg))
-    return evolve(seg.duration if duration is None else duration)
 
 
 def _rwa_evolver(h: np.ndarray, bra=None):
@@ -216,65 +194,24 @@ def _period_split(duration, period):
     return (n + whole).astype(int), rest
 
 
-def propagate(
-    p: SystemParams,
-    seq: PulseSequence,
-    s: StateVector3,
-    frame: FrameTag = FrameTag.INTERACTION_D,
-    steps_per_period: int = LAB_STEPS_PER_PERIOD,
-) -> PropagationResult:
-    """Propagate a state through a pulse program in the requested frame.
-
-    Interaction frames use exact per-segment matrix exponentials of the
-    time-independent rotating-wave Hamiltonian; the lab frame integrates
-    the full time-dependent Hamiltonian with a coherent carrier across
-    segments, ``steps_per_period`` Magnus steps per carrier period.
-    Returns the final state and the accumulated propagator, taken from
-    ``p.interaction_frame`` to ``frame``.
-    """
-    frame = FrameTag(frame)
-    us = _walk(p, seq, [math.inf], "lab" if frame == FrameTag.LAB else "rwa",
-               steps_per_period)
-    home = p.interaction_frame
-    uni = frame_transform(Unitary3(us[0], home), 0.0, seq.total_duration, home, frame, p)
-    return PropagationResult(state=uni.apply(s), unitary=uni)
-
-
-def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
-    """Closed-form propagator of a whole pulse program (analytic method)."""
-    us = _walk(p, seq, [math.inf], "analytic")
-    return Unitary3(us[0], p.interaction_frame)
-
-
-def apply_sequence(
-    p: SystemParams,
-    seq: PulseSequence,
-    s: StateVector3,
-    method: str = "analytic",
-) -> StateVector3:
-    """Run a pulse program on a state and return the final state in the
-    interaction frame.
-
-    ``method``: ``analytic`` (closed forms), ``rwa_numeric`` (per-segment
-    matrix exponential of the rotating-wave Hamiltonian) or ``lab_numeric``
-    (full lab-frame integration, counter-rotating terms included, in the
-    interaction frame).
-    """
-    us = _walk(p, seq, [math.inf], method)
-    return StateVector3((us @ s.amps)[0])
-
-
-def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
-          steps_per_period: int = LAB_STEPS_PER_PERIOD) -> np.ndarray:
+def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str = "analytic",
+           steps_per_period: int = LAB_STEPS_PER_PERIOD) -> np.ndarray:
     """Interaction-frame propagators (n, 3, 3) of a pulse program at n
-    ascending sample times.
+    non-decreasing sample times, by default one, the whole program.
+
+    ``method``: ``analytic`` (closed forms), ``rwa`` (per-segment matrix
+    exponential of the rotating-wave Hamiltonian) or ``lab`` (full lab-frame
+    integration, counter-rotating terms included, taken to the interaction
+    frame of ``p``); ``rwa_numeric`` and ``lab_numeric`` are accepted too.
 
     The program runs once, skipping zero-duration segments: a sample inside
     a segment continues from the propagator at the segment's start t0, and
     a lab sample integrates from t0 as the truncated program would.  A
     sample at most 1e-15 short of a segment's end counts as that end; one
-    past the end (``math.inf`` included) gets the whole program.  Lab
-    integration takes ``steps_per_period`` Magnus steps per carrier period.
+    past the end (``math.inf`` included) gets the whole program, one at or
+    before 0 the identity.  Lab integration takes ``steps_per_period``
+    Magnus steps per carrier period.  Sample times that are not a 1-D
+    array, or hold a NaN or a decrease, are refused with ``ValueError``.
 
     A first pass plans each segment's durations; the second computes their
     propagators from the segment start and chains them with u, the
@@ -286,6 +223,8 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
         raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
 
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.isnan(times).any() or (times[1:] < times[:-1]).any():
+        raise ValueError("sample times must be a 1-D non-decreasing array without NaN")
     plan, ends = [], []  # (seg, t0, taus), and where the segment's samples end
     done = 0
     t1 = 0.0
@@ -315,6 +254,11 @@ def _walk(p: SystemParams, seq: PulseSequence, times, method: str,
     return found
 
 
+def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
+    """Closed-form propagator of a whole pulse program (analytic method)."""
+    return Unitary3(evolve(p, seq)[0], p.interaction_frame)
+
+
 def _closed_propagators(p, method, seg, taus, u, dest):
     """The analytic or rotating-wave counterpart of ``_lab_chain``: u
     continued over each duration in ``taus``, all but the last written into
@@ -327,7 +271,7 @@ def _closed_propagators(p, method, seg, taus, u, dest):
         ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
         us = _erc_matrix(ps, taus, seg.alpha) @ u
     else:
-        us = rwa_segment_unitary(p, seg, taus) @ u
+        us = _rwa_evolver(hamiltonian_rwa(p, seg))(taus) @ u
     dest[:] = us[:-1]
     return us[-1]
 
@@ -341,38 +285,3 @@ def _canonical_method(method: str) -> str:
         return _METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; use analytic, rwa or lab") from None
-
-
-def _frame_rate(tag: FrameTag, p: SystemParams) -> float:
-    if tag == FrameTag.LAB:
-        return 0.0
-    if tag == FrameTag.INTERACTION_D:
-        return p.D
-    return p.D + p.Ez
-
-
-def _phase_matrix(rate: float, t: float) -> np.ndarray:
-    return np.diag(np.exp(1j * rate * np.diag(SZ2) * t))
-
-
-def frame_transform(obj, t_start: float, t_end: float, frm: FrameTag, to: FrameTag,
-                    p: SystemParams):
-    """Re-express a state or propagator in a different frame.
-
-    Frames differ by diagonal phases exp(+i w Sz^2 t) relative to the lab,
-    with w = D or D + Ez.  States transform with the phases at ``t_end``;
-    a propagator U(t_end <- t_start) picks up phases at both endpoints.
-    The round trip is the identity.
-    """
-    frm, to = FrameTag(frm), FrameTag(to)
-    w_from = _frame_rate(frm, p)
-    w_to = _frame_rate(to, p)
-    dw = w_to - w_from
-    if isinstance(obj, StateVector3):
-        return StateVector3(_phase_matrix(dw, t_end) @ obj.amps)
-    if isinstance(obj, Unitary3):
-        if obj.frame != frm:
-            raise ValueError(f"object is in frame {obj.frame}, not {frm}")
-        m = _phase_matrix(dw, t_end) @ obj.m @ _phase_matrix(dw, t_start).conj().T
-        return Unitary3(m, to)
-    raise TypeError(f"cannot frame-transform object of type {type(obj)!r}")

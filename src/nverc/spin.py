@@ -1,5 +1,5 @@
-"""Spin-1 foundations: operators, state families and Bloch geometry of the
-double-quantum (DQ) transition.
+"""Spin-1 foundations: operators, states, propagators and the equatorial
+state family of the double-quantum (DQ) transition.
 
 Conventions used throughout the package:
 
@@ -31,10 +31,7 @@ __all__ = [
     "SystemParams",
     "StateVector3",
     "Unitary3",
-    "DQBlochPoint",
-    "spin_matrices",
     "phi_state",
-    "dq_projection",
     "KET_P1",
     "KET_0",
     "KET_M1",
@@ -60,15 +57,10 @@ for _arr in (SX, SY, SZ, SZ2, KET_P1, KET_0, KET_M1, KET_PLUS, KET_MINUS):
     _arr.setflags(write=False)
 
 
-def spin_matrices():
-    """Return read-only (Sx, Sy, Sz) for spin 1 in the (|+1>, |0>, |-1>) basis."""
-    return SX, SY, SZ
-
-
 class FrameTag(str, enum.Enum):
-    """Reference frame a state or propagator is expressed in."""
+    """Interaction frame a propagator is expressed in: that of D Sz^2, or
+    of (D + Ez) Sz^2 when Ez != 0 (``SystemParams.interaction_frame``)."""
 
-    LAB = "lab"
     INTERACTION_D = "interaction-D"
     INTERACTION_D_EZ = "interaction-D-plus-Ez"
 
@@ -229,30 +221,6 @@ class Unitary3:
         return Unitary3(self.m.conj().T, self.frame)
 
 
-@dataclass(frozen=True)
-class DQBlochPoint:
-    """Bloch coordinates of the |+-1> sub-state, |+1> at the north pole,
-    plus the leaked population on |0|."""
-
-    x: float
-    y: float
-    z: float
-    leak: float
-
-    def __post_init__(self):
-        if not -1e-10 <= self.leak <= 1.0 + 1e-10:
-            raise ValueError(f"leak must lie in [0, 1], got {self.leak}")
-        r2 = self.x**2 + self.y**2 + self.z**2
-        if r2 > (1.0 - self.leak) ** 2 + 1e-10:
-            raise ValueError(
-                f"Bloch radius {math.sqrt(r2):.12f} exceeds 1 - leak = {1 - self.leak:.12f}"
-            )
-
-    @property
-    def azimuth(self) -> float:
-        return math.atan2(self.y, self.x)
-
-
 def phi_state(lam: float) -> StateVector3:
     """Equatorial DQ state (1/sqrt 2)(-e^{i lam/2} |+1> + e^{-i lam/2} |-1>).
 
@@ -263,21 +231,3 @@ def phi_state(lam: float) -> StateVector3:
     return StateVector3(
         np.array([-np.exp(0.5j * lam), 0.0, np.exp(-0.5j * lam)]) / _SQRT2
     )
-
-
-def dq_projection(s: StateVector3) -> DQBlochPoint:
-    """Project a state onto the DQ Bloch sphere.
-
-    x, y, z are expectation values of the Pauli triple on span{|+1>, |-1>}
-    (|+1> as north pole), leak = |a_0|^2.  For pure states
-    x^2 + y^2 + z^2 = (1 - leak)^2.
-    """
-    ap, a0, am = s.amps
-    cross = np.conj(ap) * am
-    return DQBlochPoint(
-        x=float(2.0 * cross.real),
-        y=float(2.0 * cross.imag),
-        z=float(abs(ap) ** 2 - abs(am) ** 2),
-        leak=float(abs(a0) ** 2),
-    )
-

@@ -3,7 +3,7 @@ calibration runs, with deterministic CSV output.
 
 CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
-characteristic times).  A trace runs its program once (``prop._walk``);
+characteristic times).  A trace runs its program once (``prop.evolve``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
 map row is one array operation, and every command runs in one process.
 Every map observable is a population |<a|psi>|^2 with one bra <a|; the
@@ -46,7 +46,7 @@ from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .ham import compensation_ratio, hamiltonian_rwa_stack
-from .prop import _canonical_method, _rwa_evolver, _walk
+from .prop import _canonical_method, _rwa_evolver, evolve
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -391,7 +391,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     times = np.linspace(0.0, t_max, n)
-    us = _walk(p, seq, times, method)
+    us = evolve(p, seq, times, method)
     amps = us @ s0.amps
     # np.hypot rounds as the scalar abs(); the SIMD complex np.abs does not
     pops = np.hypot(amps.real, amps.imag) ** 2
@@ -570,7 +570,7 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
         "fidelity_analytic": result.fidelity,
     }
     for method in ("rwa", "lab"):
-        u = _walk(p, result.sequence, [math.inf], method, spp)[0]
+        u = evolve(p, result.sequence, method=method, steps_per_period=spp)[0]
         report[f"fidelity_{method}"] = synth.dq_gate_fidelity(synth.dq_block(u), target)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(sequence_to_json(result.sequence, p))

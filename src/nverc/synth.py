@@ -205,7 +205,7 @@ def _azimuth(n: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return math.atan2(n @ np.cross(x, y), x @ y - (x @ n) * (y @ n))
 
 
-def _walk(phi: float, q_target: np.ndarray, first: RotationAxis, length: int):
+def _walk_rotations(phi: float, q_target: np.ndarray, first: RotationAxis, length: int):
     """Alternating program of ``length`` rotations starting about ``first``.
     It realizes the target when the reach test passes; otherwise the polar
     steps are clamped to 2 gamma and the program is the walk cut short."""
@@ -294,10 +294,10 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
     length, first = _shortest(q.phi, q_target)
     if length > _K_MAX:
         # report how close the walk cut short at the budget comes
-        best = max(abs(compose_rotations(q.phi, _walk(q.phi, q_target, s, _K_MAX))
+        best = max(abs(compose_rotations(q.phi, _walk_rotations(q.phi, q_target, s, _K_MAX))
                        @ q_target) for s in RotationAxis)
         raise NoConvergenceError(residual=1.0 - best, n_rotations=length)
-    return _finalize(p, _walk(q.phi, q_target, first, length), target)
+    return _finalize(p, _walk_rotations(q.phi, q_target, first, length), target)
 
 
 def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult:

@@ -9,8 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from nverc import calib
 from nverc import (ExtractionError, StateVector3, SystemParams,
-                   apply_sequence, characteristic_quantities,
-                   compensation_ratio, not_gate_sequence,
+                   characteristic_quantities, compensation_ratio, evolve,
+                   not_gate_sequence,
                    rabi_extract, ratio_scan, simulate_odmr)
 from nverc.calib import _ground_amplitude_fn
 from nverc.pulses import PulseSegment, PulseSequence
@@ -102,9 +102,9 @@ class TestRabiExtract:
             PulseSegment(ex.T_total - ex.T_prime, math.pi, P13.omega_x),
         ])
         s0 = StateVector3(KET_P1)
-        a = apply_sequence(P13, not_gate_sequence(P13), s0)
-        b = apply_sequence(P13, seq_est, s0)
-        assert abs(np.vdot(a.amps, b.amps)) >= 1 - 1e-6
+        a = evolve(P13, not_gate_sequence(P13))[-1] @ s0.amps
+        b = evolve(P13, seq_est)[-1] @ s0.amps
+        assert abs(np.vdot(a, b)) >= 1 - 1e-6
 
 
 class TestRatioScan:

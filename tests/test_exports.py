@@ -1,8 +1,14 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
+
+import numpy as np
 
 import nverc
-from nverc import calib, ham
+from nverc import calib, ham, prop
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -14,6 +20,43 @@ def test_every_exported_name_resolves():
     # names re-exported at the top level are the objects of their owner
     for owner, names in ((ham, ("EffectiveParams", "effective_params", "dressing_unitary",
                                 "compensation_ratio")),
-                         (calib, ("phi_from_times",))):
+                         (calib, ("phi_from_times",)),
+                         (prop, ("evolve", "sequence_unitary"))):
         for name in names:
             assert getattr(nverc, name) is getattr(owner, name), name
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the public surface is a decision, not
+    # a side effect: it changes here and in README's "Removed public names"
+    assert prop.__all__ == ["evolve", "sequence_unitary"]
+    assert sorted(nverc.__all__) == sorted([
+        "__version__",
+        "SystemParams", "StateVector3", "Unitary3", "FrameTag",
+        "PulseSegment", "PulseSequence", "DQRotation", "RotationAxis",
+        "ErcQuantities", "EffectiveParams",
+        "SynthesisResult", "OdmrResult", "RabiExtraction", "RatioScanResult",
+        "phi_state", "characteristic_quantities",
+        "bright_dark", "erc_unitary", "closed_form_unitary", "dq_rotation", "not_gate_sequence",
+        "evolve", "sequence_unitary", "synthesize_gate", "dq_block", "dq_gate_fidelity",
+        "phi_from_times", "compensation_ratio", "effective_params",
+        "dressing_unitary", "simulate_odmr", "rabi_extract", "ratio_scan",
+        "sequence_to_json", "sequence_from_json", "SEQUENCE_SCHEMA",
+        "NvErcError", "RegimeError", "DomainError", "ResonanceError",
+        "AxisDegenerateError", "NoConvergenceError", "ExtractionError",
+        "ConfigError",
+    ])
+    assert len(set(nverc.__all__)) == len(nverc.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md#quick-start", "exec"), scope)
+    # what its comments promise: the swap, and one lab propagator per time
+    np.testing.assert_allclose(abs(scope["out"]) ** 2, [0, 0, 1], atol=1e-9)
+    assert scope["us_lab"].shape == (5, 3, 3)
+    assert scope["res"].fidelity >= 1 - 1e-9
+    assert capsys.readouterr().out

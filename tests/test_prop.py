@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import haar_unitary3, random_plain_params
-from nverc import (FrameTag, PulseSegment, PulseSequence,
-                   StateVector3, SystemParams, Unitary3,
-                   characteristic_quantities, erc_unitary, frame_transform,
-                   not_gate_sequence, propagate)
+from conftest import haar_unitary3
+from nverc import (FrameTag, PulseSegment, PulseSequence, SystemParams,
+                   characteristic_quantities, erc_unitary, not_gate_sequence)
 from nverc import _kernels, prop
 from nverc.ham import (hamiltonian_lab, hamiltonian_rwa, lab_drive_operators,
                        static_hamiltonian)
 from nverc.spin import KET_0, KET_M1, KET_P1, SZ2
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
+
+
+def to_lab(p, u_int, t):
+    """A propagator from 0 to t in the interaction frame of ``p``, taken to
+    the lab frame by its definition: row j turned by exp(-i carrier s_j t),
+    s = diag(Sz^2)."""
+    return np.exp(-1j * p.carrier * np.diag(SZ2).real * t)[:, None] * u_int
 
 
 @st.composite
@@ -44,13 +49,13 @@ class TestRwaPropagation:
         q = characteristic_quantities(P13)
         alpha = 0.37
         seq = PulseSequence([PulseSegment(q.T_prime, alpha, P13.omega_x)])
-        res = propagate(P13, seq, StateVector3(KET_0))
-        assert np.linalg.norm(res.unitary.m - erc_unitary(P13, q.T_prime, alpha).m, 2) < 1e-9
+        u = prop.evolve(P13, seq, method="rwa")[-1]
+        assert np.linalg.norm(u - erc_unitary(P13, q.T_prime, alpha).m, 2) < 1e-9
 
     def test_zero_duration_sequence_identity(self):
         seq = PulseSequence([PulseSegment(0.0, 0.0, 3.0)])
-        res = propagate(P13, seq, StateVector3(KET_P1))
-        assert np.array_equal(res.unitary.m, np.eye(3))
+        u = prop.evolve(P13, seq, method="rwa")[-1]
+        assert np.array_equal(u, np.eye(3))
 
 
 class TestBatchedRwaSegment:
@@ -61,12 +66,13 @@ class TestBatchedRwaSegment:
     ])
     def test_array_equals_scalar_calls(self, p, seg):
         ts = np.linspace(0.0, 9.0, 37)
-        batch = prop.rwa_segment_unitary(p, seg, ts)
+        rwa = prop._rwa_evolver(hamiltonian_rwa(p, seg))
+        batch = rwa(ts)
         assert batch.shape == (37, 3, 3)
         for t, u in zip(ts, batch):
-            assert np.max(np.abs(u - prop.rwa_segment_unitary(p, seg, t))) < 1e-14
-        assert np.max(np.abs(batch[5] - prop.rwa_segment_unitary(
-            p, PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)))) < 1e-14
+            assert np.max(np.abs(u - rwa(t))) < 1e-14
+        seq = PulseSequence([PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)])
+        assert np.max(np.abs(batch[5] - prop.evolve(p, seq, method="rwa")[-1])) < 1e-14
 
     @pytest.mark.parametrize("kind", ["plain", "two-tone", "Ex", "Ey"])
     def test_column_equals_full_propagator_column(self, rng, kind):
@@ -114,9 +120,8 @@ class TestBatchedRwaSegment:
 class TestLabPropagation:
     def test_population_swap_within_rwa_error(self):
         seq = not_gate_sequence(P13)
-        res = propagate(P13, seq, StateVector3(KET_P1), frame=FrameTag.LAB,
-                        steps_per_period=40)
-        pops = res.state.populations()
+        # populations are the same in every frame
+        pops = np.abs(prop.evolve(P13, seq, method="lab", steps_per_period=40)[-1] @ KET_P1) ** 2
         assert abs(pops[2] - 1.0) < 5e-3
         assert abs(pops[1]) < 5e-3
 
@@ -125,11 +130,10 @@ class TestLabPropagation:
         p = SystemParams(D=100.0, muB=1.0, omega_x=3.0)
         q = characteristic_quantities(p)
         seq = PulseSequence([PulseSegment(q.T_prime, 0.3, p.omega_x)])
-        s = StateVector3(KET_0)
-        ref = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=640).unitary.m
+        ref = prop.evolve(p, seq, method="lab", steps_per_period=640)[-1]
         errs = []
         for spp in (20, 40, 80):
-            u = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=spp).unitary.m
+            u = prop.evolve(p, seq, method="lab", steps_per_period=spp)[-1]
             errs.append(np.linalg.norm(u - ref, 2))
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
@@ -139,8 +143,8 @@ class TestLabPropagation:
         q = characteristic_quantities(p)
         seg = PulseSegment(q.T_prime, 0.0, p.omega_x)
         seq = PulseSequence([seg])
-        s = StateVector3(KET_0)
-        u_fixed = propagate(p, seq, s, frame=FrameTag.LAB, steps_per_period=1280).unitary.m
+        u_fixed = to_lab(p, prop.evolve(p, seq, method="lab", steps_per_period=1280)[-1],
+                         q.T_prime)
         # an independent adaptive reference: DOP853 on the lab Hamiltonian
         sol = solve_ivp(
             lambda t, y: (-1j * hamiltonian_lab(p, seg, t) @ y.reshape(3, 3)).ravel(),
@@ -156,8 +160,8 @@ class TestLabPropagation:
         # the carrier phase must stay coherent across the boundary
         seq = PulseSequence([PulseSegment(0.9, *SEG_ARGS, beta=-0.5),
                              PulseSegment(0.6, 1.7, P_FULL.omega_x, -P_FULL.omega_y, beta=2.2)])
-        u = propagate(P_FULL, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                      steps_per_period=160).unitary.m
+        u = to_lab(P_FULL, prop.evolve(P_FULL, seq, method="lab", steps_per_period=160)[-1],
+                   seq.total_duration)
         ref, t0 = np.eye(3, dtype=complex), 0.0
         for seg in seq:
             sol = solve_ivp(
@@ -185,7 +189,7 @@ class TestLabPropagation:
                                           p.omega_x, p.omega_y, beta=rng.uniform(-math.pi, math.pi))
                              for _ in range(n_segs)])
         times = np.sort(rng.uniform(0.0, 1.1 * seq.total_duration, 6))
-        us = prop._walk(p, seq, times, "lab", spp)
+        us = prop.evolve(p, seq, times, "lab", spp)
         defect = np.linalg.norm(us.conj().swapaxes(-1, -2) @ us - np.eye(3), 2, axis=(1, 2))
         assert np.max(defect) < 1e-12
 
@@ -197,59 +201,26 @@ class TestLabPropagation:
             p = SystemParams(D=ratio * 3.0, muB=1.0, omega_x=3.0)
             period = 2 * math.pi / p.carrier
             seq = PulseSequence([PulseSegment(period, 0.0, p.omega_x)])
-            res = propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                            steps_per_period=160)
-            u_int = frame_transform(res.unitary, 0.0, period,
-                                    FrameTag.LAB, FrameTag.INTERACTION_D, p)
+            u_int = prop.evolve(p, seq, method="lab", steps_per_period=160)[-1]
             u_rwa = erc_unitary(p, period, 0.0)
-            errs.append(np.linalg.norm(u_int.m - u_rwa.m, 2))
+            errs.append(np.linalg.norm(u_int - u_rwa.m, 2))
         assert errs[0] > errs[1] > errs[2]
 
 
 class TestFrameTransform:
-    def test_zero_time_identity(self, rng):
-        s = StateVector3.from_unnormalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        out = frame_transform(s, 0.0, 0.0, FrameTag.LAB, FrameTag.INTERACTION_D, P13)
-        assert np.allclose(out.amps, s.amps)
-
-    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 50.0),
-           frames=st.tuples(st.sampled_from(FrameTag), st.sampled_from(FrameTag)),
-           ez=st.floats(-5.0, 5.0))
-    def test_round_trip(self, seed, t, frames, ez):
-        rng = np.random.default_rng(seed)
-        s = StateVector3.from_unnormalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        p = P13.replace(Ez=ez)
-        mid = frame_transform(s, 0.0, t, *frames, p)
-        back = frame_transform(mid, 0.0, t, *frames[::-1], p)
-        assert np.max(np.abs(back.amps - s.amps)) < 1e-12
-
-    @given(seed=st.integers(0, 2**32 - 1),
-           times=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
-           frames=st.tuples(st.sampled_from(FrameTag), st.sampled_from(FrameTag)),
-           ez=st.floats(-5.0, 5.0))
-    def test_unitary_round_trip(self, seed, times, frames, ez):
-        u = Unitary3(haar_unitary3(np.random.default_rng(seed)), frames[0])
-        p = P13.replace(Ez=ez)
-        v = frame_transform(u, *times, *frames, p)
-        w = frame_transform(v, *times, *frames[::-1], p)
-        assert np.max(np.abs(w.m - u.m)) < 1e-12
-
     @pytest.mark.parametrize("frame", [FrameTag.INTERACTION_D, FrameTag.INTERACTION_D_EZ])
     def test_propagate_result_is_in_the_requested_frame(self, frame):
-        # with Ez != 0 the rotating-wave propagator is computed in the D + Ez
-        # frame; a request for the D frame must transform it, not relabel it
-        p = SystemParams(D=100.0, muB=1.0, omega_x=3.0, Ez=2.0)
+        # Ez = 0 puts both methods in the interaction frame of D Sz^2, Ez != 0
+        # in that of (D + Ez) Sz^2; in either frame the lab propagator must
+        # stay within the counter-rotating bound of the rotating-wave one
+        ez = 2.0 if frame == FrameTag.INTERACTION_D_EZ else 0.0
+        p = SystemParams(D=100.0, muB=1.0, omega_x=3.0, Ez=ez)
+        assert p.interaction_frame == frame
         seq = not_gate_sequence(p)
-        res = propagate(p, seq, StateVector3(KET_P1), frame)
-        assert res.unitary.frame == frame
-        got = frame_transform(res.unitary, 0.0, seq.total_duration, frame, FrameTag.LAB, p)
-        lab = propagate(p, seq, StateVector3(KET_P1), FrameTag.LAB, 200)
-        assert np.linalg.norm(got.m - lab.unitary.m, 2) < 2.0 * p.omega_x / p.carrier
-
-    def test_frame_mismatch_rejected(self, rng):
-        u = Unitary3(haar_unitary3(rng), FrameTag.LAB)
-        with pytest.raises(ValueError):
-            frame_transform(u, 0.0, 1.0, FrameTag.INTERACTION_D, FrameTag.LAB, P13)
+        rwa = prop.evolve(p, seq, method="rwa")[-1]
+        lab = prop.evolve(p, seq, method="lab", steps_per_period=200)[-1]
+        assert np.linalg.norm(rwa - lab, 2) < 2.0 * p.omega_x / p.carrier
+        assert prop.sequence_unitary(p, seq).frame == frame
 
 
 def _carrier_frame(hs, ax, ay, wc, alpha, beta, t):
@@ -374,7 +345,7 @@ class TestPeriodPower:
         p = SystemParams(D=D, muB=1.0, omega_x=3.0, Ez=0.37)
         period = 2 * math.pi / p.carrier
         seq = PulseSequence([PulseSegment(3 * period, 0.2, p.omega_x)])
-        propagate(p, seq, StateVector3(KET_0), frame=FrameTag.LAB, steps_per_period=spp)
+        prop.evolve(p, seq, method="lab", steps_per_period=spp)
         assert [n for _, n in kernel_calls] == [spp // 2 if spp % 2 == 0 else spp]
         assert prop._n_steps(period, period / spp) == spp
 
@@ -404,11 +375,8 @@ class TestPeriodPower:
         q = characteristic_quantities(P13)
         duration = frac * q.T_total
         seq = PulseSequence([PulseSegment(duration, alpha, P13.omega_x)])
-        res = propagate(P13, seq, StateVector3(KET_0), frame=FrameTag.LAB,
-                        steps_per_period=80)
-        u_int = frame_transform(res.unitary, 0.0, duration,
-                                FrameTag.LAB, FrameTag.INTERACTION_D, P13)
-        err = np.linalg.norm(u_int.m - erc_unitary(P13, duration, alpha).m, 2)
+        u_int = prop.evolve(P13, seq, method="lab", steps_per_period=80)[-1]
+        err = np.linalg.norm(u_int - erc_unitary(P13, duration, alpha).m, 2)
         assert err < 2.0 * P13.omega_x / P13.carrier
 
 
@@ -416,14 +384,13 @@ class TestStepsPerPeriod:
     @pytest.mark.parametrize("spp", [0, -1, 2.0, None, True])
     def test_walk_refuses(self, spp):
         with pytest.raises(ValueError, match="steps_per_period"):
-            prop._walk(P13, not_gate_sequence(P13), [math.inf], "lab", spp)
+            prop.evolve(P13, not_gate_sequence(P13), method="lab", steps_per_period=spp)
 
     def test_default_steps_per_period(self, kernel_calls):
         period = 2 * math.pi / P13.carrier
         seq = PulseSequence([PulseSegment(3 * period, 0.2, P13.omega_x)])
-        propagate(P13, seq, StateVector3(KET_0), FrameTag.LAB)
-        prop._walk(P13, seq, [math.inf], "lab")
-        assert [n for _, n in kernel_calls] == [prop.LAB_STEPS_PER_PERIOD // 2] * 2
+        prop.evolve(P13, seq, method="lab")
+        assert [n for _, n in kernel_calls] == [prop.LAB_STEPS_PER_PERIOD // 2]
         assert prop.LAB_STEPS_PER_PERIOD == 8
 
 
@@ -441,12 +408,39 @@ class TestProgramEngine:
         q = characteristic_quantities(P13)
         seq = PulseSequence([PulseSegment(f * q.T_total, a, P13.omega_x) for f, a in segs])
         times = np.sort(fracs) * seq.total_duration
-        ana = prop._walk(P13, seq, times, "analytic")
-        rwa = prop._walk(P13, seq, times, "rwa")
-        lab = prop._walk(P13, seq, times, "lab", 80)
+        ana = prop.evolve(P13, seq, times, "analytic")
+        rwa = prop.evolve(P13, seq, times, "rwa")
+        lab = prop.evolve(P13, seq, times, "lab", 80)
         assert np.max(np.abs(rwa - ana)) < 1e-12
         err = np.max(np.linalg.norm(lab - ana, 2, axis=(1, 2)))
         assert err < 2.0 * len(segs) * P13.omega_x / P13.carrier
+
+    @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
+    def test_refuses_decreasing_times(self, method):
+        # the walk assigns samples to segments in order, so a decreasing
+        # pair would give the earlier sample a wrong propagator
+        t = characteristic_quantities(P13).T_total
+        with pytest.raises(ValueError, match="non-decreasing"):
+            prop.evolve(P13, not_gate_sequence(P13), [0.7 * t, 0.2 * t], method)
+
+    @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
+    @pytest.mark.parametrize("times", [[math.nan], [0.1, math.nan, 0.3], [math.nan, math.inf]])
+    def test_refuses_nan_times(self, method, times):
+        with pytest.raises(ValueError, match="NaN"):
+            prop.evolve(P13, not_gate_sequence(P13), times, method)
+
+    @pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]]])
+    def test_refuses_times_that_are_not_1d(self, times):
+        with pytest.raises(ValueError, match="1-D"):
+            prop.evolve(P13, not_gate_sequence(P13), times)
+
+    @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
+    def test_times_before_the_start_give_the_identity(self, method):
+        seq = not_gate_sequence(P13)
+        us = prop.evolve(P13, seq, [-math.inf, -1.0, 0.0, 0.5, 0.5, math.inf], method)
+        assert np.array_equal(us[:3], np.broadcast_to(np.eye(3), (3, 3, 3)))
+        assert np.array_equal(us[3], us[4])
+        assert np.array_equal(us[5], prop.evolve(P13, seq, method=method)[0])
 
 
 @st.composite
@@ -521,7 +515,7 @@ class TestBatchedLabWalk:
         # every period and remainder of the program comes from one stacked
         # kernel call; each sample must still equal its own truncated run
         p, seq, times, spp = program
-        us = prop._walk(p, seq, times, "lab", spp)
+        us = prop.evolve(p, seq, times, "lab", spp)
         assert np.max(np.abs(us - _stepped_program(p, seq, times, spp))) < 1e-12
 
     def test_memory_is_bounded(self):
@@ -532,7 +526,7 @@ class TestBatchedLabWalk:
         times = np.linspace(0.0, seq.total_duration, 20_000)
         tracemalloc.start()
         try:
-            us = prop._walk(P13, seq, times, "lab", 80)
+            us = prop.evolve(P13, seq, times, "lab", 80)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary3, random_plain_params
-from nverc import (DQBlochPoint, StateVector3, SystemParams, Unitary3,
-                   dq_projection, phi_state, spin_matrices)
-from nverc.spin import KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS
-
-SX, SY, SZ = spin_matrices()
+from nverc import StateVector3, SystemParams, Unitary3, phi_state
+from nverc.spin import KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ
 
 
 class TestSpinMatrices:
@@ -76,35 +73,6 @@ class TestPhiState:
         assert abs(np.vdot(phi_state(phi).amps, psi)) < 1 - 1e-3
 
 
-class TestDQProjection:
-    def test_poles_and_leak(self):
-        top = dq_projection(StateVector3(KET_P1))
-        assert (top.x, top.y, top.z, top.leak) == (0.0, 0.0, 1.0, 0.0)
-        mid = dq_projection(StateVector3(KET_0))
-        assert (mid.x, mid.y, mid.z, mid.leak) == (0.0, 0.0, 0.0, 1.0)
-
-    @given(st.floats(0.0, 2.0 * math.pi, allow_nan=False))
-    @settings(max_examples=60)
-    def test_equatorial_azimuth(self, lam):
-        pt = dq_projection(phi_state(lam))
-        assert pt.leak < 1e-14
-        assert abs(pt.z) < 1e-14
-        want = math.remainder(math.pi - lam, 2.0 * math.pi)
-        assert abs(math.remainder(pt.azimuth - want, 2.0 * math.pi)) < 1e-9
-
-    @given(st.lists(st.floats(-1, 1), min_size=6, max_size=6))
-    @settings(max_examples=80)
-    def test_pure_state_radius(self, reim):
-        v = np.array([complex(reim[0], reim[1]),
-                      complex(reim[2], reim[3]),
-                      complex(reim[4], reim[5])])
-        if np.linalg.norm(v) < 1e-3:
-            return
-        pt = dq_projection(StateVector3.from_unnormalized(v))
-        r2 = pt.x**2 + pt.y**2 + pt.z**2
-        assert abs(r2 - (1 - pt.leak) ** 2) < 1e-10
-
-
 class TestValueTypes:
     def test_state_normalization(self):
         s = StateVector3(np.array([1.0, 0, 1e-10]))
@@ -126,10 +94,6 @@ class TestValueTypes:
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             s = StateVector3.from_unnormalized(v)
             assert abs(np.linalg.norm(u.apply(s).amps) - 1.0) < 1e-12
-
-    def test_bloch_point_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DQBlochPoint(x=1.0, y=0.0, z=0.0, leak=0.5)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 
 from nverc import (DomainError, DQRotation, NvErcError, PulseSegment,
                    PulseSequence, RegimeError, ResonanceError, RotationAxis,
-                   StateVector3, SystemParams, apply_sequence, bright_dark,
+                   SystemParams, bright_dark,
                    characteristic_quantities, compensation_ratio, dq_rotation,
-                   dressing_unitary, effective_params, erc_unitary,
+                   dressing_unitary, effective_params, erc_unitary, evolve,
                    phi_from_times, rabi_extract, synthesize_gate)
 from nverc.ham import hamiltonian_lab, hamiltonian_rwa
 
@@ -165,9 +165,8 @@ RESONANT_ONLY = {
     "erc_unitary": lambda p: erc_unitary(p, 0.7, 0.3),
     "bright_dark": lambda p: bright_dark(p, 0.3),
     "dq_rotation": lambda p: dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, 1.0)),
-    "apply_sequence": lambda p: apply_sequence(
-        p, PulseSequence([PulseSegment(0.7, 0.3, p.omega_x, p.omega_y)]),
-        StateVector3([1, 0, 0]), method="analytic"),
+    "evolve": lambda p: evolve(
+        p, PulseSequence([PulseSegment(0.7, 0.3, p.omega_x, p.omega_y)]), method="analytic"),
     "effective_params": effective_params,
     "dressing_unitary": dressing_unitary,
     "synthesize_gate": lambda p: synthesize_gate(p, np.array([[0, 1], [1, 0]], dtype=complex)),

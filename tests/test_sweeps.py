@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nverc import (ConfigError, PulseSegment, PulseSequence, StateVector3,
-                   SystemParams, apply_sequence, characteristic_quantities)
+                   SystemParams, characteristic_quantities, evolve)
 from nverc import _kernels, erc, prop, spin, sweeps
 from nverc.spin import KET_P1
 from nverc.sweeps import (_write_csv, cmd_ey_map, cmd_ratio_map, cmd_robustness,
@@ -219,7 +219,7 @@ class TestTrace:
         cmd_trace(cfg, str(tmp_path / "t.csv"))
         p = system_from_config(cfg)
         times = written[0][0]
-        amps = sweeps._walk(p, erc.not_gate_sequence(p), times, method) @ KET_P1
+        amps = sweeps.evolve(p, erc.not_gate_sequence(p), times, method) @ KET_P1
         loop = np.array([[abs(a[0]) ** 2, abs(a[1]) ** 2, abs(a[2]) ** 2] for a in amps])
         np.testing.assert_array_max_ulp(np.array(written[0][1:]).T, loop, maxulp=1)
 
@@ -248,7 +248,7 @@ def truncated_reference(p, seq, s0, times, method):
                 break
             else:
                 break
-        out.append(apply_sequence(p, PulseSequence(segs), s0, method=method).amps)
+        out.append(evolve(p, PulseSequence(segs), method=method)[-1] @ s0.amps)
     return np.array(out)
 
 
@@ -264,7 +264,7 @@ class TestProgramWalker:
     @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
     def test_matches_restart_from_zero(self, method):
         s0 = StateVector3(np.array([0.6, 0.48j, 0.64]))
-        us = prop._walk(self.P, self.SEQ, self.TIMES, method)
+        us = prop.evolve(self.P, self.SEQ, self.TIMES, method)
         # propagators, applied afterwards, give the restarted states
         got = us @ s0.amps
         want = truncated_reference(self.P, self.SEQ, s0, self.TIMES, method)
@@ -299,9 +299,9 @@ class TestProgramWalker:
         with open(CONFIGS / "fig2_trace.json", encoding="utf-8") as fh:
             cfg = dict(json.load(fh), method="lab")
         cmd_trace(dict(cfg), str(tmp_path / "default.csv"))
-        walk = prop._walk
-        monkeypatch.setattr(sweeps, "_walk",
-                            lambda p, seq, times, method: walk(p, seq, times, method, 160))
+        evolve = prop.evolve
+        monkeypatch.setattr(sweeps, "evolve",
+                            lambda p, seq, times, method: evolve(p, seq, times, method, 160))
         cmd_trace(dict(cfg), str(tmp_path / "fine.csv"))
         _, _, rows = read_csv(tmp_path / "default.csv")
         _, _, ref = read_csv(tmp_path / "fine.csv")
@@ -332,8 +332,8 @@ class TestRobustness:
         p = system_from_config(cfg)
         for t1, t2, val in rows:
             seq = PulseSequence([PulseSegment(t1, 0.0, 3.0), PulseSegment(t2, math.pi, 3.0)])
-            state = apply_sequence(p, seq, StateVector3(KET_P1))
-            assert val == pytest.approx(state.populations()[2], abs=1e-12)
+            state = evolve(p, seq)[-1] @ KET_P1
+            assert val == pytest.approx(abs(state[2]) ** 2, abs=1e-12)
 
     def test_spot_check_random_cells(self, tmp_path, rng):
         out = tmp_path / "rob33.csv"
@@ -344,7 +344,7 @@ class TestRobustness:
         for k in rng.choice(len(rows), size=100, replace=False):
             t1, t2, val = rows[k]
             seq = PulseSequence([PulseSegment(t1, 0.0, 3.0), PulseSegment(t2, math.pi, 3.0)])
-            want = apply_sequence(p, seq, StateVector3(KET_P1)).populations()[2]
+            want = abs((evolve(p, seq)[-1] @ KET_P1)[2]) ** 2
             assert val == pytest.approx(want, abs=1e-12)
 
     def test_deterministic_across_jobs(self, tmp_path):
