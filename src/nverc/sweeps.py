@@ -17,7 +17,16 @@ once, the others block by block, and each block goes straight to the
 open file.  ``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0
 and of positive values in [1e-10, 1e13), near-ties decided exactly, four
 digits at a time from a table; every other (slow) field is formatted with
-``%`` once per distinct value and spliced in front of its own separator.
+``%`` once per distinct value and put in front of its own separator, a
+per-row one into all the lines of its row at once.
+
+Every output, CSV or JSON, is opened by ``_output``: it writes over the
+bytes of a file already at the path, without truncating it first, and cuts
+a regular file at the written position when the writing ends or raises.
+Rewriting a large output in place saves the filesystem's freeing and
+re-allocating its blocks.  A run killed by a signal mid-write leaves the
+new bytes followed by the old file's tail (a truncating open would leave
+the new bytes alone).  A path that cannot be opened is a ``ConfigError``.
 Each ``cmd_*`` takes only its config and output path
 (``cmd_synth`` also the seed of random targets); which CLI flag reaches
 which command is decided in ``nverc.cli``.
@@ -35,10 +44,13 @@ checks that each element of a number array is a JSON number.  Then
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -156,6 +168,24 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Open ``path`` for binary writing over its previous bytes, not
+    truncated first, and cut a regular file at the written position on the
+    way out, also when the body raises: a file ends where its writing
+    stopped.  A path that cannot be opened is a ``ConfigError``."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _take_system(cfg: dict, swept: tuple[str, ...] = ()):
     """A command's own copy of ``cfg`` with "units" and "system" taken, the
     ``SystemParams`` and the units factor.  A field named in ``swept`` is
@@ -251,8 +281,11 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     are laid out in it once; per block, each run of adjacent columns alike
     in shape is formatted into its slots in one call (a per-row column once
     per row).  A block is written from the buffer itself, or with its slow
-    fields spliced in front of their separators, each distinct slow value
-    formatted with ``%`` once per file."""
+    fields' ``%`` bytes in front of their separators, each distinct slow
+    value formatted once per file: a slow per-row field goes into all the
+    lines of its row at once, as the row's lines are rebuilt at their new
+    width, and every other slow field is spliced on its own.  The file is
+    written over the previous one at ``path`` (``_output``)."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
@@ -275,34 +308,72 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write("".join(lines).encode("utf-8"))
         for k in range(0, n_outer, step):
             rows = buf[:n_outer - k]                 # the last block: a prefix view
-            at, values = [], []                      # the slow fields' cells and values
+            cell_slow, row_slow = [], []             # (field indices, values) of slow fields
             for j, stop, const in runs:
                 x, exact = once[j] if const else lay([c[k:k + len(rows)] for c in cols[j:stop]],
                                                      rows[:, :, j:stop])
-                if not exact.all():
-                    grid = rows.shape[:2] + (stop - j,)
-                    if exact.shape != grid:          # a constant or per-row run
-                        x, exact = np.broadcast_to(x, grid), np.broadcast_to(exact, grid)
-                    r, i, jj = np.nonzero(~exact)
-                    at.append((r * n_inner + i) * len(cols) + j + jj)
-                    values.append(x[r, i, jj])
-            if not at:
+                if exact.all():
+                    continue
+                per_row = x.shape[1] == 1 < n_inner  # the same in every line of a row
+                grid = (len(rows), 1 if per_row else n_inner, stop - j)
+                x, exact = np.broadcast_to(x, grid), np.broadcast_to(exact, grid)
+                r, i, jj = np.nonzero(~exact)
+                (row_slow if per_row else cell_slow).append(
+                    ((r * grid[1] + i) * len(cols) + j + jj, x[r, i, jj]))
+            if not (cell_slow or row_slow):
                 fh.write(rows)
                 continue
-            order = np.argsort(np.concatenate(at))
-            at, values = np.concatenate(at)[order], np.concatenate(values)[order]
-            text, parts, done = memoryview(rows).cast("B"), [], 0
-            for i, v, bits in zip(at.tolist(), values.tolist(), values.view(np.int64).tolist()):
-                if bits not in texts:
-                    texts[bits] = (_FLOAT_FMT % v).encode()
-                parts += [text[done:19 * i], texts[bits]]
-                done = 19 * i + 18                   # the field's own separator follows
+            text, width = memoryview(rows).cast("B"), 19 * len(cols)
+            cells, spelled = _spell(cell_slow, texts)
+            cut = 19 * cells                         # each slow cell field's first byte
+            if row_slow:  # each row with one: its lines rebuilt at their new width
+                fields, row_texts = _spell(row_slow, texts)
+                rr, jj = np.divmod(fields, len(cols))
+                grow = np.zeros((len(rows), len(cols)), np.intp)
+                grow[rr, jj] = [len(t) - 18 for t in row_texts]
+                chunks, done = [], 0
+                for r, group in itertools.groupby(zip(rr.tolist(), jj.tolist(), row_texts),
+                                                  lambda f: f[0]):
+                    line, pieces, prev = rows[r].reshape(n_inner, width), [], 0
+                    for _, j, t in group:            # a text is laid out in every line at once
+                        pieces += [line[:, prev:19 * j],
+                                   np.broadcast_to(np.frombuffer(t, np.uint8), (n_inner, len(t)))]
+                        prev = 19 * j + 18
+                    chunks += [text[done:r * n_inner * width],
+                               np.concatenate(pieces + [line[:, prev:]], 1)]
+                    done = (r + 1) * n_inner * width
+                text = memoryview(b"".join(chunks + [text[done:]]))
+                widths = width + grow.sum(1)         # each row's line width
+                off = 19 * np.arange(len(cols)) + np.cumsum(grow, 1) - grow  # and field offsets
+                r, i = np.divmod(cells // len(cols), n_inner)
+                cut = (np.r_[0, np.cumsum(n_inner * widths)][r] + i * widths[r]
+                       + off[r, cells % len(cols)])
+            parts, done = [], 0
+            for c, t in zip(cut.tolist(), spelled):
+                parts += [text[done:c], t]
+                done = c + 18                        # the field's own separator follows
             parts.append(text[done:])
             fh.write(b"".join(parts))
+
+
+def _spell(found, texts: dict) -> tuple[np.ndarray, list[bytes]]:
+    """The slow fields of a block, given as pairs of field indices and
+    values, in order, and the ``%`` bytes of each from ``texts`` (keyed by
+    the value's bits), where a value is formatted the first time it comes."""
+    if not found:
+        return np.empty(0, np.intp), []
+    at, values = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(at)
+    spelled = []
+    for bits, v in zip(values[order].view(np.int64).tolist(), values[order].tolist()):
+        if bits not in texts:
+            texts[bits] = (_FLOAT_FMT % v).encode()
+        spelled.append(texts[bits])
+    return at[order], spelled
 
 
 _PLOT_TEMPLATE = '''\
@@ -343,8 +414,8 @@ print("wrote", {png_name!r})
 def write_plot_script(csv_path: str) -> str:
     """Drop a standalone plotting script next to a CSV (convenience only)."""
     script_path = csv_path + ".plot.py"
-    with open(script_path, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_TEMPLATE.format(csv_name=csv_path, png_name=csv_path + ".png"))
+    with _output(script_path) as fh:
+        fh.write(_PLOT_TEMPLATE.format(csv_name=csv_path, png_name=csv_path + ".png").encode())
     return script_path
 
 
@@ -572,11 +643,11 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     for method in ("rwa", "lab"):
         u = evolve(p, result.sequence, method=method, steps_per_period=spp)[0]
         report[f"fidelity_{method}"] = synth.dq_gate_fidelity(synth.dq_block(u), target)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(sequence_to_json(result.sequence, p))
+    with _output(out_path) as fh:
+        fh.write(sequence_to_json(result.sequence, p).encode())
     report_path = out_path + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    with _output(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True).encode())
     return {"out": out_path, "report": report_path, **report}
 
 
@@ -608,6 +679,6 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
         "best_ratio": best_ratio,
         "tolerances": {"root_xtol": ROOT_XTOL, "ratio_refine": "bounded_minimize"},
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
+    with _output(out_path) as fh:
+        fh.write(json.dumps(result, indent=2, sort_keys=True).encode())
     return result

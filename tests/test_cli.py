@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import runpy
 import subprocess
@@ -243,6 +244,30 @@ class TestExitCodes:
         rc = main(["trace", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command,flags", [
+        ("trace", []), ("ratio-map", []), ("synth", []), ("calibrate", []),
+        ("trace", ["--plot-script"])], ids=["trace", "ratio-map", "synth", "calibrate",
+                                             "plot-script"])
+    def test_unopenable_output_is_2(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "missing_dir" / "o.csv"
+        if flags:  # the CSV opens; the script's path is a directory
+            out = tmp_path / "o.csv"
+            (tmp_path / "o.csv.plot.py").mkdir()
+        rc = main([command, "--config", write_cfg(tmp_path, TINY[command]),
+                   "--out", str(out), *flags])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ConfigError"
+        assert "cannot write output" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["trace", "ratio-map", "calibrate"])
+    def test_output_to_a_device_runs(self, tmp_path, command):
+        # a device is written but not cut to length (synth would also
+        # create a report next to it, so it is left out)
+        rc = main([command, "--config", write_cfg(tmp_path, TINY[command]),
+                   "--out", os.devnull])
+        assert rc == 0
 
     def test_regime_error_is_3_with_json(self, tmp_path, capsys):
         doc = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 1.5},
@@ -505,6 +530,20 @@ class TestCheckedInConfigs:
         assert len(lines) == 18
         assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
         assert [line[66:] for line in lines] == sorted(p.name for p in tmp_path.iterdir())
+
+    def test_digests_rewritten_over_longer_files(self, tmp_path, capsys):
+        # a second run into the same directory writes over the first one's
+        # files, here each made longer, and cuts them to the same bytes
+        tool = runpy.run_path(str(ROOT / "tools" / "config_digests.py"))
+        tool["main"](tmp_path)
+        fresh = capsys.readouterr().out
+        sizes = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            with open(path, "ab") as fh:
+                fh.write(b"#" * 4096)
+        tool["main"](tmp_path)
+        assert capsys.readouterr().out == fresh
+        assert {p.name: p.stat().st_size for p in tmp_path.iterdir()} == sizes
 
     def test_digests_run_every_config(self):
         # a config missing from the tool's table would escape the byte check

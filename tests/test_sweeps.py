@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -107,6 +109,12 @@ class TestWriteCsv:
     # a near-tie below and above n + 1/2 at each exponent from -10 to 12
     @example([np.array([float(f"{m}e{k}") for k in range(-10, 13)
                         for m in ("9.8765432109865", "4.0000000000005")])], sweeps._CSV_BLOCK)
+    # fig5's full shape in one block: NaN overlays in the last 8 of 45 rows,
+    # beside slow cells, a slow time and a -inf overlay in those rows
+    @example([np.arange(45.0)[:, None], np.r_[np.linspace(0.0, 4.2, 300), -1.5],
+              np.where(np.arange(301) % 97 == 5, 1e-17, np.linspace(0.01, 0.99, 45)[:, None]),
+              *np.where(np.arange(45) < 37, np.array([[0.5], [1.5], [2.5]]), math.nan)[..., None],
+              np.where(np.arange(45) == 39, -math.inf, 1.25)[:, None]], sweeps._CSV_BLOCK)
     def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
         header = [f"c{j}" for j in range(len(columns))]
@@ -157,6 +165,45 @@ class TestWriteCsv:
                 body = fh.read().split(b"\n", 2)[2]
         assert body == percent_body(columns)
         assert sorted(map(str, calls)) == ["-2.5", "nan"]
+
+
+class TestRewrite:
+    COLUMNS = [np.linspace(0.0, 1.0, 40)]
+
+    def test_error_leaves_a_prefix_of_the_new_bytes_only(self, tmp_path):
+        # a longer old file is written over; the second block's formatting
+        # raises, and the file is cut where the writing stopped
+        with mock.patch.object(sweeps, "_CSV_BLOCK", 10):
+            _write_csv(str(tmp_path / "fresh.csv"), {}, ["c0"], self.COLUMNS)
+        fresh, out = (tmp_path / "fresh.csv").read_bytes(), tmp_path / "x.csv"
+        out.write_bytes(b"Z" * (2 * len(fresh)))
+        calls, format_fields = [], sweeps._format_fields
+
+        def fail_second(x, dest):
+            calls.append(x)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return format_fields(x, dest)
+
+        with mock.patch.object(sweeps, "_CSV_BLOCK", 10), \
+                mock.patch.object(sweeps, "_format_fields", fail_second), \
+                pytest.raises(RuntimeError, match="second block"):
+            _write_csv(str(out), {}, ["c0"], self.COLUMNS)
+        data = out.read_bytes()
+        assert b"Z" not in data and fresh.startswith(data)
+        assert data.count(b"\n") == 2 + 10  # schema, header and the first block
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_output_mode_is_that_of_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "wb"):
+                pass
+            _write_csv(str(tmp_path / "x.csv"), {}, ["c0"], self.COLUMNS)
+        finally:
+            os.umask(old)
+        mode = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("ref", "x.csv")]
+        assert mode[0] == mode[1] == 0o666 & ~umask
 
 
 class TestConfigParsing:
