@@ -22,14 +22,14 @@ contrast model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import hamiltonian_rwa, require_resonant, static_hamiltonian
-from .prop import _canonical_method, _rwa_evolver, evolve
-from .pulses import PulseSegment, PulseSequence
+from .prop import _canonical_method, _LabStack, _lab_local, _rwa_evolver
+from .pulses import PulseSegment
 from .spin import SystemParams
 
 __all__ = [
@@ -232,9 +232,11 @@ def simulate_odmr(p: SystemParams) -> OdmrResult:
 
 def _ground_amplitude_fn(p: SystemParams, method: str):
     """Continuous-time real ground-state amplitude Re<0|U(t)|0> for a single
-    resonant segment at phase 0, at a scalar or ascending array of times.
-    The lab form runs one program over the longest time at 80 Magnus steps
-    per carrier period; <0|U|0> is the same in every frame."""
+    resonant segment at phase 0, at a scalar or array of times.  The lab
+    form integrates at 80 Magnus steps per carrier period from one prepared
+    stack: the segment's period propagator is integrated and decomposed
+    once, at the first call that spans it, and every call then integrates
+    only its times' remainders; <0|U|0> is the same in every frame."""
     method = _canonical_method(method)
     seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
@@ -249,11 +251,15 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         rwa = _rwa_evolver(hamiltonian_rwa(p, seg))
         return lambda t: rwa(t)[..., 1, 1].real
 
+    stack = _LabStack(p, [seg], [0.0], 80)
+
     def lab_amp(t):
         t = np.asarray(t, dtype=float)
-        seq = PulseSequence([replace(seg, duration=float(np.max(t)))])
-        us = evolve(p, seq, t.reshape(-1), "lab", steps_per_period=80)
-        return us[:, 1, 1].real.reshape(t.shape)
+        amp = np.ones(t.shape)                  # the identity at t <= 0
+        after = t > 0.0
+        amp[after] = _lab_local(stack, np.zeros(np.count_nonzero(after), dtype=int),
+                                t[after])[:, 1, 1].real
+        return amp
 
     return lab_amp
 

@@ -13,9 +13,8 @@ whole stack of H_rwa, decomposed by one batched ``eigh``.
 Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
 integration.  It returns interaction-frame propagators at any
-non-decreasing array of sample times; traces, the synthesis cross-checks,
-the lab calibration amplitude and ``sequence_unitary`` are each one call
-of it.
+non-decreasing array of sample times; traces, the synthesis cross-checks
+and ``sequence_unitary`` are each one call of it.
 
 In a constant-drive segment the carrier-frame Hamiltonian has the period
 P = T_c / 2, half the carrier period T_c = 2 pi / (D + Ez), so a segment
@@ -24,10 +23,13 @@ Phys. Rev. 138, B979, 1965).  U_P, one period from t0, is raised to the
 power through its eigendecomposition, and U_r is integrated from t0:
 stepping on a period-aligned grid at the cost of one or two periods,
 unitary to rounding, whatever the segment length.  A lab walk plans the
-whole program first; U_P of every segment that needs it and U_r of every
-sample are then rows of one stacked kernel call, the powers come from one
-batched decomposition, and the results are chained with the propagators
-at the segment starts.
+whole program first and prepares every segment at once (``_LabStack``:
+harmonics, then U_P and its decomposition once a duration spans it).  One
+evaluation (``_lab_local``) makes U_P of every segment that needs it and
+U_r of every sample rows of one stacked kernel call, and gives each
+sample's segment-local propagator U_r U_P^N; the chain then costs one
+product per segment.  The lab calibration amplitude keeps one stack for
+all the root finder's calls, so each call integrates only remainders.
 ``steps_per_period`` = n is the resolution: a carrier period takes exactly
 n steps (for odd n, P = T_c), a remainder r takes ceil(r n / T_c).  The
 default 8 puts the fig2 lab populations within 2e-5 of a converged run;
@@ -100,74 +102,80 @@ def _grid_populations(w, c, t_max, n_t):
     return out
 
 
-def _lab_propagators(p, plan, steps_per_period):
-    """For each planned segment ``(seg, t0, taus)``, the function
-    ``(u, dest)`` that writes the interaction-frame lab propagators of
-    ``seg`` from t0 over each duration in ``taus`` but the last, continuing
-    the propagator u at t0, into ``dest`` and returns the last.
+class _LabStack:
+    """The prepared stack of a lab walk over segments ``segs`` starting at
+    ``t0``: each segment's harmonics and, once some duration has spanned a
+    whole period of it, the eigendecomposition of its one-period propagator
+    U_P (``_floquet_power``), kept for every later evaluation.
 
-    One row-kernel call integrates, from the identity, first one period of
-    every segment that some duration spans whole periods of, then every
-    duration's remainder.  An even ``steps_per_period`` n integrates the
-    half carrier period in n/2 steps, an odd n the whole period in n steps.
-    """
-    if not plan:
-        return []
-    period, n = 2.0 * math.pi / p.carrier, steps_per_period
-    if n % 2 == 0:
-        period, n = period / 2.0, n // 2
-    hs = static_hamiltonian(p)
-    harmonics = [_kernels._harmonics(hs, *lab_drive_operators(seg), p.carrier, seg.alpha, seg.beta)
-                 for seg, _, _ in plan]
-    h0, v = (np.array(m) for m in zip(*harmonics))
-    splits = [_period_split(taus, period) for _, _, taus in plan]
-    powered = [i for i, (n_periods, _) in enumerate(splits) if n_periods.any()]
-    rests = [rest[rest > 0.0] for _, rest in splits]
-    counts = [len(r) for r in rests]
-    which = np.concatenate([powered, np.repeat(np.arange(len(plan)), counts)]).astype(int)
+    An even ``steps_per_period`` n integrates the half carrier period in
+    n/2 steps, an odd n the whole period in n steps."""
+
+    def __init__(self, p, segs, t0, steps_per_period):
+        self.carrier, self.t0 = p.carrier, np.asarray(t0, dtype=float)
+        self.period, self.n = 2.0 * math.pi / p.carrier, steps_per_period
+        if self.n % 2 == 0:
+            self.period, self.n = self.period / 2.0, self.n // 2
+        ax, ay = (np.array(m) for m in zip(*map(lab_drive_operators, segs)))
+        alpha = np.array([seg.alpha for seg in segs])[:, None, None]
+        beta = np.array([seg.beta for seg in segs])[:, None, None]
+        self.h0, self.v = _kernels._harmonics(static_hamiltonian(p), ax, ay, p.carrier, alpha, beta)
+        self.vecs = np.empty((len(segs), 3, 3), dtype=complex)
+        self.phases = np.empty((len(segs), 3))
+        self.ready = np.zeros(len(segs), dtype=bool)
+
+
+def _lab_local(stack, which, taus):
+    """Segment-local lab propagators (len(taus), 3, 3): for each duration
+    tau > 0, the interaction-frame propagator of segment ``which[i]`` of
+    ``stack`` from its t0 over tau, U_r U_P^N for tau = N P + r.
+
+    One row-kernel call integrates, from the identity, one period of every
+    segment that a duration spans whole periods of and that the stack has
+    not decomposed yet, then every duration's remainder; the powers come
+    from the stack and are assembled in blocks of ``_kernels._BLOCK``
+    durations."""
+    n_periods, rest = _period_split(taus, stack.period)
+    new = np.unique(which[n_periods > 0])
+    new = new[~stack.ready[new]]
+    has_rest = rest > 0.0
+    rows = np.concatenate([new, which[has_rest]])
+    rests = rest[has_rest]
     us = _kernels.magnus_lab_rows(
-        h0, v, p.carrier, which, np.array([t0 for _, t0, _ in plan])[which],
-        np.concatenate([np.full(len(powered), period), *rests]),
-        np.concatenate([np.full(len(powered), n), *(_n_steps(r, period / n) for r in rests)]))
-    power = _floquet_power(us[:len(powered)]) if powered else None
-    slot = {i: k for k, i in enumerate(powered)}
-    ends = len(powered) + np.cumsum(counts)
-    return [partial(_lab_chain, power, slot.get(i), n_periods, us[end - count:end], rest > 0.0)
-            for i, ((n_periods, rest), count, end) in enumerate(zip(splits, counts, ends))]
-
-
-def _lab_chain(power, j, n_periods, remainders, has_rest, u, dest):
-    """u continued, for each duration, by ``power(j, N)`` if it spans N > 0
-    whole periods, then by its remainder's propagator, the next of
-    ``remainders``, if it has one; in blocks of ``_kernels._BLOCK``
-    durations.  Writes all but the last into ``dest`` and returns the last."""
+        stack.h0, stack.v, stack.carrier, rows, stack.t0[rows],
+        np.concatenate([np.full(len(new), stack.period), rests]),
+        np.concatenate([np.full(len(new), stack.n), _n_steps(rests, stack.period / stack.n)]))
+    if len(new):
+        stack.vecs[new], stack.phases[new] = _floquet_power(us[:len(new)])
+        stack.ready[new] = True
+    us = us[len(new):]
     rest_row = np.cumsum(has_rest) - 1
-    for lo in range(0, len(n_periods), _kernels._BLOCK):
-        hi = min(lo + _kernels._BLOCK, len(n_periods))
-        x = np.repeat(u[None], hi - lo, axis=0)
-        i = np.flatnonzero(n_periods[lo:hi])
-        if len(i):
-            x[i] = power(j, n_periods[lo + i]) @ u
-        i = np.flatnonzero(has_rest[lo:hi])
-        x[i] = remainders[rest_row[lo + i]] @ x[i]
-        dest[lo:hi] = x[:len(dest) - lo]
-    return x[-1]
+    out = np.empty((len(taus), 3, 3), dtype=complex)
+    for lo in range(0, len(taus), _kernels._BLOCK):
+        hi = min(lo + _kernels._BLOCK, len(taus))
+        x = out[lo:hi]
+        x[:] = np.eye(3)
+        i = lo + np.flatnonzero(n_periods[lo:hi])
+        v = stack.vecs[which[i]]
+        x[i - lo] = (v * np.exp(1j * n_periods[i, None] * stack.phases[which[i]])[:, None, :]
+                     ) @ v.conj().swapaxes(-1, -2)
+        i = lo + np.flatnonzero(has_rest[lo:hi])
+        x[i - lo] = us[rest_row[i]] @ x[i - lo]
+    return out
 
 
 def _floquet_power(u):
-    """(j, N) -> u[j]^N for each count in the array N, for a stack u of
-    one-period propagators; unitary to rounding for any N (squaring would
-    double u's defect per squaring).  With u turned to put -1 mid-way in
-    the widest gap of its spectrum, its Cayley transform
-    K = -i (1 + u)^-1 (1 - u) is Hermitian and well conditioned; ``eigh``
-    gives orthonormal eigenvectors and the eigenphases -2 atan(k)."""
+    """Eigenvectors v and eigenphases phi of a stack u of one-period
+    propagators, so that u[j]^N = v[j] e^{i N phi[j]} v[j]^H for any
+    count N, unitary to rounding (squaring would double u's defect per
+    squaring).  With u turned to put -1 mid-way in the widest gap of its
+    spectrum, its Cayley transform K = -i (1 + u)^-1 (1 - u) is Hermitian
+    and well conditioned; ``eigh`` gives orthonormal eigenvectors and the
+    eigenphases -2 atan(k)."""
     turn = np.array([[_widest_gap_turn(row)] for row in np.angle(np.linalg.eigvals(u)).tolist()])
     turned = np.exp(1j * turn)[..., None] * u
     w, v = np.linalg.eigh(-1j * np.linalg.solve(np.eye(3) + turned, np.eye(3) - turned))
-    phases = -2.0 * np.arctan(w) - turn
-    vh = v.conj().swapaxes(-1, -2)
-    return lambda j, n_periods: (
-        (v[j] * np.exp(1j * n_periods[:, None] * phases[j])[:, None, :]) @ vh[j])
+    return v, -2.0 * np.arctan(w) - turn
 
 
 def _widest_gap_turn(theta):
@@ -214,9 +222,10 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     array, or hold a NaN or a decrease, are refused with ``ValueError``.
 
     A first pass plans each segment's durations; the second computes their
-    propagators from the segment start and chains them with u, the
-    propagator at that start: per segment for the closed forms, all
-    segments at once for the lab method (``_lab_propagators``).
+    propagators from the segment start, per segment for the closed forms
+    and for all segments at once for the lab method (``_LabStack``,
+    ``_lab_local``), and chains each segment's with u, the propagator at
+    its start, in one product.
     """
     method = _canonical_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
@@ -238,17 +247,23 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
         done += len(taus)
         plan.append((seg, t0, np.append(taus[taus > 0.0], seg.duration)))
         ends.append(done)
-    if method == "lab_numeric":
-        steps = _lab_propagators(p, plan, steps_per_period)
+    if method == "lab_numeric" and plan:
+        stack = _LabStack(p, [seg for seg, _, _ in plan], [t0 for _, t0, _ in plan],
+                          steps_per_period)
+        counts = [len(taus) for _, _, taus in plan]
+        local = _lab_local(stack, np.repeat(np.arange(len(plan)), counts),
+                           np.concatenate([taus for _, _, taus in plan]))
+        locals_ = np.split(local, np.cumsum(counts)[:-1])
     else:
-        steps = [partial(_closed_propagators, p, method, seg, taus) for seg, _, taus in plan]
+        locals_ = (_closed_propagators(p, method, seg, taus) for seg, _, taus in plan)
     found = np.empty((len(times), 3, 3), dtype=complex)  # one propagator per sample
     u = np.eye(3, dtype=complex)
     done = 0
-    for (_, _, taus), end, step in zip(plan, ends, steps):
+    for (_, _, taus), end, local in zip(plan, ends, locals_):
         inside = end - len(taus) + 1
         found[done:inside] = u  # samples at the segment's start (or 1e-15 short of it)
-        u = step(u, found[inside:end])
+        np.matmul(local[:-1], u, out=found[inside:end])
+        u = local[-1] @ u
         done = end
     found[done:] = u
     return found
@@ -259,21 +274,17 @@ def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     return Unitary3(evolve(p, seq)[0], p.interaction_frame)
 
 
-def _closed_propagators(p, method, seg, taus, u, dest):
-    """The analytic or rotating-wave counterpart of ``_lab_chain``: u
-    continued over each duration in ``taus``, all but the last written into
-    ``dest``, the last returned."""
+def _closed_propagators(p, method, seg, taus):
+    """The analytic or rotating-wave counterpart of ``_lab_local``: the
+    propagators of ``seg`` over each duration in ``taus``."""
     if method == "analytic":
         if seg.omega_y != 0.0 and seg.beta != seg.alpha:
             raise ResonanceError(
                 "analytic propagation requires beta == alpha on two-tone segments"
             )
         ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-        us = _erc_matrix(ps, taus, seg.alpha) @ u
-    else:
-        us = _rwa_evolver(hamiltonian_rwa(p, seg))(taus) @ u
-    dest[:] = us[:-1]
-    return us[-1]
+        return _erc_matrix(ps, taus, seg.alpha)
+    return _rwa_evolver(hamiltonian_rwa(p, seg))(taus)
 
 
 _METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",

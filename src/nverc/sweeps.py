@@ -169,21 +169,35 @@ def load_config(path: str) -> dict:
 
 
 @contextlib.contextmanager
-def _output(path: str):
-    """Open ``path`` for binary writing over its previous bytes, not
-    truncated first, and cut a regular file at the written position on the
-    way out, also when the body raises: a file ends where its writing
-    stopped.  A path that cannot be opened is a ``ConfigError``."""
+def _output(*paths: str):
+    """Open every one of ``paths`` for binary writing over its previous
+    bytes, not truncated first, and yield their files; on the way out, also
+    when the body raises, cut each regular file at its written position: a
+    file ends where its writing stopped.  All are opened before any is
+    written, so a path that cannot be opened is a ``ConfigError`` that
+    leaves every file as it was: one this call created is removed again."""
+    opened = []  # (fd, path, created)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        for path in paths:
+            try:
+                opened.append((os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666),
+                               path, True))
+            except FileExistsError:
+                opened.append((os.open(path, os.O_WRONLY), path, False))
     except OSError as exc:
+        for fd, name, created in opened:
+            os.close(fd)
+            if created:
+                os.unlink(name)
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
-    with open(fd, "wb") as fh:
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(fd, "wb")) for fd, _, _ in opened]
         try:
-            yield fh
+            yield files
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+            for fh in files:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
 
 
 def _take_system(cfg: dict, swept: tuple[str, ...] = ()):
@@ -278,14 +292,16 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     grid of at most 2 axes whose cells, in C order, are the rows.  One row
     buffer of at most ``_CSV_BLOCK`` cells (or one first-axis row) serves
     the file: '.', separators and the columns constant along the first axis
-    are laid out in it once; per block, each run of adjacent columns alike
-    in shape is formatted into its slots in one call (a per-row column once
-    per row).  A block is written from the buffer itself, or with its slow
-    fields' ``%`` bytes in front of their separators, each distinct slow
-    value formatted once per file: a slow per-row field goes into all the
-    lines of its row at once, as the row's lines are rebuilt at their new
-    width, and every other slow field is spliced on its own.  The file is
-    written over the previous one at ``path`` (``_output``)."""
+    are laid out in it once; each run of adjacent per-row columns is
+    formatted once per file, into a table whose rows are copied into the
+    lines of each block; per block, every other run of adjacent columns
+    alike in shape is formatted into its slots in one call.  A block is
+    written from the buffer itself, or with its slow fields' ``%`` bytes in
+    front of their separators, each distinct slow value formatted once per
+    file: a slow per-row field goes into all the lines of its row at once,
+    as the row's lines are rebuilt at their new width, and every other slow
+    field is spliced on its own.  The file is written over the previous one
+    at ``path`` (``_output``)."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
@@ -304,18 +320,30 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     for (const, _), run in itertools.groupby((len(c) == 1 < n_outer, c.shape[1]) for c in cols):
         runs.append((j, j := j + len(list(run)), const))
     once = {j: lay(cols[j:stop], buf[:, :, j:stop]) for j, stop, const in runs if const}
+    tables = {}  # each per-row run formatted once, into a table of one line per row
+    for j, stop, const in runs:
+        if not const and cols[j].shape[1] == 1 < n_inner:
+            table = np.empty((n_outer, 1, stop - j, 19), np.uint8)
+            table[..., 1] = 46
+            tables[j] = (table, *lay(cols[j:stop], table))
     texts: dict[int, bytes] = {}  # the % bytes of each slow value, by its bits
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
-    with _output(path) as fh:
+    with _output(path) as [fh]:
         fh.write("".join(lines).encode("utf-8"))
         for k in range(0, n_outer, step):
             rows = buf[:n_outer - k]                 # the last block: a prefix view
             cell_slow, row_slow = [], []             # (field indices, values) of slow fields
             for j, stop, const in runs:
-                x, exact = once[j] if const else lay([c[k:k + len(rows)] for c in cols[j:stop]],
-                                                     rows[:, :, j:stop])
+                if const:
+                    x, exact = once[j]
+                elif j in tables:
+                    table, x, exact = tables[j]
+                    rows[:, :, j:stop, :18] = table[k:k + len(rows), :, :, :18]
+                    x, exact = x[k:k + len(rows)], exact[k:k + len(rows)]
+                else:
+                    x, exact = lay([c[k:k + len(rows)] for c in cols[j:stop]], rows[:, :, j:stop])
                 if exact.all():
                     continue
                 per_row = x.shape[1] == 1 < n_inner  # the same in every line of a row
@@ -414,7 +442,7 @@ print("wrote", {png_name!r})
 def write_plot_script(csv_path: str) -> str:
     """Drop a standalone plotting script next to a CSV (convenience only)."""
     script_path = csv_path + ".plot.py"
-    with _output(script_path) as fh:
+    with _output(script_path) as [fh]:
         fh.write(_PLOT_TEMPLATE.format(csv_name=csv_path, png_name=csv_path + ".png").encode())
     return script_path
 
@@ -618,7 +646,8 @@ _TARGET_PRESETS = {
 def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     """Synthesize a DQ gate and write the pulse-program JSON and a fidelity
     report with analytic / rotating-wave / lab cross-checks; both files are
-    written only after the cross-checks have run."""
+    written only after the cross-checks have run, and only once both could
+    be opened, so a refused report path leaves the program file as it was."""
     cfg, p, _ = _take_system(cfg)
     spec = _take(cfg, "target", "X", kind=(*_TARGET_PRESETS, "haar", list))
     spp = _take(cfg, "lab_steps_per_period", 80, int, lo=1)
@@ -643,11 +672,10 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
     for method in ("rwa", "lab"):
         u = evolve(p, result.sequence, method=method, steps_per_period=spp)[0]
         report[f"fidelity_{method}"] = synth.dq_gate_fidelity(synth.dq_block(u), target)
-    with _output(out_path) as fh:
-        fh.write(sequence_to_json(result.sequence, p).encode())
     report_path = out_path + ".report.json"
-    with _output(report_path) as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True).encode())
+    with _output(out_path, report_path) as [fh, report_fh]:
+        fh.write(sequence_to_json(result.sequence, p).encode())
+        report_fh.write(json.dumps(report, indent=2, sort_keys=True).encode())
     return {"out": out_path, "report": report_path, **report}
 
 
@@ -679,6 +707,6 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
         "best_ratio": best_ratio,
         "tolerances": {"root_xtol": ROOT_XTOL, "ratio_refine": "bounded_minimize"},
     }
-    with _output(out_path) as fh:
+    with _output(out_path) as [fh]:
         fh.write(json.dumps(result, indent=2, sort_keys=True).encode())
     return result

@@ -105,14 +105,21 @@ def _unitary_quaternion(v2: np.ndarray) -> np.ndarray:
     )
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors: the products and differences of ``np.cross``,
+    so its bits, without its axis handling."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _rotate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bloch vector x under the rotation of unit quaternion q."""
-    t = 2.0 * np.cross(q[1:], x)
-    return x + q[0] * t + np.cross(q[1:], t)
+    t = 2.0 * _cross(q[1:], x)
+    return x + q[0] * t + _cross(q[1:], t)
 
 
 def _angle(x: np.ndarray, y: np.ndarray) -> float:
-    return math.atan2(np.linalg.norm(np.cross(x, y)), x @ y)
+    return math.atan2(np.linalg.norm(_cross(x, y)), x @ y)
 
 
 def _axes(phi: float) -> dict[RotationAxis, np.ndarray]:
@@ -191,7 +198,7 @@ def _turn(n: np.ndarray, x: np.ndarray, ref: np.ndarray, target: float):
     along = (x @ n) * n
     perp = x - along
     a = ref @ perp
-    b = ref @ np.cross(n, perp)
+    b = ref @ _cross(n, perp)
     r = math.hypot(a, b)
     if r < 1e-15:
         return 0.0, x
@@ -202,7 +209,7 @@ def _turn(n: np.ndarray, x: np.ndarray, ref: np.ndarray, target: float):
 
 def _azimuth(n: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Angle of the rotation about n that takes x's azimuth to y's."""
-    return math.atan2(n @ np.cross(x, y), x @ y - (x @ n) * (y @ n))
+    return math.atan2(n @ _cross(x, y), x @ y - (x @ n) * (y @ n))
 
 
 def _walk_rotations(phi: float, q_target: np.ndarray, first: RotationAxis, length: int):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
-from nverc import calib
+from nverc import calib, prop
 from nverc import (ExtractionError, StateVector3, SystemParams,
                    characteristic_quantities, compensation_ratio, evolve,
                    not_gate_sequence,
@@ -77,6 +77,30 @@ class TestRabiExtract:
         assert vals.shape == ts.shape
         assert np.array_equal(vals, [amp(t) for t in ts])
         assert amp(0.0) == 1.0
+
+    def test_lab_period_is_decomposed_once(self, monkeypatch):
+        # the lab closure keeps its segment's period propagator: one
+        # decomposition per extraction, and at every point the root finder
+        # brackets the amplitude is evolve's bit for bit
+        powers, points = [], []
+        real_power, real_fn = prop._floquet_power, calib._ground_amplitude_fn
+        monkeypatch.setattr(prop, "_floquet_power",
+                            lambda u: (powers.append(len(u)), real_power(u))[1])
+
+        def recorded(p, method):
+            amp = real_fn(p, method)
+            return lambda t: (points.append(np.array(t, dtype=float)), amp(t))[1]
+
+        monkeypatch.setattr(calib, "_ground_amplitude_fn", recorded)
+        q = characteristic_quantities(P13)
+        rabi_extract(P13, t_max=1.5 * q.T_total, n_points=64, method="lab")
+        assert powers == [1]
+        brackets = [float(t) for t in points if t.ndim == 0]
+        assert len(brackets) > 10
+        amp = real_fn(P13, "lab")
+        for t in brackets:
+            seq = PulseSequence([PulseSegment(t, 0.0, P13.omega_x)])
+            assert amp(t) == evolve(P13, seq, [t], "lab", steps_per_period=80)[0, 1, 1].real
 
     def test_window_and_sampling_validation(self):
         with pytest.raises(ValueError):

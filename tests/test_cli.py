@@ -458,6 +458,24 @@ class TestConfigKeys:
         assert "message" in json.loads(capsys.readouterr().out)["error"]
         assert not out.exists() and not (tmp_path / "s.json.report.json").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_synth_unopenable_report_leaves_the_program_file(self, tmp_path, capsys,
+                                                             existing):
+        # the pair is refused before either file is touched: an earlier
+        # program file keeps its bytes, and a new one is not left behind
+        out = tmp_path / "s.json"
+        if existing:
+            out.write_bytes(b"earlier bytes")
+        (tmp_path / "s.json.report.json").mkdir()
+        assert main(["synth", "--config", write_cfg(tmp_path, TINY["synth"]),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and "cannot write output" in err["message"]
+        if existing:
+            assert out.read_bytes() == b"earlier bytes"
+        else:
+            assert not out.exists()
+
     def test_synth_one_lab_step_per_period_runs(self, tmp_path):
         # every Magnus step is unitary, so even one step per carrier period
         # gives a propagator and fidelities in [0, 1]

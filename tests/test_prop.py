@@ -295,10 +295,8 @@ def _lab_segment(p, seg, t0, spp, taus):
     """Lab propagators (len(taus), 3, 3) of the one segment ``seg`` from
     t0, through the walker's lab engine."""
     taus = np.asarray(taus, dtype=float)
-    step, = prop._lab_propagators(p, [(seg, t0, taus)], spp)
-    out = np.empty((len(taus), 3, 3), dtype=complex)
-    out[-1] = step(np.eye(3, dtype=complex), out[:-1])
-    return out
+    stack = prop._LabStack(p, [seg], [t0], spp)
+    return prop._lab_local(stack, np.zeros(len(taus), dtype=int), taus)
 
 
 class TestPeriodPower:
@@ -564,6 +562,46 @@ class TestCarrierFrame:
                                beta=rng.uniform(-math.pi, math.pi))
             h0, _ = _kernels._harmonics(*_kernel_args(p, seg))
             assert np.max(np.abs(h0 - hamiltonian_rwa(p, seg))) < 1e-12
+
+
+@st.composite
+def hermitian_exponents(draw):
+    """(M, traceless operator norm): a Hermitian 3x3 M = t I + Q with
+    trace 3t up to 1e3 and Q's norm up to 2 pi, of a random spectrum, an
+    exactly degenerate one, a nearly degenerate one, or Q = 0 (M = 0 or
+    M = t I).  The exact one is Q = a (1 - w w^H) with the entries of w in
+    {1, -1, i, -i}, so 3 |v><v| for a unit v: eigenvalues a, a and -2a, and
+    no rounding in Q."""
+    kind = draw(st.sampled_from(["random", "exact", "near", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    norm = 0.0 if kind == "zero" else draw(st.floats(0.0, 2 * math.pi))
+    trace = draw(st.sampled_from([0.0, draw(st.floats(-1e3, 1e3))]))
+    if kind == "exact":
+        w = np.array([1.0, *rng.choice([1.0, -1.0, 1j, -1j], 2)])
+        q = draw(st.sampled_from([0.5, -0.5])) * norm * (np.eye(3) - np.outer(w, w.conj()))
+    else:
+        eig = rng.normal(size=3) if kind == "random" else np.array(
+            [1.0, 1.0 + draw(st.floats(1e-15, 1e-6)), -2.0]) * draw(st.sampled_from([1, -1]))
+        eig -= eig.mean()
+        v = haar_unitary3(rng)
+        q = (v * (eig * norm / np.max(np.abs(eig)))) @ v.conj().T
+        q = 0.5 * (q + q.conj().T)
+    return q + trace / 3.0 * np.eye(3), norm
+
+
+class TestStepExponential:
+    @settings(max_examples=300)
+    @given(ms=st.lists(hermitian_exponents(), min_size=1, max_size=4))
+    def test_matches_expm(self, ms):
+        # exp(-i M) in closed form is expm's to 1e-12 and unitary to
+        # rounding; a stack gives each matrix the bits it gets alone
+        stack = _kernels.exp_hermitian(np.stack([m for m, _ in ms], axis=-1))
+        for k, (m, norm) in enumerate(ms):
+            u = stack[..., k]
+            assert np.array_equal(u, _kernels.exp_hermitian(m[..., None])[..., 0])
+            assert np.max(np.abs(u - expm(-1j * m))) <= 1e-12
+            defect = np.max(np.abs(u @ u.conj().T - np.eye(3)))
+            assert defect <= (1e-14 if norm <= 1.0 else 1e-13)
 
 
 class TestKernels:
