@@ -15,8 +15,9 @@ amplitude), not by interpolating sampled points, so extraction error is set
 by the root-finder tolerance rather than the sample count.  The depletion
 minimum and the best ratio are refined by ``fminbound``, Brent's bounded
 minimizer.  Both are in-package ports of scipy's implementations and return
-the same bits.  Measurements are exact populations; no shot noise or
-contrast model.
+the same bits.  The rwa amplitude and the ratio grid each decompose one
+stack of H_rwa by one batched ``eigh``.  Measurements are exact
+populations; no shot noise or contrast model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExtractionError
-from .ham import hamiltonian_rwa, require_resonant, static_hamiltonian
+from .ham import hamiltonian_rwa_stack, require_resonant, static_hamiltonian
 from .prop import _canonical_method, _LabStack, _lab_local, _rwa_evolver
 from .pulses import PulseSegment
 from .spin import SystemParams
@@ -248,8 +249,8 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        rwa = _rwa_evolver(hamiltonian_rwa(p, seg))
-        return lambda t: rwa(t)[..., 1, 1].real
+        rwa = _rwa_evolver(hamiltonian_rwa_stack([p], [seg]))
+        return lambda t: rwa(0, t)[..., 1, 1].real
 
     stack = _LabStack(p, [seg], [0.0], 80)
 
@@ -320,14 +321,9 @@ def rabi_extract(
     amp = _ground_amplitude_fn(p, method)
     ts = np.linspace(0.0, t_max, n_points)
     vals = amp(ts)
-    zeros = []
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0:
-            zeros.append(ts[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(brentq(amp, ts[i], ts[i + 1], xtol=ROOT_XTOL, rtol=1e-15))
-        if len(zeros) == 2:
-            break
+    # a grid point where the amplitude is exactly 0 is itself a zero
+    zeros = [ts[i] if vals[i] == 0.0 else brentq(amp, ts[i], ts[i + 1], xtol=ROOT_XTOL, rtol=1e-15)
+             for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))[:2]]
     if len(zeros) < 2:
         raise ExtractionError(
             "ground-state population never vanishes in the scan window; "
@@ -348,21 +344,22 @@ def rabi_extract(
 _DEPLETION_GRID = 512
 
 
-def _min_ground_population(p: SystemParams, ratio: float, window: float):
-    """Minimum over time of the |0> population under the two-tone drive."""
-    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=ratio * p.omega_x)
-    rwa = _rwa_evolver(hamiltonian_rwa(p, seg))
-
-    def p0(t):
-        return np.abs(rwa(t)[..., 1, 1]) ** 2
-
+def _min_ground_populations(p: SystemParams, ratios, window: float) -> list[float]:
+    """Minimum over time of the |0> population under the two-tone drive,
+    for each amplitude ratio, from one decomposed stack of their H_rwa."""
+    segs = [PulseSegment(0.0, 0.0, p.omega_x, r * p.omega_x) for r in ratios]
+    rwa = _rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
-    vals = p0(ts)
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, _DEPLETION_GRID - 1)]
-    _, fx = fminbound(p0, lo, hi, xatol=1e-13)
-    return min(fx, float(vals[i]))
+    out = []
+    for j in range(len(segs)):
+        def p0(t, j=j):
+            return np.abs(rwa(j, t)[..., 1, 1]) ** 2
+
+        vals = p0(ts)
+        i = int(np.argmin(vals))
+        _, fx = fminbound(p0, ts[max(i - 1, 0)], ts[min(i + 1, _DEPLETION_GRID - 1)], xatol=1e-13)
+        out.append(min(fx, float(vals[i])))
+    return out
 
 
 def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
@@ -385,13 +382,13 @@ def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
         raise ValueError("ratio grid must be strictly increasing")
     mu, om = p.muB, p.omega_x
     window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
-    depletion = np.array([_min_ground_population(p, r, window) for r in ratios])
+    depletion = np.array(_min_ground_populations(p, ratios, window))
     i = int(np.argmin(depletion))
     best = float(ratios[i])
     # an essentially exact zero IS the resonance; refining would only add
     # optimizer noise on top of it
     if depletion[i] > 1e-12 and 0 < i < len(ratios) - 1:
-        x, _ = fminbound(lambda r: _min_ground_population(p, r, window),
+        x, _ = fminbound(lambda r: _min_ground_populations(p, [r], window)[0],
                          ratios[i - 1], ratios[i + 1], xatol=1e-10)
         best = float(x)
     return RatioScanResult(

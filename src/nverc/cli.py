@@ -17,6 +17,7 @@ parse human text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -61,6 +62,7 @@ _DOMAIN_ERRORS = (RegimeError, DomainError, ResonanceError, ExtractionError,
 _NUMERIC_ERRORS = (NoConvergenceError,)
 
 
+@functools.cache  # built once per process: every in-process main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nverc",

@@ -25,6 +25,8 @@ which specializes to the plain effective-Raman form when Ex = Ey = 0 and
 omega_y = 0, where |B_a> = (muB |-> + e^{-i a} (omega/2) |0>) / obar is the
 bright state, the dark state |D_a> is annihilated, and the dynamics is a
 Rabi oscillation between |+> and |B_a> at frequency obar.
+``hamiltonian_rwa_stack`` is the one builder of H_rwa: it builds a stack of
+(system, segment) pairs in one pass, one pair as a one-row stack.
 
 This module also owns the Raman resonance condition
 
@@ -72,7 +74,6 @@ from .spin import (KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ,
 
 __all__ = [
     "hamiltonian_lab",
-    "hamiltonian_rwa",
     "hamiltonian_rwa_stack",
     "static_hamiltonian",
     "lab_drive_operators",
@@ -133,42 +134,25 @@ def hamiltonian_lab(p: SystemParams, seg: PulseSegment, t: float) -> np.ndarray:
     )
 
 
-def hamiltonian_rwa(p: SystemParams, seg: PulseSegment) -> np.ndarray:
-    """Time-independent rotating-wave Hamiltonian for one segment.
-
-    Returns the plain Raman form, its transverse-strain extension, or the
-    two-tone form, depending on which of (Ex, Ey, omega_y) are nonzero.
-    Ez never appears: it is absorbed into the interaction picture
-    (D + Ez) Sz^2 together with the matching carrier.
-    """
-    h = p.muB * SZ.copy()  # == muB (|-><+| + |+><-|) on the DQ doublet
-    drive = (seg.omega_x / 2.0) * np.exp(1j * seg.alpha) * _DRIVE_X
-    if seg.omega_y != 0.0:
-        drive = drive + 1j * (seg.omega_y / 2.0) * np.exp(1j * seg.beta) * _DRIVE_Y
-    h += drive + drive.conj().T
-    if p.Ex != 0.0:
-        h += p.Ex * (_P_PLUS - _P_MINUS)
-    if p.Ey != 0.0:
-        dq = 1j * p.Ey * _DQ
-        h += dq + dq.conj().T
-    return h
-
-
 def hamiltonian_rwa_stack(systems, segments) -> np.ndarray:
-    """``hamiltonian_rwa`` of each (system, segment) pair, shape (m, 3, 3),
-    by the same arithmetic over arrays, in one pass.  A term whose field is
-    zero is left out of its row, so each row has the bits of its
-    Hamiltonian built alone."""
+    """Time-independent rotating-wave Hamiltonians, shape (m, 3, 3), one
+    per (system, segment) pair, built in one pass over arrays.
+
+    Each row is the plain Raman form, its transverse-strain extension or the
+    two-tone form, as (Ex, Ey, omega_y) are zero or not; a row's bits do not
+    depend on the other rows.  Ez never appears: it is absorbed into the
+    interaction picture (D + Ez) Sz^2 together with the matching carrier.
+    One segment of one system is ``hamiltonian_rwa_stack([p], [seg])[0]``.
+    """
     mu, ox, oy, alpha, beta, ex, ey = np.array(
         [(p.muB, s.omega_x, s.omega_y, s.alpha, s.beta, p.Ex, p.Ey)
          for p, s in zip(systems, segments)], dtype=float).reshape(-1, 7).T[..., None, None]
-    h = mu * SZ
     drive = (ox / 2.0) * np.exp(1j * alpha) * _DRIVE_X
-    drive = np.where(oy != 0.0, drive + 1j * (oy / 2.0) * np.exp(1j * beta) * _DRIVE_Y, drive)
-    h += drive + drive.conj().swapaxes(-1, -2)
-    h = np.where(ex != 0.0, h + ex * (_P_PLUS - _P_MINUS), h)
+    drive = drive + 1j * (oy / 2.0) * np.exp(1j * beta) * _DRIVE_Y
     dq = 1j * ey * _DQ
-    return np.where(ey != 0.0, h + (dq + dq.conj().swapaxes(-1, -2)), h)
+    # mu SZ == muB (|-><+| + |+><-|) on the DQ doublet
+    h = mu * SZ + (drive + drive.conj().swapaxes(-1, -2)) + ex * (_P_PLUS - _P_MINUS)
+    return h + (dq + dq.conj().swapaxes(-1, -2))
 
 
 def bright_dark_vectors(muB: float, omega: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:

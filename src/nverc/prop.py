@@ -4,11 +4,11 @@ Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
-exact matrix exponentiation per segment.  ``_rwa_evolver`` holds the
-package's one eigendecomposition of H_rwa; rotating-wave segments and the
-calibration root finders evaluate any array of durations through it, and
-the spectral maps evaluate one population over a uniform time grid for a
-whole stack of H_rwa, decomposed by one batched ``eigh``.
+exact matrix exponentiation.  ``_rwa_evolver`` holds the package's one
+eigendecomposition of H_rwa, one batched ``eigh`` of a caller's stack
+(``ham.hamiltonian_rwa_stack``): a program's segments and the calibration
+root finders evaluate any array of durations of a row through it, and the
+spectral maps one population over a uniform time grid for every row.
 
 Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -46,7 +46,7 @@ import numpy as np
 from . import _kernels
 from .erc import _erc_matrix
 from .errors import ResonanceError
-from .ham import hamiltonian_rwa, lab_drive_operators, static_hamiltonian
+from .ham import hamiltonian_rwa_stack, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSequence
 from .spin import SystemParams, Unitary3
 
@@ -56,14 +56,14 @@ LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
 
 
 def _rwa_evolver(h: np.ndarray, bra=None):
-    """Decompose H_rwa once, by one ``eigh``, for every call of the function
-    returned.
+    """Decompose a stack ``h`` of H_rwa, shape (m, 3, 3), once, by one
+    batched ``eigh``, for every call of the function returned.
 
-    Without ``bra``, ``h`` is one (3, 3) matrix: t -> exp(-i h t) for a
-    scalar or array of durations t, shape ``t.shape + (3, 3)``.
+    Without ``bra``: (j, t) -> exp(-i h_j t) for a row j and a scalar or
+    array of durations t, shape ``t.shape + (3, 3)``.
 
-    With a bra <a| (shape (3,)), the grid mode over a stack ``h`` of shape
-    (m, 3, 3): (t_max, n_t) -> |<a| exp(-i h_i t_k) |0>|^2 of shape
+    With a bra <a| (shape (3,)), the grid mode over the whole stack:
+    (t_max, n_t) -> |<a| exp(-i h_i t_k) |0>|^2 of shape
     (m, n_t), on the grid t_k = k dt of ``np.linspace(0, t_max, n_t)``.
     The amplitude is sum_j c_j e^(-i w_j t_k) with c_j = <a|v_j><v_j|0>.
     Writing k = q B + r with B = ceil(sqrt(n_t)) factors each phase as
@@ -75,13 +75,13 @@ def _rwa_evolver(h: np.ndarray, bra=None):
     if bra is not None:
         c = (bra @ v) * v[..., 1, :].conj()
         return partial(_grid_populations, w, c)
-    vh = v.conj().T
+    vh = v.conj().swapaxes(-1, -2)
 
-    def evolve(duration):
+    def evolve(j, duration):
         t = np.asarray(duration, dtype=float)
-        vw = v * np.exp(-1j * w * t[..., None])[..., None, :]
+        vw = v[j] * np.exp(-1j * w[j] * t[..., None])[..., None, :]
         # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
-        return (vw.reshape(-1, 3) @ vh).reshape(vw.shape)
+        return (vw.reshape(-1, 3) @ vh[j]).reshape(vw.shape)
 
     return evolve
 
@@ -172,18 +172,14 @@ def _floquet_power(u):
     spectrum, its Cayley transform K = -i (1 + u)^-1 (1 - u) is Hermitian
     and well conditioned; ``eigh`` gives orthonormal eigenvectors and the
     eigenphases -2 atan(k)."""
-    turn = np.array([[_widest_gap_turn(row)] for row in np.angle(np.linalg.eigvals(u)).tolist()])
+    theta = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    ends = np.concatenate([theta[:, 1:], theta[:, :1] + 2.0 * math.pi], axis=-1)
+    # the last of the widest gaps between neighbours on the circle
+    gap = 2 - np.argmax((ends - theta)[:, ::-1], axis=-1)[:, None]
+    turn = math.pi - 0.5 * (np.take_along_axis(theta, gap, -1) + np.take_along_axis(ends, gap, -1))
     turned = np.exp(1j * turn)[..., None] * u
     w, v = np.linalg.eigh(-1j * np.linalg.solve(np.eye(3) + turned, np.eye(3) - turned))
     return v, -2.0 * np.arctan(w) - turn
-
-
-def _widest_gap_turn(theta):
-    """The turn that puts -1 mid-way in the widest gap between eigenphases
-    ``theta`` on the circle."""
-    theta = sorted(theta)
-    gaps = zip(theta, theta[1:] + [theta[0] + 2.0 * math.pi])
-    return math.pi - max((b - a, 0.5 * (a + b)) for a, b in gaps)[1]
 
 
 def _n_steps(duration, step):
@@ -207,8 +203,8 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     """Interaction-frame propagators (n, 3, 3) of a pulse program at n
     non-decreasing sample times, by default one, the whole program.
 
-    ``method``: ``analytic`` (closed forms), ``rwa`` (per-segment matrix
-    exponential of the rotating-wave Hamiltonian) or ``lab`` (full lab-frame
+    ``method``: ``analytic`` (closed forms), ``rwa`` (matrix exponentials
+    of the segments' rotating-wave Hamiltonians) or ``lab`` (full lab-frame
     integration, counter-rotating terms included, taken to the interaction
     frame of ``p``); ``rwa_numeric`` and ``lab_numeric`` are accepted too.
 
@@ -222,10 +218,10 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     array, or hold a NaN or a decrease, are refused with ``ValueError``.
 
     A first pass plans each segment's durations; the second computes their
-    propagators from the segment start, per segment for the closed forms
-    and for all segments at once for the lab method (``_LabStack``,
-    ``_lab_local``), and chains each segment's with u, the propagator at
-    its start, in one product.
+    propagators from the segment start: per segment for the closed forms,
+    from one stack of all segments for the others (one ``eigh`` of their
+    H_rwa; ``_LabStack`` and ``_lab_local``), and chains each segment's
+    with u, the propagator at its start, in one product.
     """
     method = _canonical_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
@@ -247,15 +243,18 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
         done += len(taus)
         plan.append((seg, t0, np.append(taus[taus > 0.0], seg.duration)))
         ends.append(done)
+    segs = [seg for seg, _, _ in plan]
     if method == "lab_numeric" and plan:
-        stack = _LabStack(p, [seg for seg, _, _ in plan], [t0 for _, t0, _ in plan],
-                          steps_per_period)
+        stack = _LabStack(p, segs, [t0 for _, t0, _ in plan], steps_per_period)
         counts = [len(taus) for _, _, taus in plan]
         local = _lab_local(stack, np.repeat(np.arange(len(plan)), counts),
                            np.concatenate([taus for _, _, taus in plan]))
         locals_ = np.split(local, np.cumsum(counts)[:-1])
+    elif method == "rwa_numeric" and plan:
+        rwa = _rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
+        locals_ = (rwa(j, taus) for j, (_, _, taus) in enumerate(plan))
     else:
-        locals_ = (_closed_propagators(p, method, seg, taus) for seg, _, taus in plan)
+        locals_ = (_closed_propagators(p, seg, taus) for seg, _, taus in plan)
     found = np.empty((len(times), 3, 3), dtype=complex)  # one propagator per sample
     u = np.eye(3, dtype=complex)
     done = 0
@@ -274,17 +273,15 @@ def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     return Unitary3(evolve(p, seq)[0], p.interaction_frame)
 
 
-def _closed_propagators(p, method, seg, taus):
-    """The analytic or rotating-wave counterpart of ``_lab_local``: the
-    propagators of ``seg`` over each duration in ``taus``."""
-    if method == "analytic":
-        if seg.omega_y != 0.0 and seg.beta != seg.alpha:
-            raise ResonanceError(
-                "analytic propagation requires beta == alpha on two-tone segments"
-            )
-        ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-        return _erc_matrix(ps, taus, seg.alpha)
-    return _rwa_evolver(hamiltonian_rwa(p, seg))(taus)
+def _closed_propagators(p, seg, taus):
+    """The closed-form counterpart of ``_lab_local``: the propagators of
+    ``seg`` over each duration in ``taus``."""
+    if seg.omega_y != 0.0 and seg.beta != seg.alpha:
+        raise ResonanceError(
+            "analytic propagation requires beta == alpha on two-tone segments"
+        )
+    ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
+    return _erc_matrix(ps, taus, seg.alpha)
 
 
 _METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",

@@ -7,9 +7,9 @@ characteristic times).  A trace runs its program once (``prop.evolve``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
 map row is one array operation, and every command runs in one process.
 Every map observable is a population |<a|psi>|^2 with one bra <a|; the
-rows of an ``ey-map`` or ``ratio-map`` come from one batched ``eigh`` of
-their stacked rotating-wave Hamiltonians, which gives <a|U(t)|0> on the
-map's time grid as a sum of three phases (``prop._rwa_evolver``).
+rows of an ``ey-map`` or ``ratio-map`` come from one ``eigh`` of their
+stacked H_rwa (``ham.hamiltonian_rwa_stack``), which gives <a|U(t)|0> on
+the map's time grid as a sum of three phases (``prop._rwa_evolver``).
 ``_write_csv`` takes one column per header field, shaped on the map's
 grid, and reuses one row buffer of ``_CSV_BLOCK`` cells per file: a
 column constant along the first axis (the time axis) is laid out in it

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from nverc import SystemParams
+from nverc.ham import hamiltonian_rwa_stack
 
 # environment for child interpreters: they find the package under src/ as
 # this one does through pyproject's pythonpath, installed or not
@@ -30,6 +31,11 @@ def random_plain_params(rng, n, d=500.0, margin=1.05, omega_max_factor=8.0):
         omega = muB * rng.uniform(2.0 * margin, omega_max_factor)
         out.append(SystemParams(D=d, muB=muB, omega_x=omega))
     return out
+
+
+def rwa_hamiltonian(p, seg):
+    """The rotating-wave Hamiltonian (3, 3) of one segment of one system."""
+    return hamiltonian_rwa_stack([p], [seg])[0]
 
 
 def haar_unitary3(rng):

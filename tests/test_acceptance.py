@@ -11,14 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, random_plain_params
+from conftest import ACCEPTANCE_RESULTS, random_plain_params, rwa_hamiltonian
 from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError,
                    PulseSegment, PulseSequence, RotationAxis, SystemParams,
                    characteristic_quantities, closed_form_unitary,
                    compensation_ratio, dq_rotation, erc_unitary, evolve,
                    not_gate_sequence, phi_state, rabi_extract, ratio_scan,
                    synthesize_gate)
-from nverc.ham import hamiltonian_rwa
 from nverc.spin import KET_0, KET_P1
 from nverc.synth import dq_block, dq_gate_fidelity, haar_unitary2
 
@@ -211,7 +210,7 @@ def test_criterion_08_transverse_y_overlays():
     for ey in np.linspace(0.0, boundary, 33, endpoint=False):
         p = P13.replace(Ey=ey)
         q = characteristic_quantities(p)
-        h = hamiltonian_rwa(p, PulseSegment(1.0, 0.0, p.omega_x))
+        h = rwa_hamiltonian(p, PulseSegment(1.0, 0.0, p.omega_x))
         w, v = np.linalg.eigh(h)
         c = v[1, :].conj() * v[1, :]
         amp = lambda t: float(np.real(np.sum(c * np.exp(-1j * w * t))))
@@ -224,7 +223,7 @@ def test_criterion_08_transverse_y_overlays():
     ok_zero = worst_rel < 1e-6
 
     p_beyond = P13.replace(Ey=1.02 * boundary)
-    h = hamiltonian_rwa(p_beyond, PulseSegment(1.0, 0.0, 3.0))
+    h = rwa_hamiltonian(p_beyond, PulseSegment(1.0, 0.0, 3.0))
     w, v = np.linalg.eigh(h)
     c = v[1, :].conj() * v[1, :]
     ts = np.linspace(0.0, 12.0, 4001)

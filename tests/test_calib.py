@@ -162,6 +162,17 @@ class TestRatioScan:
         assert res.best_ratio == pytest.approx(0.5)  # closest grid point
         assert min(res.depletion) > 1e-5
 
+    def test_grid_is_decomposed_once(self, monkeypatch):
+        # one stack of the grid's H_rwa and one batched eigh; the refinement
+        # then decomposes one row per score it evaluates
+        shapes = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (shapes.append(h.shape), real_eigh(h))[1])
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7)
+        ratio_scan(p, np.round(np.arange(17) * 0.05, 2))
+        assert shapes[0] == (17, 3, 3)
+        assert len(shapes) > 1 and set(shapes[1:]) == {(1, 3, 3)}
+
     def test_unsorted_grid_rejected(self):
         # refining between list neighbours of an unsorted grid brackets the
         # wrong interval: this one silently returned 0.45, not sqrt(2) - 1

@@ -5,13 +5,12 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import random_plain_params
+from conftest import random_plain_params, rwa_hamiltonian
 from nverc import (DQRotation, PulseSegment, PulseSequence, RegimeError,
                    RotationAxis, StateVector3, SystemParams, bright_dark,
                    characteristic_quantities, closed_form_unitary,
                    compensation_ratio, dq_rotation, erc, erc_unitary, evolve,
                    not_gate_sequence, phi_state, sequence_unitary)
-from nverc.ham import hamiltonian_rwa
 from nverc.spin import KET_0, KET_M1, KET_P1, KET_PLUS
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
@@ -24,7 +23,7 @@ PHI_13 = 0.841068670567930
 
 
 def rwa_h(p, alpha=0.0):
-    return hamiltonian_rwa(p, PulseSegment(1.0, alpha, p.omega_x, p.omega_y))
+    return rwa_hamiltonian(p, PulseSegment(1.0, alpha, p.omega_x, p.omega_y))
 
 
 class TestCharacteristicQuantities:

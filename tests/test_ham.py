@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_plain_params
+from conftest import random_plain_params, rwa_hamiltonian
 from nverc import PulseSegment, SystemParams
 from nverc.ham import (bright_dark_vectors, compensation_ratio, dressing_matrix,
-                       hamiltonian_lab, hamiltonian_rwa, hamiltonian_rwa_stack,
-                       static_hamiltonian)
+                       hamiltonian_lab, hamiltonian_rwa_stack, static_hamiltonian)
 from nverc.spin import KET_MINUS, KET_PLUS, SZ2
 
 
@@ -62,22 +61,22 @@ class TestLabHamiltonian:
                 pmat = np.diag(ph)
                 acc += pmat @ (hamiltonian_lab(p, seg, t) - h0) @ pmat.conj().T
             acc /= n
-            assert np.max(np.abs(acc - hamiltonian_rwa(p, seg))) < 1e-6 * max(1.0, p.omega_x)
+            assert np.max(np.abs(acc - rwa_hamiltonian(p, seg))) < 1e-6 * max(1.0, p.omega_x)
 
 
 class TestRwaHamiltonian:
     def test_plain_matrix_elements(self):
         p = SystemParams(D=500.0, muB=1.3, omega_x=3.0)
         alpha = 0.6
-        h = hamiltonian_rwa(p, seg_for(p, alpha))
+        h = rwa_hamiltonian(p, seg_for(p, alpha))
         assert abs(np.vdot(KET_MINUS, h @ KET_PLUS) - 1.3) < 1e-14
         drive = np.vdot(KET_PLUS, h @ np.array([0, 1, 0], dtype=complex))
         assert abs(drive - 1.5 * np.exp(1j * alpha)) < 1e-14
 
     def test_transverse_x_projector_shift(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ex=0.4)
-        h = hamiltonian_rwa(p, seg_for(p))
-        h0 = hamiltonian_rwa(p.replace(Ex=0.0), seg_for(p))
+        h = rwa_hamiltonian(p, seg_for(p))
+        h0 = rwa_hamiltonian(p.replace(Ex=0.0), seg_for(p))
         dq = h - h0
         want = 0.4 * (np.outer(KET_PLUS, KET_PLUS.conj()) - np.outer(KET_MINUS, KET_MINUS.conj()))
         assert np.max(np.abs(dq - want)) < 1e-14
@@ -86,16 +85,17 @@ class TestRwaHamiltonian:
         for p in random_plain_params(rng, 10):
             alpha = rng.uniform(0, 2 * math.pi)
             _, d = bright_dark_vectors(p.muB, p.omega_x, alpha)
-            assert np.linalg.norm(hamiltonian_rwa(p, seg_for(p, alpha)) @ d) < 1e-13
+            assert np.linalg.norm(rwa_hamiltonian(p, seg_for(p, alpha)) @ d) < 1e-13
 
     def test_ez_never_enters(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ez=0.7)
-        h1 = hamiltonian_rwa(p, seg_for(p))
-        h2 = hamiltonian_rwa(p.replace(Ez=0.0), seg_for(p))
+        h1 = rwa_hamiltonian(p, seg_for(p))
+        h2 = rwa_hamiltonian(p.replace(Ez=0.0), seg_for(p))
         assert np.array_equal(h1, h2)
 
-    # a field is zero (so its term is left out) or a signed value, and the
-    # drive phases are zero or not, so every row takes a mix of branches
+    # a field is a signed zero or a signed value, and the drive phases are
+    # zero or not: a row's bits must not depend on its neighbours, which the
+    # maps' stacks rely on
     @settings(max_examples=100)
     @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)] * 5,
                               st.floats(0.0, 3.0), st.sampled_from([None, 0.0]) | st.floats(-7.0, 7.0)),
@@ -106,9 +106,10 @@ class TestRwaHamiltonian:
         segs = [PulseSegment(0.0, alpha, ox, oy, beta) for ox, oy, alpha, _, _, _, beta in rows]
         stack = hamiltonian_rwa_stack(systems, segs)
         assert stack.shape == (len(rows), 3, 3)
-        # bytes, not values: a -0.0 for a +0.0 would differ here
+        # bytes, not values: a -0.0 for a +0.0 would differ here; each row
+        # against the one-row stack of its own pair
         assert stack.tobytes() == np.array(
-            [hamiltonian_rwa(p, s) for p, s in zip(systems, segs)]).tobytes()
+            [rwa_hamiltonian(p, s) for p, s in zip(systems, segs)]).tobytes()
 
 
 class TestDressingIdentities:
@@ -122,8 +123,8 @@ class TestDressingIdentities:
             p = SystemParams(D=500.0, muB=muB, omega_x=om, Ey=ey)
             g = dressing_matrix(p)
             p_eff = SystemParams(D=500.0, muB=math.hypot(muB, ey), omega_x=om)
-            lhs = hamiltonian_rwa(p, seg_for(p, alpha))
-            rhs = g @ hamiltonian_rwa(p_eff, seg_for(p_eff, alpha)) @ g.conj().T
+            lhs = rwa_hamiltonian(p, seg_for(p, alpha))
+            rhs = g @ rwa_hamiltonian(p_eff, seg_for(p_eff, alpha)) @ g.conj().T
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_compensated_two_tone_reduces(self, rng):
@@ -138,8 +139,8 @@ class TestDressingIdentities:
                              Ex=ex, Ey=ey)
             g = dressing_matrix(p)
             p_eff = SystemParams(D=500.0, muB=p.muB_eff(), omega_x=p.omega_eff())
-            lhs = hamiltonian_rwa(p, seg_for(p, alpha, alpha))
-            rhs = g @ hamiltonian_rwa(p_eff, seg_for(p_eff, alpha)) @ g.conj().T
+            lhs = rwa_hamiltonian(p, seg_for(p, alpha, alpha))
+            rhs = g @ rwa_hamiltonian(p_eff, seg_for(p_eff, alpha)) @ g.conj().T
             assert np.max(np.abs(lhs - rhs)) < 1e-12
             # rotated Hamiltonian has no |+>/<-> diagonal terms left
             rot = g.conj().T @ lhs @ g
@@ -150,6 +151,6 @@ class TestDressingIdentities:
         p = SystemParams(D=500.0, muB=1.0, omega_x=4.5,
                          omega_y=(math.sqrt(2) - 1) * 4.5, Ex=0.7, Ey=-0.7)
         p_eff = SystemParams(D=500.0, muB=p.muB_eff(), omega_x=p.omega_eff())
-        w1 = np.linalg.eigvalsh(hamiltonian_rwa(p, seg_for(p, 0.45, 0.45)))
-        w2 = np.linalg.eigvalsh(hamiltonian_rwa(p_eff, seg_for(p_eff, 0.45)))
+        w1 = np.linalg.eigvalsh(rwa_hamiltonian(p, seg_for(p, 0.45, 0.45)))
+        w2 = np.linalg.eigvalsh(rwa_hamiltonian(p_eff, seg_for(p_eff, 0.45)))
         assert np.max(np.abs(w1 - w2)) < 1e-10

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import haar_unitary3
+from conftest import haar_unitary3, rwa_hamiltonian
 from nverc import (FrameTag, PulseSegment, PulseSequence, SystemParams,
                    characteristic_quantities, erc_unitary, not_gate_sequence)
 from nverc import _kernels, prop
-from nverc.ham import (hamiltonian_lab, hamiltonian_rwa, lab_drive_operators,
-                       static_hamiltonian)
+from nverc.ham import hamiltonian_lab, lab_drive_operators, static_hamiltonian
 from nverc.spin import KET_0, KET_M1, KET_P1, SZ2
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
@@ -40,7 +39,7 @@ def dressed_stacks(draw):
         alpha = draw(st.floats(-math.pi, math.pi))
         seg = PulseSegment(0.0, alpha, om, om * draw(field),
                            beta=alpha + draw(st.floats(0.1, 2.0 * math.pi - 0.1)))
-        rows.append(hamiltonian_rwa(p, seg))
+        rows.append(rwa_hamiltonian(p, seg))
     return np.array(rows)
 
 
@@ -57,6 +56,22 @@ class TestRwaPropagation:
         u = prop.evolve(P13, seq, method="rwa")[-1]
         assert np.array_equal(u, np.eye(3))
 
+    def test_program_is_decomposed_once(self, monkeypatch):
+        # one stack of every segment's H_rwa and one batched eigh, whatever
+        # the segment count; a zero-duration segment is not in the stack
+        shapes = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (shapes.append(h.shape), real_eigh(h))[1])
+        q = characteristic_quantities(P13)
+        durations = [0.3, 1.1, 0.0, 0.7, 2.4, 0.9, 1.6, 0.2]
+        seq = PulseSequence([PulseSegment(f * q.T_total, 0.4 * k, P13.omega_x)
+                             for k, f in enumerate(durations)])
+        times = np.linspace(0.0, seq.total_duration, 23)
+        got = prop.evolve(P13, seq, times, "rwa")
+        assert shapes == [(7, 3, 3)]
+        monkeypatch.undo()
+        assert np.max(np.abs(got - prop.evolve(P13, seq, times, "analytic"))) < 1e-12
+
 
 class TestBatchedRwaSegment:
     @pytest.mark.parametrize("p,seg", [
@@ -66,11 +81,11 @@ class TestBatchedRwaSegment:
     ])
     def test_array_equals_scalar_calls(self, p, seg):
         ts = np.linspace(0.0, 9.0, 37)
-        rwa = prop._rwa_evolver(hamiltonian_rwa(p, seg))
-        batch = rwa(ts)
+        rwa = prop._rwa_evolver(rwa_hamiltonian(p, seg)[None])
+        batch = rwa(0, ts)
         assert batch.shape == (37, 3, 3)
         for t, u in zip(ts, batch):
-            assert np.max(np.abs(u - rwa(t))) < 1e-14
+            assert np.max(np.abs(u - rwa(0, t))) < 1e-14
         seq = PulseSequence([PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)])
         assert np.max(np.abs(batch[5] - prop.evolve(p, seq, method="rwa")[-1])) < 1e-14
 
@@ -90,8 +105,8 @@ class TestBatchedRwaSegment:
             p = SystemParams(D=500.0, muB=mu, omega_x=om, **field)
             seg = PulseSegment(0.0, rng.uniform(-math.pi, math.pi), p.omega_x, p.omega_y,
                                beta=rng.uniform(-math.pi, math.pi))
-            h = hamiltonian_rwa(p, seg)
-            column = prop._rwa_evolver(h)(ts)[:, :, 1]
+            h = rwa_hamiltonian(p, seg)
+            column = prop._rwa_evolver(h[None])(0, ts)[:, :, 1]
             bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.linalg.eigvalsh(h))) * t_max)
             for bra in (KET_P1, KET_0, KET_M1):
                 got = prop._rwa_evolver(h[None], bra)(t_max, n_t)
@@ -112,9 +127,65 @@ class TestBatchedRwaSegment:
             bra = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}[which]
         got = prop._rwa_evolver(h, bra)(t_max, n_t)
         ts = np.linspace(0.0, t_max, n_t)
-        want = [np.abs(prop._rwa_evolver(row)(ts)[..., :, 1] @ bra) ** 2 for row in h]
+        want = [np.abs(prop._rwa_evolver(row[None])(0, ts)[..., :, 1] @ bra) ** 2 for row in h]
         assert got.shape == (len(h), n_t)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@st.composite
+def period_propagators(draw):
+    """Stacks (m, 3, 3) of unitaries: Haar random, or of a degenerate
+    spectrum (triple, double, equally spaced, holding -1, or with phases
+    near +-pi) in a random eigenbasis or the computational one, where the
+    -1 is exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["haar", "triple", "double", "equal", "minus_one", "near_pi"]))
+        if kind == "haar":
+            rows.append(haar_unitary3(rng))
+            continue
+        a = draw(st.sampled_from([0.0, math.pi, None]))
+        a = rng.uniform(-math.pi, math.pi) if a is None else a
+        b = rng.uniform(-math.pi, math.pi)
+        phases = {"triple": [a, a, a], "double": [a, a, b],
+                  "equal": [a, a + 2.0 * math.pi / 3.0, a - 2.0 * math.pi / 3.0],
+                  "minus_one": [math.pi, a, b],
+                  "near_pi": [math.pi - 1e-9, 1e-9 - math.pi, b]}[kind]
+        d = np.exp(1j * np.array(phases))
+        if kind == "minus_one":
+            d[0] = -1.0
+        q = haar_unitary3(rng) if draw(st.booleans()) else np.eye(3)
+        rows.append((q * d) @ q.conj().T)
+    return np.array(rows)
+
+
+def _loop_floquet_power(u):
+    """``prop._floquet_power`` with its turn taken row by row in Python:
+    the reference for the array form, which must give the same bits."""
+    turn = []
+    for theta in np.angle(np.linalg.eigvals(u)).tolist():
+        theta = sorted(theta)
+        gaps = zip(theta, theta[1:] + [theta[0] + 2.0 * math.pi])
+        turn.append([math.pi - max((b - a, 0.5 * (a + b)) for a, b in gaps)[1]])
+    turned = np.exp(1j * np.array(turn))[..., None] * u
+    w, v = np.linalg.eigh(-1j * np.linalg.solve(np.eye(3) + turned, np.eye(3) - turned))
+    return v, -2.0 * np.arctan(w) - turn
+
+
+class TestFloquetPower:
+    @settings(max_examples=300)
+    @given(period_propagators())
+    def test_decomposition_reconstructs_the_propagator(self, u):
+        # u = v e^{i phi} v^H with v unitary, for every spectrum: a turn that
+        # missed the widest gap's middle would make the Cayley transform
+        # singular or ill conditioned
+        v, phi = prop._floquet_power(u)
+        vh = v.conj().swapaxes(-1, -2)
+        assert np.max(np.abs((v * np.exp(1j * phi)[:, None, :]) @ vh - u)) < 1e-13
+        assert np.max(np.abs(vh @ v - np.eye(3))) < 1e-13
+        v_ref, phi_ref = _loop_floquet_power(u)
+        assert v.tobytes() == v_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
 
 
 class TestLabPropagation:
@@ -561,7 +632,7 @@ class TestCarrierFrame:
             seg = PulseSegment(1.0, rng.uniform(-math.pi, math.pi), p.omega_x, p.omega_y,
                                beta=rng.uniform(-math.pi, math.pi))
             h0, _ = _kernels._harmonics(*_kernel_args(p, seg))
-            assert np.max(np.abs(h0 - hamiltonian_rwa(p, seg))) < 1e-12
+            assert np.max(np.abs(h0 - rwa_hamiltonian(p, seg))) < 1e-12
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary3, random_plain_params
+from conftest import haar_unitary3, random_plain_params, rwa_hamiltonian
 from nverc import StateVector3, SystemParams, Unitary3, phi_state
 from nverc.spin import KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS, SX, SY, SZ
 
@@ -57,14 +57,13 @@ class TestPhiState:
         # full-angle exponents, not half-angle.
         from scipy.linalg import expm
 
-        from nverc.ham import hamiltonian_rwa
         from nverc.pulses import PulseSegment
 
         muB, om = 1.0, 3.0
         p = SystemParams(D=500.0, muB=muB, omega_x=om)
         obar = math.sqrt(muB**2 + om**2 / 4)
         t_prime = math.acos(-4 * muB**2 / om**2) / obar
-        h = hamiltonian_rwa(p, PulseSegment(t_prime, 0.0, om))
+        h = rwa_hamiltonian(p, PulseSegment(t_prime, 0.0, om))
         psi = expm(-1j * h * t_prime) @ KET_0
 
         phi = math.acos(2 * muB / om)

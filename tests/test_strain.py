@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from conftest import rwa_hamiltonian
 from nverc import (DomainError, DQRotation, NvErcError, PulseSegment,
                    PulseSequence, RegimeError, ResonanceError, RotationAxis,
                    SystemParams, bright_dark,
                    characteristic_quantities, compensation_ratio, dq_rotation,
                    dressing_unitary, effective_params, erc_unitary, evolve,
                    phi_from_times, rabi_extract, synthesize_gate)
-from nverc.ham import hamiltonian_lab, hamiltonian_rwa
+from nverc.ham import hamiltonian_lab
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 
@@ -43,7 +44,7 @@ class TestEyCharacteristics:
         p = SystemParams(D=500.0, muB=1.0, omega_x=3.0, Ey=0.5)
         q = characteristic_quantities(p)
         # oracle: root of the numerically propagated ground-state amplitude
-        h = hamiltonian_rwa(p, PulseSegment(1.0, 0.0, p.omega_x))
+        h = rwa_hamiltonian(p, PulseSegment(1.0, 0.0, p.omega_x))
         amp = lambda t: float(np.real(expm(-1j * h * t)[1, 1]))
         root = brentq(amp, 0.4 * q.T_prime, 1.5 * q.T_prime, xtol=1e-14)
         assert abs(root - q.T_prime) < 1e-8
@@ -142,7 +143,7 @@ class TestEffectiveParams:
         p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, omega_y=r * 4.5,
                          Ex=0.7, Ey=-0.7)
         q = characteristic_quantities(p)
-        h = hamiltonian_rwa(p, PulseSegment(1.0, 0.0, p.omega_x, p.omega_y))
+        h = rwa_hamiltonian(p, PulseSegment(1.0, 0.0, p.omega_x, p.omega_y))
         for t in (q.T_prime, q.T_second):
             p0 = abs(expm(-1j * h * t)[1, 1]) ** 2
             assert p0 < 1e-20
@@ -207,7 +208,7 @@ class TestEzNeutrality:
         for t in (0.0, 0.31, 1.7):
             assert np.max(np.abs(hamiltonian_lab(p1, seg, t)
                                  - hamiltonian_lab(p2, seg, t))) < 1e-12
-        assert np.array_equal(hamiltonian_rwa(p1, seg), hamiltonian_rwa(p2, seg))
+        assert np.array_equal(rwa_hamiltonian(p1, seg), rwa_hamiltonian(p2, seg))
         q1, q2 = characteristic_quantities(p1), characteristic_quantities(p2)
         assert q1 == q2
         u1 = erc_unitary(p1, 0.8, 0.2)
