@@ -16,22 +16,25 @@ by the root-finder tolerance rather than the sample count.  The depletion
 minimum and the best ratio are refined by ``fminbound``, Brent's bounded
 minimizer.  Both are in-package ports of scipy's implementations and return
 the same bits.  The rwa amplitude and the ratio grid each decompose one
-stack of H_rwa by one batched ``eigh``.  Measurements are exact
-populations; no shot noise or contrast model.
+stack of H_rwa by one batched ``eigh``; the ratio scan reads the |0>
+population from eigenvalues and weights alone, forming no propagator.
+Measurements are exact populations; no shot noise or contrast model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import hamiltonian_rwa_stack, require_resonant, static_hamiltonian
-from .prop import _canonical_method, _LabStack, _lab_local, _rwa_evolver
+from .prop import (_canonical_method, _grid_populations, _LabStack, _lab_local, _population,
+                   _rwa_evolver, _spectral_weights)
 from .pulses import PulseSegment
-from .spin import SystemParams
+from .spin import KET_0, SystemParams
 
 __all__ = [
     "OdmrResult",
@@ -346,18 +349,17 @@ _DEPLETION_GRID = 512
 
 def _min_ground_populations(p: SystemParams, ratios, window: float) -> list[float]:
     """Minimum over time of the |0> population under the two-tone drive,
-    for each amplitude ratio, from one decomposed stack of their H_rwa."""
+    for each amplitude ratio: |sum_j c_j e^(-i w_j t)|^2 from one batched
+    ``eigh`` of the ratios' H_rwa, on a grid whose argmin brackets a bounded
+    minimization of the same sum.  No propagator is formed."""
     segs = [PulseSegment(0.0, 0.0, p.omega_x, r * p.omega_x) for r in ratios]
-    rwa = _rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
+    w, c = _spectral_weights(hamiltonian_rwa_stack([p] * len(segs), segs), KET_0)
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
     out = []
-    for j in range(len(segs)):
-        def p0(t, j=j):
-            return np.abs(rwa(j, t)[..., 1, 1]) ** 2
-
-        vals = p0(ts)
+    for wj, cj, vals in zip(w, c, _grid_populations(w, c, window, _DEPLETION_GRID)):
         i = int(np.argmin(vals))
-        _, fx = fminbound(p0, ts[max(i - 1, 0)], ts[min(i + 1, _DEPLETION_GRID - 1)], xatol=1e-13)
+        _, fx = fminbound(partial(_population, wj, cj), ts[max(i - 1, 0)],
+                          ts[min(i + 1, _DEPLETION_GRID - 1)], xatol=1e-13)
         out.append(min(fx, float(vals[i])))
     return out
 
@@ -366,10 +368,11 @@ def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
     """Scan the two-tone amplitude ratio for ground-state depletion.
 
     For each ratio the score is the minimum |0> population over a window
-    covering at least one full Rabi cycle; the best ratio refines the grid
-    argmin by a bounded scalar minimization of the same score between its
-    two neighbours (interior argmin only - a boundary argmin is returned as
-    the closest grid point).
+    covering at least one full Rabi cycle, from one decomposed stack of the
+    grid's H_rwa; the best ratio refines the grid argmin by a bounded scalar
+    minimization of the same score between its two neighbours (interior
+    argmin only - a boundary argmin is returned as the closest grid point).
+    A grid must be strictly increasing, and each tone r omega_x finite.
     """
     if p.Ex == 0.0:
         raise ValueError("ratio_scan expects a transverse-x field to compensate")
@@ -378,8 +381,10 @@ def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
     ratios = np.asarray(list(ratio_grid), dtype=float)
     if ratios.size < 3:
         raise ValueError("ratio grid needs at least 3 points")
-    if not np.all(np.diff(ratios) > 0.0):  # NaN fails too
+    if not np.all(ratios[1:] > ratios[:-1]):  # NaN fails too; no difference can overflow
         raise ValueError("ratio grid must be strictly increasing")
+    if not all(math.isfinite(r * p.omega_x) for r in ratios.tolist()):  # floats: no warning
+        raise ValueError("ratio_grid holds a ratio r whose tone r * omega_x is not finite")
     mu, om = p.muB, p.omega_x
     window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
     depletion = np.array(_min_ground_populations(p, ratios, window))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .ham import bright_dark_vectors, dressing_matrix, require_resonant
 from .pulses import DQRotation, PulseSegment, PulseSequence, RotationAxis
-from .spin import KET_0, KET_PLUS, StateVector3, SystemParams, Unitary3, phi_state
+from .spin import KET_0, KET_PLUS, StateVector3, SystemParams, Unitary3, _phi_amps
 
 __all__ = [
     "ErcQuantities",
@@ -161,11 +161,32 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
     lam = signs[which] * 2.0 * characteristic_quantities(p).phi
     ea = np.exp(1j * alpha)
     u = (
-        ea * np.outer(phi_state(lam).amps, KET_0.conj())
-        + ea.conjugate() * np.outer(KET_0, phi_state(-lam).amps.conj())
-        - np.outer(phi_state(math.pi + lam).amps, phi_state(math.pi - lam).amps.conj())
+        ea * np.outer(_phi_amps(lam), KET_0.conj())
+        + ea.conjugate() * np.outer(KET_0, _phi_amps(-lam).conj())
+        - np.outer(_phi_amps(math.pi + lam), _phi_amps(math.pi - lam).conj())
     )
     return Unitary3(_dressed(p, u), p.interaction_frame)
+
+
+def _dq_rotations(p: SystemParams, axes, thetas, alpha: float = 0.0):
+    """The rotations R(axes[k], thetas[k]) as one stack (L, 3, 3),
+    u_k = e^{-i theta_k} P_0 + e^{i theta_k} P_a + P_o (P_o: the axis
+    state's orthogonal partner), dressed once, and their 2L segments at
+    base phases alpha and alpha + theta_k; checks and projectors run once."""
+    q = characteristic_quantities(p)
+    lam = 2.0 * q.phi
+    parts = {}  # per axis: P_a, P_o and the two pulse durations
+    for axis, sign, durations in ((RotationAxis.MINUS_PHI, -1.0, (q.T_prime, q.T_second)),
+                                  (RotationAxis.PLUS_PHI, 1.0, (q.T_second, q.T_prime))):
+        a, o = _phi_amps(sign * lam), _phi_amps(math.pi + sign * lam)
+        parts[axis] = np.outer(a, a.conj()), np.outer(o, o.conj()), durations
+    pa, po = (np.array([parts[ax][i] for ax in axes]).reshape(-1, 3, 3) for i in (0, 1))
+    th = np.asarray(thetas, dtype=float).reshape(-1, 1, 1)
+    u = np.exp(-1j * th) * np.outer(KET_0, KET_0.conj()) + np.exp(1j * th) * pa + po
+    segments = [PulseSegment(t, phase, p.omega_x, p.omega_y)
+                for ax, theta in zip(axes, th.ravel().tolist())
+                for t, phase in zip(parts[ax][2], (alpha, alpha + theta))]
+    return _dressed(p, u), segments
 
 
 def dq_rotation(
@@ -178,21 +199,8 @@ def dq_rotation(
     The unitary does not depend on the base phase ``alpha``, only the
     sequence does.
     """
-    q = characteristic_quantities(p)
-    lam = 2.0 * q.phi
-    if r.axis is RotationAxis.MINUS_PHI:
-        ax_angle, orth_angle = -lam, math.pi - lam
-        durations = (q.T_prime, q.T_second)
-    else:
-        ax_angle, orth_angle = lam, math.pi + lam
-        durations = (q.T_second, q.T_prime)
-    p0 = np.outer(KET_0, KET_0.conj())
-    pa = np.outer(phi_state(ax_angle).amps, phi_state(ax_angle).amps.conj())
-    po = np.outer(phi_state(orth_angle).amps, phi_state(orth_angle).amps.conj())
-    u = _dressed(p, np.exp(-1j * r.theta) * p0 + np.exp(1j * r.theta) * pa + po)
-    seq = PulseSequence([PulseSegment(durations[0], alpha, p.omega_x, p.omega_y),
-                         PulseSegment(durations[1], alpha + r.theta, p.omega_x, p.omega_y)])
-    return Unitary3(u, p.interaction_frame), seq
+    u, segments = _dq_rotations(p, [r.axis], [r.theta], alpha)
+    return Unitary3(u[0], p.interaction_frame), PulseSequence(segments)
 
 
 def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:

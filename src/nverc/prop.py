@@ -4,11 +4,12 @@ Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
-exact matrix exponentiation.  ``_rwa_evolver`` holds the package's one
-eigendecomposition of H_rwa, one batched ``eigh`` of a caller's stack
-(``ham.hamiltonian_rwa_stack``): a program's segments and the calibration
-root finders evaluate any array of durations of a row through it, and the
-spectral maps one population over a uniform time grid for every row.
+exact matrix exponentiation.  Each H_rwa call site decomposes one stack
+(``ham.hamiltonian_rwa_stack``) by one batched ``eigh``: through
+``_rwa_evolver``, a program's segments and the calibration root finders
+evaluate any array of durations of a row; through ``_spectral_weights``,
+the spectral maps and the ratio scan read one population from eigenvalues
+and weights alone, on a uniform time grid or at single times.
 
 Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -39,7 +40,6 @@ the error falls as h^4.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -55,26 +55,12 @@ __all__ = ["evolve", "sequence_unitary"]
 LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
 
 
-def _rwa_evolver(h: np.ndarray, bra=None):
+def _rwa_evolver(h: np.ndarray):
     """Decompose a stack ``h`` of H_rwa, shape (m, 3, 3), once, by one
-    batched ``eigh``, for every call of the function returned.
-
-    Without ``bra``: (j, t) -> exp(-i h_j t) for a row j and a scalar or
-    array of durations t, shape ``t.shape + (3, 3)``.
-
-    With a bra <a| (shape (3,)), the grid mode over the whole stack:
-    (t_max, n_t) -> |<a| exp(-i h_i t_k) |0>|^2 of shape
-    (m, n_t), on the grid t_k = k dt of ``np.linspace(0, t_max, n_t)``.
-    The amplitude is sum_j c_j e^(-i w_j t_k) with c_j = <a|v_j><v_j|0>.
-    Writing k = q B + r with B = ceil(sqrt(n_t)) factors each phase as
-    e^(-i w_j q B dt) e^(-i w_j r dt): a row takes 2 sqrt(n_t) exponentials
-    per eigenvalue and one (n_t / B, 3) @ (3, B) product, and the rows are
-    filled one at a time, so no (m, n_t) complex array is built.
-    """
+    batched ``eigh``, for every call of the function returned:
+    (j, t) -> exp(-i h_j t) for a row j and a scalar or array of durations
+    t, shape ``t.shape + (3, 3)``."""
     w, v = np.linalg.eigh(h)
-    if bra is not None:
-        c = (bra @ v) * v[..., 1, :].conj()
-        return partial(_grid_populations, w, c)
     vh = v.conj().swapaxes(-1, -2)
 
     def evolve(j, duration):
@@ -86,9 +72,28 @@ def _rwa_evolver(h: np.ndarray, bra=None):
     return evolve
 
 
+def _spectral_weights(h, bra):
+    """Eigenvalues w (m, 3) of a stack ``h`` of H_rwa, by one batched
+    ``eigh``, and the weights c_j = <a|v_j><v_j|0> of a bra <a| (shape
+    (3,)), so that <a| exp(-i h_i t) |0> = sum_j c_ij e^(-i w_ij t)."""
+    w, v = np.linalg.eigh(h)
+    return w, (bra @ v) * v[..., 1, :].conj()
+
+
+def _population(w, c, t):
+    """|sum_j c_j e^(-i w_j t)|^2 of one row of ``_spectral_weights``."""
+    a = c @ np.exp(-1j * w * t)
+    return a.real * a.real + a.imag * a.imag
+
+
 def _grid_populations(w, c, t_max, n_t):
     """|sum_j c_ij e^(-i w_ij t_k)|^2, shape (m, n_t), for eigenvalues ``w``
-    and weights ``c`` of shape (m, 3), at t_k = k t_max / (n_t - 1)."""
+    and weights ``c`` of shape (m, 3), on the grid t_k = k dt of
+    ``np.linspace(0, t_max, n_t)``.  Writing k = q B + r with
+    B = ceil(sqrt(n_t)) factors each phase as e^(-i w_j q B dt)
+    e^(-i w_j r dt): a row takes 2 sqrt(n_t) exponentials per eigenvalue and
+    one (n_t / B, 3) @ (3, B) product, and the rows are filled one at a
+    time, so no (m, n_t) complex array is built."""
     dt = t_max / (n_t - 1)                       # np.linspace's step
     b = math.isqrt(n_t - 1) + 1                  # ceil(sqrt(n_t))
     n_q = -(-n_t // b)

@@ -217,9 +217,6 @@ class Unitary3:
             raise ValueError(f"frame mismatch: {self.frame} vs {other.frame}")
         return Unitary3(self.m @ other.m, self.frame)
 
-    def dagger(self) -> "Unitary3":
-        return Unitary3(self.m.conj().T, self.frame)
-
 
 def phi_state(lam: float) -> StateVector3:
     """Equatorial DQ state (1/sqrt 2)(-e^{i lam/2} |+1> + e^{-i lam/2} |-1>).
@@ -228,6 +225,11 @@ def phi_state(lam: float) -> StateVector3:
     ``lam`` and together span the DQ subspace; the Bloch azimuth is
     ``pi - lam``.
     """
-    return StateVector3(
-        np.array([-np.exp(0.5j * lam), 0.0, np.exp(-0.5j * lam)]) / _SQRT2
-    )
+    return StateVector3(_phi_amps(lam, unit=False))
+
+
+def _phi_amps(lam: float, unit: bool = True) -> np.ndarray:
+    """``phi_state(lam).amps`` bit for bit, without building the state; or,
+    with ``unit=False``, the amplitudes before StateVector3 normalises them."""
+    a = np.array([-np.exp(0.5j * lam), 0.0, np.exp(-0.5j * lam)]) / _SQRT2
+    return a / np.linalg.norm(a) if unit else a

@@ -9,7 +9,7 @@ map row is one array operation, and every command runs in one process.
 Every map observable is a population |<a|psi>|^2 with one bra <a|; the
 rows of an ``ey-map`` or ``ratio-map`` come from one ``eigh`` of their
 stacked H_rwa (``ham.hamiltonian_rwa_stack``), which gives <a|U(t)|0> on
-the map's time grid as a sum of three phases (``prop._rwa_evolver``).
+the map's time grid as a sum of three phases (``prop._grid_populations``).
 ``_write_csv`` takes one column per header field, shaped on the map's
 grid, and reuses one row buffer of ``_CSV_BLOCK`` cells per file: a
 column constant along the first axis (the time axis) is laid out in it
@@ -58,7 +58,7 @@ from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .ham import compensation_ratio, hamiltonian_rwa_stack
-from .prop import _canonical_method, _rwa_evolver, evolve
+from .prop import _canonical_method, _grid_populations, _spectral_weights, evolve
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -546,7 +546,7 @@ def _ground_state_states(systems, bra, t_max: float, n_t: int) -> np.ndarray:
     one ``eigh`` of the stacked rotating-wave Hamiltonians for all rows."""
     h = hamiltonian_rwa_stack(systems, [PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)
                                         for p in systems])
-    return _rwa_evolver(h, bra)(t_max, n_t)
+    return _grid_populations(*_spectral_weights(h, bra), t_max, n_t)
 
 
 def _ey_overlay(p) -> tuple[float, float, float]:

@@ -17,15 +17,17 @@ by the alternating-product bound of Lowenthal (Rocky Mountain J. Math. 1,
 Bloch rotation and gamma the angle between the axis lines.  A rotation
 about l keeps the polar angle about l and one about the other axis moves
 it by at most 2 gamma; k = (L - 1) // 2 of the rotations after the first
-are about the other axis.  So L rotations realize the target iff |angle(l, U f) - angle(l, f)| <= 2 k
-gamma (for L = 3 this is ``three_rotation_feasible``), and the shortest L
-passing for either f is minimal; it is solved for k directly, per f and
-parity, not searched for.  The walk then splits that polar change
-into k equal steps: a rotation about l puts the tracked vector on a cone
-about the other axis whose half-angle lies mid-way in the range holding
-both step endpoints, a rotation about the other axis makes the step (each
-angle one spherical law-of-cosines solve), a last rotation about l lands
-on U f, and the rest of the target fixes f, giving the first angle.
+are about the other axis.  So L rotations realize the target iff
+|angle(l, U f) - angle(l, f)| <= 2 k gamma, and the shortest L passing for
+either f is minimal; it is solved for k directly, per f and parity, not
+searched for.  The walk then splits that polar change into k equal steps:
+a rotation about l puts the tracked vector on a cone about the other axis
+whose half-angle lies mid-way in the range holding both step endpoints, a
+rotation about the other axis makes the step (each angle one spherical
+law-of-cosines solve), a last rotation about l lands on U f, and the rest
+of the target fixes f, giving the first angle.  The program's unitary is
+the product of one stack of its rotations' closed forms
+(``erc._dq_rotations``), chained in application order.
 
 Degenerate geometry: the axes coincide as phi -> 0 (omega -> 2 muB) and
 again where 4 phi -> pi (omega = 2 muB / cos(pi/8) is the orthogonal-axes
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erc import characteristic_quantities, dq_rotation
+from .erc import _dq_rotations, characteristic_quantities
 from .errors import AxisDegenerateError, NoConvergenceError
 from .ham import dressing_matrix
 from .pulses import DQRotation, PulseSequence, RotationAxis
@@ -52,7 +54,6 @@ __all__ = [
     "dq_gate_fidelity",
     "rotation_quaternion",
     "compose_rotations",
-    "three_rotation_feasible",
     "haar_unitary2",
 ]
 
@@ -144,28 +145,9 @@ def compose_rotations(phi: float, rotations) -> np.ndarray:
     return q
 
 
-def three_rotation_feasible(phi: float, q_target: np.ndarray, outer: RotationAxis) -> bool:
-    """Reachability test for the (outer, other, outer) three-rotation ansatz."""
-    a = _axes(phi)[outer]
-    sep = 4.0 * phi  # angle between the two axis vectors
-    v = q_target[1:]
-    v_perp = v - (v @ a) * a
-    return float(v_perp @ v_perp) <= math.sin(sep) ** 2 + 1e-12
-
-
 def _axis_line_angle(phi: float) -> float:
     """Angle between the two rotation axis lines, folded to [0, pi/2]."""
     return abs(math.remainder(4.0 * phi, math.pi))
-
-
-def _reachable(phi: float, q_target: np.ndarray, first: RotationAxis, length: int) -> bool:
-    """Whether ``length`` alternating rotations starting about ``first``
-    can realize the target (the reach test of the module docstring)."""
-    ax = _axes(phi)
-    f = ax[first]
-    l = f if length % 2 else ax[_other(first)]
-    change = _angle(l, _rotate(q_target, f)) - _angle(l, f)
-    return abs(change) <= 2 * ((length - 1) // 2) * _axis_line_angle(phi) + _ANGLE_TOL
 
 
 def _shortest(phi: float, q_target: np.ndarray) -> tuple[int, RotationAxis]:
@@ -308,12 +290,10 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
 
 
 def _finalize(p: SystemParams, rotations, target: np.ndarray) -> SynthesisResult:
+    stack, segments = _dq_rotations(p, [r.axis for r in rotations], [r.theta for r in rotations])
     u = np.eye(3, dtype=complex)
-    segments = []
-    for r in rotations:
-        ur, seq = dq_rotation(p, r)
-        u = ur.m @ u
-        segments.extend(seq.segments)
+    for ur in stack:
+        u = ur @ u
     fid = dq_gate_fidelity(dq_block(u), target)
     if fid < 1.0 - TARGET_INFIDELITY:
         raise NoConvergenceError(residual=1.0 - fid, n_rotations=len(rotations))

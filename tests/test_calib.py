@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from nverc import (ExtractionError, StateVector3, SystemParams,
                    not_gate_sequence,
                    rabi_extract, ratio_scan, simulate_odmr)
 from nverc.calib import _ground_amplitude_fn
+from nverc.ham import hamiltonian_rwa_stack
 from nverc.pulses import PulseSegment, PulseSequence
 from nverc.spin import KET_P1
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # frozen oracle: eigensplitting of the doublet block with Ex=0.3, muB=1
 SPLITTING_EX03 = 2.088061301782110
@@ -131,7 +135,44 @@ class TestRabiExtract:
         assert abs(np.vdot(a, b)) >= 1 - 1e-6
 
 
+def min_ground_populations_by_propagators(p, ratios, window):
+    """The depletion scores read off full 3x3 rwa propagators at every grid
+    time and minimizer step: the form the eigen-phase scan replaced."""
+    segs = [PulseSegment(0.0, 0.0, p.omega_x, r * p.omega_x) for r in ratios]
+    rwa = prop._rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
+    n = calib._DEPLETION_GRID
+    ts = np.linspace(0.0, window, n)
+    out = []
+    for j in range(len(segs)):
+        def p0(t, j=j):
+            return np.abs(rwa(j, t)[..., 1, 1]) ** 2
+
+        vals = p0(ts)
+        i = int(np.argmin(vals))
+        _, fx = calib.fminbound(p0, ts[max(i - 1, 0)], ts[min(i + 1, n - 1)], xatol=1e-13)
+        out.append(min(fx, float(vals[i])))
+    return out
+
+
 class TestRatioScan:
+    @settings(max_examples=60)
+    @given(st.floats(0.2, 2.0), st.floats(2.1, 6.0), st.floats(0.05, 1.0), st.floats(-1.0, 1.0),
+           st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
+    def test_scores_equal_the_full_propagator_scores(self, mu, drive, ex, ey, ratios):
+        p = SystemParams(D=500.0, muB=mu, omega_x=drive * mu, Ex=ex, Ey=ey)
+        window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + p.omega_x ** 2 / 4.0)
+        got = calib._min_ground_populations(p, ratios, window)
+        want = min_ground_populations_by_propagators(p, ratios, window)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+    def test_compensation_config_best_ratio_pinned(self):
+        # configs/calibrate_ex_compensation.json's system and grid: the
+        # refined ratio, bit for bit, as the full-propagator scan gave it
+        cfg = json.loads((CONFIGS / "calibrate_ex_compensation.json").read_text())
+        res = ratio_scan(SystemParams(**cfg["system"]), cfg["ratio_grid"])
+        assert res.best_ratio == 0.41421356237962725
+
+
     def test_recovers_compensation_ratio(self):
         p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7)
         r_star = compensation_ratio(0.7, -0.7)

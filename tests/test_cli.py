@@ -191,6 +191,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
+    def test_calibrate_ratio_with_infinite_tone_is_2(self, tmp_path, capsys):
+        # 1e308 is a finite ratio whose tone 1e308 * omega_x is not: it used
+        # to print numpy's overflow warning and then blame omega_y, a key
+        # the config never set
+        doc = dict(EX_SYSTEM, ratio_grid=[0, 0.4, 1e308])
+        out = tmp_path / "cal.json"
+        rc = main(["calibrate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)["error"]
+        assert err["type"] == "ValueError" and "ratio_grid" in err["message"]
+        assert "omega_y" not in err["message"] and "Warning" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("axis, named", [
         ({"ratio_min": 0.5, "ratio_max": 0.1}, "'ratio'"),
         ({"ratio_max": math.inf}, "'ratio'"), ({"ratio_min": math.nan}, "'ratio'"),

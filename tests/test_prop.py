@@ -91,7 +91,7 @@ class TestBatchedRwaSegment:
 
     @pytest.mark.parametrize("kind", ["plain", "two-tone", "Ex", "Ey"])
     def test_column_equals_full_propagator_column(self, rng, kind):
-        # the grid mode's |<a|U(t_k)|0>|^2, for each basis bra <a|, against
+        # the grid populations |<a|U(t_k)|0>|^2, for each basis bra <a|, against
         # the full propagator's |0> column; both round the phases w t, so the
         # bound grows with max|w| t_max
         t_max, n_t = 50.0, 64
@@ -109,7 +109,7 @@ class TestBatchedRwaSegment:
             column = prop._rwa_evolver(h[None])(0, ts)[:, :, 1]
             bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.linalg.eigvalsh(h))) * t_max)
             for bra in (KET_P1, KET_0, KET_M1):
-                got = prop._rwa_evolver(h[None], bra)(t_max, n_t)
+                got = prop._grid_populations(*prop._spectral_weights(h[None], bra), t_max, n_t)
                 assert got.shape == (1, n_t)
                 assert np.max(np.abs(got[0] - np.abs(column @ bra) ** 2)) <= bound
 
@@ -117,7 +117,7 @@ class TestBatchedRwaSegment:
     @given(dressed_stacks(), st.sampled_from(["plus1", "zero", "minus1", "target"]),
            st.sampled_from([2, 3, 7, 64, 65, 6001]), st.floats(0.1, 10.0), st.data())
     def test_grid_equals_full_propagator(self, h, which, n_t, t_max, data):
-        # the grid mode's |<a|U(t_k)|0>|^2 against the full propagator's
+        # the grid populations |<a|U(t_k)|0>|^2 against the full propagator's
         # |0> column on the same np.linspace grid, row by row
         if which == "target":
             z = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
@@ -125,7 +125,7 @@ class TestBatchedRwaSegment:
             bra = np.conj(np.array(z[:3]) + 1j * np.array(z[3:])) / np.linalg.norm(z)
         else:
             bra = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}[which]
-        got = prop._rwa_evolver(h, bra)(t_max, n_t)
+        got = prop._grid_populations(*prop._spectral_weights(h, bra), t_max, n_t)
         ts = np.linspace(0.0, t_max, n_t)
         want = [np.abs(prop._rwa_evolver(row[None])(0, ts)[..., :, 1] @ bra) ** 2 for row in h]
         assert got.shape == (len(h), n_t)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_ENV
-from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError,
-                   RotationAxis, SystemParams,
-                   characteristic_quantities, dq_block, dq_gate_fidelity,
-                   dq_rotation, evolve, phi_state, synthesize_gate)
-from nverc.synth import (_K_MAX, _reachable, _shortest, _unitary_quaternion,
-                         compose_rotations, haar_unitary2, rotation_quaternion,
-                         three_rotation_feasible)
+from nverc import (AxisDegenerateError, DQRotation, NoConvergenceError, PulseSequence,
+                   RotationAxis, SystemParams, characteristic_quantities,
+                   compensation_ratio, dq_block, dq_gate_fidelity, dq_rotation, erc,
+                   evolve, phi_state, spin, synth, synthesize_gate)
+from nverc.synth import (_ANGLE_TOL, _K_MAX, _angle, _axes, _axis_line_angle, _other,
+                         _rotate, _shortest, _unitary_quaternion, compose_rotations,
+                         haar_unitary2, rotation_quaternion)
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
 # drive putting the two rotation axes exactly 90 degrees apart (4 phi = pi/2)
@@ -22,6 +22,26 @@ OMEGA_ORTHO = 2.0 / math.cos(math.pi / 8.0)
 P_ORTHO = SystemParams(D=500.0, muB=1.0, omega_x=OMEGA_ORTHO)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def three_rotation_feasible(phi, q_target, outer):
+    """Reachability of the (outer, other, outer) three-rotation ansatz:
+    the target's vector part lies within sin(4 phi) of the outer axis."""
+    a = _axes(phi)[outer]
+    v = q_target[1:]
+    v_perp = v - (v @ a) * a
+    return float(v_perp @ v_perp) <= math.sin(4.0 * phi) ** 2 + 1e-12
+
+
+def reachable(phi, q_target, first, length):
+    """Whether ``length`` alternating rotations starting about ``first``
+    can realize the target: the reach test of the synth module docstring,
+    tried at one length."""
+    ax = _axes(phi)
+    f = ax[first]
+    l = f if length % 2 else ax[_other(first)]
+    change = _angle(l, _rotate(q_target, f)) - _angle(l, f)
+    return abs(change) <= 2 * ((length - 1) // 2) * _axis_line_angle(phi) + _ANGLE_TOL
 
 
 def quat_to_su2(q):
@@ -67,6 +87,65 @@ class TestQuaternionModel:
             from nverc.synth import _unitary_quaternion
             qt = _unitary_quaternion(v)
             assert three_rotation_feasible(q.phi, qt, RotationAxis.MINUS_PHI)
+
+
+@st.composite
+def resonant_systems(draw):
+    """A plain system, or a dressed one (Ex, Ey) whose second tone restores
+    the Raman resonance, driven inside the resonant regime."""
+    mu = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        return SystemParams(D=500.0, muB=mu, omega_x=mu * draw(st.floats(2.05, 8.0)))
+    ex = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    ey = draw(st.floats(-1.0, 1.0))
+    r = compensation_ratio(ex, ey)
+    p = SystemParams(D=500.0, muB=mu, omega_x=1.0, Ex=ex, Ey=ey)
+    om = p.muB_eff() * draw(st.floats(2.05, 8.0)) / math.hypot(1.0, r)
+    return p.replace(omega_x=om, omega_y=r * om)
+
+
+ROTATION = st.builds(DQRotation, st.sampled_from(RotationAxis), st.floats(-math.pi, math.pi))
+
+
+class TestRotationStack:
+    @settings(max_examples=150)
+    @given(resonant_systems(),
+           st.sampled_from([0, 1, 9]).flatmap(lambda n: st.lists(ROTATION, min_size=n,
+                                                                 max_size=n)))
+    def test_stack_equals_per_rotation_gates_and_program(self, p, rotations):
+        # one stack of closed forms against one dq_rotation per rotation,
+        # and the finalised program against its propagation by segments
+        stack, segments = erc._dq_rotations(p, [r.axis for r in rotations],
+                                            [r.theta for r in rotations])
+        assert stack.shape == (len(rotations), 3, 3)
+        u = np.eye(3, dtype=complex)
+        for r, ur in zip(rotations, stack):
+            want = dq_rotation(p, r)[0].m
+            assert np.max(np.abs(ur - want)) <= 1e-14
+            u = want @ u
+        assert segments == [s for r in rotations for s in dq_rotation(p, r)[1].segments]
+        res = synth._finalize(p, rotations, dq_block(u))
+        assert res.sequence == PulseSequence(segments)
+        assert np.max(np.abs(res.unitary.m - u)) <= 1e-14
+        # evolve chains 2 segments per rotation, each adding up to ~2e-15 of rounding
+        bound = 1e-14 + 3e-15 * len(rotations)
+        assert np.max(np.abs(res.unitary.m - evolve(p, res.sequence)[0])) <= bound
+
+    def test_synthesis_builds_one_unitary_and_no_rotation_gate(self, monkeypatch):
+        # the program's unitary is its result's only Unitary3; dq_rotation,
+        # under any alias inside the package, is not called
+        made, calls = [], []
+        real_init, real_rotation = spin.Unitary3.__init__, erc.dq_rotation
+        monkeypatch.setattr(spin.Unitary3, "__init__",
+                            lambda self, *a, **k: (made.append(1), real_init(self, *a, **k))[1])
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "nverc"]:
+            for key, value in list(vars(mod).items()):
+                if value is real_rotation:
+                    monkeypatch.setattr(mod, key, lambda *a, **k: (calls.append(1),
+                                                                   real_rotation(*a, **k))[1])
+        res = synthesize_gate(P13, X)
+        assert len(res.rotations) == 15
+        assert len(made) == 1 and calls == []
 
 
 class TestSynthesizeGate:
@@ -180,7 +259,7 @@ class TestMinimalLength:
             qt = _unitary_quaternion(haar_unitary2(rng))
             for axis in RotationAxis:
                 feasible = three_rotation_feasible(phi, qt, axis)
-                assert _reachable(phi, qt, axis, 3) == feasible
+                assert reachable(phi, qt, axis, 3) == feasible
                 seen.add(feasible)
         assert seen == {True, False}
 
@@ -205,12 +284,12 @@ class TestMinimalLength:
         # lengths cover both parities, and it is monotone within a parity
         qt = _unitary_quaternion(haar_unitary2(np.random.default_rng(seed)))
         length, first = _shortest(phi, qt)
-        assert _reachable(phi, qt, first, length)
+        assert reachable(phi, qt, first, length)
         for shorter in range(max(length - 2, 1), length):
             for axis in RotationAxis:
-                assert not _reachable(phi, qt, axis, shorter)
+                assert not reachable(phi, qt, axis, shorter)
         if first is RotationAxis.PLUS_PHI:
-            assert not _reachable(phi, qt, RotationAxis.MINUS_PHI, length)
+            assert not reachable(phi, qt, RotationAxis.MINUS_PHI, length)
 
     def test_far_beyond_budget_reports_the_minimal_length(self):
         # phi = 1.2e-3: Y needs 655 rotations, found without trying each
