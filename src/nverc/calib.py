@@ -15,9 +15,9 @@ amplitude), not by interpolating sampled points, so extraction error is set
 by the root-finder tolerance rather than the sample count.  The depletion
 minimum and the best ratio are refined by ``fminbound``, Brent's bounded
 minimizer.  Both are in-package ports of scipy's implementations and return
-the same bits.  The rwa amplitude and the ratio grid each decompose one
-stack of H_rwa by one batched ``eigh``; the ratio scan reads the |0>
-population from eigenvalues and weights alone, forming no propagator.
+the same bits.  The rwa Rabi scan and the ratio scan read the |0> amplitude
+from the eigenvalues and weights of ``prop._drive_weights``, which builds
+and decomposes their constant drives' H_rwa; neither forms a propagator.
 Measurements are exact populations; no shot noise or contrast model.
 """
 
@@ -30,9 +30,9 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, ExtractionError
-from .ham import hamiltonian_rwa_stack, require_resonant, static_hamiltonian
-from .prop import (_canonical_method, _grid_populations, _LabStack, _lab_local, _population,
-                   _rwa_evolver, _spectral_weights)
+from .ham import require_resonant, static_hamiltonian
+from .prop import (_canonical_method, _drive_weights, _grid_populations, _LabStack, _lab_local,
+                   _population)
 from .pulses import PulseSegment
 from .spin import KET_0, SystemParams
 
@@ -240,9 +240,9 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     form integrates at 80 Magnus steps per carrier period from one prepared
     stack: the segment's period propagator is integrated and decomposed
     once, at the first call that spans it, and every call then integrates
-    only its times' remainders; <0|U|0> is the same in every frame."""
+    only its times' remainders; <0|U|0> is the same in every frame.  The
+    rwa form is Re sum_j c_j e^(-i w_j t) of ``_drive_weights``."""
     method = _canonical_method(method)
-    seg = PulseSegment(duration=0.0, alpha=0.0, omega_x=p.omega_x, omega_y=p.omega_y)
     if method == "analytic":
         # the closed form is the reduced Raman system's, so only on resonance
         require_resonant(p)
@@ -252,10 +252,10 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
     if method == "rwa_numeric":
-        rwa = _rwa_evolver(hamiltonian_rwa_stack([p], [seg]))
-        return lambda t: rwa(0, t)[..., 1, 1].real
+        (w,), (c,) = _drive_weights([p], KET_0)
+        return lambda t: (np.exp(-1j * w * np.asarray(t, dtype=float)[..., None]) @ c).real
 
-    stack = _LabStack(p, [seg], [0.0], 80)
+    stack = _LabStack(p, [PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)], [0.0], 80)
 
     def lab_amp(t):
         t = np.asarray(t, dtype=float)
@@ -349,11 +349,10 @@ _DEPLETION_GRID = 512
 
 def _min_ground_populations(p: SystemParams, ratios, window: float) -> list[float]:
     """Minimum over time of the |0> population under the two-tone drive,
-    for each amplitude ratio: |sum_j c_j e^(-i w_j t)|^2 from one batched
-    ``eigh`` of the ratios' H_rwa, on a grid whose argmin brackets a bounded
-    minimization of the same sum.  No propagator is formed."""
-    segs = [PulseSegment(0.0, 0.0, p.omega_x, r * p.omega_x) for r in ratios]
-    w, c = _spectral_weights(hamiltonian_rwa_stack([p] * len(segs), segs), KET_0)
+    for each amplitude ratio: |sum_j c_j e^(-i w_j t)|^2 from one
+    ``_drive_weights`` of the ratios' systems, on a grid whose argmin
+    brackets a bounded minimization of the same sum."""
+    w, c = _drive_weights([p.replace(omega_y=r * p.omega_x) for r in ratios], KET_0)
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
     out = []
     for wj, cj, vals in zip(w, c, _grid_populations(w, c, window, _DEPLETION_GRID)):

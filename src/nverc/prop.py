@@ -4,12 +4,12 @@ Serves as the oracle the closed forms are checked against: integrates the
 time-dependent lab-frame Schrodinger equation (counter-rotating terms
 retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
-exact matrix exponentiation.  Each H_rwa call site decomposes one stack
-(``ham.hamiltonian_rwa_stack``) by one batched ``eigh``: through
-``_rwa_evolver``, a program's segments and the calibration root finders
-evaluate any array of durations of a row; through ``_spectral_weights``,
-the spectral maps and the ratio scan read one population from eigenvalues
-and weights alone, on a uniform time grid or at single times.
+exact matrix exponentiation.  H_rwa is built (``ham.hamiltonian_rwa_stack``)
+and decomposed only here, one stack by one batched ``eigh``: ``evolve``'s
+rwa method decomposes a program's segments, and ``_drive_weights`` the
+constant drives of a stack of systems.  From its eigenvalues and weights
+the spectral maps and both calibration scans read <a|U(t)|0> alone, on a
+uniform time grid or at single times, forming no propagator.
 
 Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -47,7 +47,7 @@ from . import _kernels
 from .erc import _erc_matrix
 from .errors import ResonanceError
 from .ham import hamiltonian_rwa_stack, lab_drive_operators, static_hamiltonian
-from .pulses import PulseSequence
+from .pulses import PulseSegment, PulseSequence
 from .spin import SystemParams, Unitary3
 
 __all__ = ["evolve", "sequence_unitary"]
@@ -55,33 +55,18 @@ __all__ = ["evolve", "sequence_unitary"]
 LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
 
 
-def _rwa_evolver(h: np.ndarray):
-    """Decompose a stack ``h`` of H_rwa, shape (m, 3, 3), once, by one
-    batched ``eigh``, for every call of the function returned:
-    (j, t) -> exp(-i h_j t) for a row j and a scalar or array of durations
-    t, shape ``t.shape + (3, 3)``."""
-    w, v = np.linalg.eigh(h)
-    vh = v.conj().swapaxes(-1, -2)
-
-    def evolve(j, duration):
-        t = np.asarray(duration, dtype=float)
-        vw = v[j] * np.exp(-1j * w[j] * t[..., None])[..., None, :]
-        # one (n * 3, 3) product: as fast as a matrix-vector form, unlike n 3x3 ones
-        return (vw.reshape(-1, 3) @ vh[j]).reshape(vw.shape)
-
-    return evolve
-
-
-def _spectral_weights(h, bra):
-    """Eigenvalues w (m, 3) of a stack ``h`` of H_rwa, by one batched
-    ``eigh``, and the weights c_j = <a|v_j><v_j|0> of a bra <a| (shape
-    (3,)), so that <a| exp(-i h_i t) |0> = sum_j c_ij e^(-i w_ij t)."""
-    w, v = np.linalg.eigh(h)
+def _drive_weights(systems, bra):
+    """Eigenvalues w (m, 3) of the H_rwa of each system's own constant drive
+    at phase 0, by one batched ``eigh``, and the weights
+    c_j = <a|v_j><v_j|0> of a bra <a| (shape (3,)), so that
+    <a|U_i(t)|0> = sum_j c_ij e^(-i w_ij t)."""
+    segs = [PulseSegment(0.0, 0.0, p.omega_x, p.omega_y) for p in systems]
+    w, v = np.linalg.eigh(hamiltonian_rwa_stack(systems, segs))
     return w, (bra @ v) * v[..., 1, :].conj()
 
 
 def _population(w, c, t):
-    """|sum_j c_j e^(-i w_j t)|^2 of one row of ``_spectral_weights``."""
+    """|sum_j c_j e^(-i w_j t)|^2 of one row of ``_drive_weights``."""
     a = c @ np.exp(-1j * w * t)
     return a.real * a.real + a.imag * a.imag
 
@@ -256,8 +241,11 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
                            np.concatenate([taus for _, _, taus in plan]))
         locals_ = np.split(local, np.cumsum(counts)[:-1])
     elif method == "rwa_numeric" and plan:
-        rwa = _rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
-        locals_ = (rwa(j, taus) for j, (_, _, taus) in enumerate(plan))
+        w, v = np.linalg.eigh(hamiltonian_rwa_stack([p] * len(segs), segs))
+        # v e^(-i w tau) v^H as one (n * 3, 3) product per segment: as fast
+        # as a matrix-vector form, unlike n 3x3 ones
+        locals_ = (((v[j] * np.exp(-1j * w[j] * taus[:, None])[:, None, :]).reshape(-1, 3)
+                    @ v[j].conj().T).reshape(-1, 3, 3) for j, (_, _, taus) in enumerate(plan))
     else:
         locals_ = (_closed_propagators(p, seg, taus) for seg, _, taus in plan)
     found = np.empty((len(times), 3, 3), dtype=complex)  # one propagator per sample

@@ -7,9 +7,10 @@ characteristic times).  A trace runs its program once (``prop.evolve``);
 a sample at most 1e-15 short of a segment's end gets the state there.  A
 map row is one array operation, and every command runs in one process.
 Every map observable is a population |<a|psi>|^2 with one bra <a|; the
-rows of an ``ey-map`` or ``ratio-map`` come from one ``eigh`` of their
-stacked H_rwa (``ham.hamiltonian_rwa_stack``), which gives <a|U(t)|0> on
-the map's time grid as a sum of three phases (``prop._grid_populations``).
+rows of an ``ey-map`` or ``ratio-map`` come from one ``prop._drive_weights``
+of their systems (one ``eigh`` of their stacked H_rwa), which gives
+<a|U(t)|0> on the map's time grid as a sum of three phases
+(``prop._grid_populations``).
 ``_write_csv`` takes one column per header field, shaped on the map's
 grid, and reuses one row buffer of ``_CSV_BLOCK`` cells per file: a
 column constant along the first axis (the time axis) is laid out in it
@@ -57,8 +58,8 @@ import numpy as np
 from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
-from .ham import compensation_ratio, hamiltonian_rwa_stack
-from .prop import _canonical_method, _grid_populations, _spectral_weights, evolve
+from .ham import compensation_ratio
+from .prop import _canonical_method, _drive_weights, _grid_populations, evolve
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -481,7 +482,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
         characteristic = {"T_total": q.T_total, "T_prime": q.T_prime,
                           "T_second": q.T_second, "phi": q.phi}
         t_default = seq.total_duration or q.T_total
-    except NvErcError:
+    except (NvErcError, ValueError):  # no resonant drive (a zero one is a ValueError)
         characteristic = None
         t_default = seq.total_duration
     t_max = _take(cfg, "t_max", t_default)
@@ -543,10 +544,9 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
 def _ground_state_states(systems, bra, t_max: float, n_t: int) -> np.ndarray:
     """|<a|U_i(t)|0>|^2, shape (len(systems), n_t), under the constant
     two-tone drive of each system i, on ``np.linspace(0, t_max, n_t)``:
-    one ``eigh`` of the stacked rotating-wave Hamiltonians for all rows."""
-    h = hamiltonian_rwa_stack(systems, [PulseSegment(0.0, 0.0, p.omega_x, p.omega_y)
-                                        for p in systems])
-    return _grid_populations(*_spectral_weights(h, bra), t_max, n_t)
+    one ``_drive_weights`` (one ``eigh`` of the stacked rotating-wave
+    Hamiltonians) for all rows."""
+    return _grid_populations(*_drive_weights(systems, bra), t_max, n_t)
 
 
 def _ey_overlay(p) -> tuple[float, float, float]:

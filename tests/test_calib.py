@@ -15,7 +15,6 @@ from nverc import (ExtractionError, StateVector3, SystemParams,
                    not_gate_sequence,
                    rabi_extract, ratio_scan, simulate_odmr)
 from nverc.calib import _ground_amplitude_fn
-from nverc.ham import hamiltonian_rwa_stack
 from nverc.pulses import PulseSegment, PulseSequence
 from nverc.spin import KET_P1
 
@@ -106,6 +105,19 @@ class TestRabiExtract:
             seq = PulseSequence([PulseSegment(t, 0.0, P13.omega_x)])
             assert amp(t) == evolve(P13, seq, [t], "lab", steps_per_period=80)[0, 1, 1].real
 
+    def test_rwa_scan_is_decomposed_once(self, monkeypatch):
+        # the rwa amplitude reads eigenvalues and weights of one eigh: the
+        # scan grid and every root finder step form no propagator
+        shapes = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (shapes.append(h.shape), real_eigh(h))[1])
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.7,
+                         omega_y=4.5 * compensation_ratio(0.7, -0.7))
+        q = characteristic_quantities(p)
+        ex = rabi_extract(p, 1.5 * q.T_total, 256, "rwa")
+        assert shapes == [(1, 3, 3)]
+        assert abs(ex.T_total - q.T_total) < 1e-6
+
     def test_window_and_sampling_validation(self):
         with pytest.raises(ValueError):
             rabi_extract(P13, t_max=1.0)
@@ -136,16 +148,18 @@ class TestRabiExtract:
 
 
 def min_ground_populations_by_propagators(p, ratios, window):
-    """The depletion scores read off full 3x3 rwa propagators at every grid
-    time and minimizer step: the form the eigen-phase scan replaced."""
-    segs = [PulseSegment(0.0, 0.0, p.omega_x, r * p.omega_x) for r in ratios]
-    rwa = prop._rwa_evolver(hamiltonian_rwa_stack([p] * len(segs), segs))
+    """The depletion scores read off full 3x3 rwa propagators (``evolve``) at
+    every grid time and minimizer step: the form the eigen-phase scan
+    replaced."""
     n = calib._DEPLETION_GRID
     ts = np.linspace(0.0, window, n)
     out = []
-    for j in range(len(segs)):
-        def p0(t, j=j):
-            return np.abs(rwa(j, t)[..., 1, 1]) ** 2
+    for r in ratios:
+        seq = PulseSequence([PulseSegment(window, 0.0, p.omega_x, r * p.omega_x)])
+
+        def p0(t, seq=seq):
+            u00 = evolve(p, seq, np.ravel(t), "rwa")[:, 1, 1]
+            return np.abs(u00.reshape(np.shape(t))) ** 2
 
         vals = p0(ts)
         i = int(np.argmin(vals))

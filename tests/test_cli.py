@@ -235,6 +235,26 @@ class TestExitCodes:
         assert err["type"] == "ResonanceError" and "required omega_y/omega_x" in err["message"]
         assert not outs["analytic"].exists()
 
+    @pytest.mark.parametrize("method,code", [("rwa", 0), ("lab", 0), ("analytic", 3)])
+    def test_trace_without_system_drive_runs_its_segments(self, tmp_path, capsys, method, code):
+        # a zero system drive has no characteristic times, but every segment
+        # sets its own drive; only the closed forms refuse the drive-off one
+        doc = {"units": "muB", "method": method, "n_points": 5,
+               "system": {"D": 500.0, "muB": 1.0, "omega_x": 0.0},
+               "sequence": [{"duration": 1.0, "alpha": 0.0, "omega_x": 3.0},
+                            {"duration": 0.5, "alpha": 0.0}]}
+        out = tmp_path / "o.csv"
+        assert main(["trace", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == code
+        if code:
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "RegimeError"
+            assert not out.exists()
+        else:
+            lines = out.read_text().splitlines()
+            assert "# characteristic: null" in lines
+            rows = np.array([ln.split(",") for ln in lines if not ln.startswith("#")][1:], float)
+            assert rows.shape == (5, 4)
+            np.testing.assert_allclose(rows[:, 1:].sum(axis=1), 1.0, atol=1e-6)
+
     def test_ey_map_with_ex_is_3(self, tmp_path, capsys):
         # an uncompensated transverse-x field has no closed-form overlay
         doc = dict(TINY["ey-map"], system={**BASE_SYSTEM["system"], "Ex": 0.1})

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import numpy as np
 import nverc
 from nverc import calib, ham, prop
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -60,3 +62,22 @@ def test_readme_quick_start_runs(capsys):
     assert scope["us_lab"].shape == (5, 3, 3)
     assert scope["res"].fidelity >= 1 - 1e-9
     assert capsys.readouterr().out
+
+
+def test_benchmark_hooks_find_their_targets(monkeypatch):
+    # perfbench/layers.py wraps package functions by name, and a traced run
+    # only lists a target that has gone under missing_hooks: these four
+    # are known to be gone, and any other name missing is a renamed hook
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        layers = importlib.import_module("layers")
+        tracer = layers.Tracer("nverc")
+        try:
+            layers.install(tracer)
+        finally:
+            tracer.uninstall()
+    finally:
+        for name in ("layers", "tracer"):
+            sys.modules.pop(name, None)
+    assert tracer.missing == ["nverc.erc.apply_sequence", "nverc.prop.propagate",
+                              "nverc._kernels.rk4_lab_segment", "nverc.synth.least_squares"]

@@ -25,22 +25,25 @@ def to_lab(p, u_int, t):
     return np.exp(-1j * p.carrier * np.diag(SZ2).real * t)[:, None] * u_int
 
 
+def drive_column(p, ts):
+    """The |0> column of the rwa propagators of ``p``'s own constant drive at
+    phase 0, from ``evolve``, at the sample times ``ts`` (within one
+    segment ending at ts[-1])."""
+    seq = PulseSequence([PulseSegment(ts[-1], 0.0, p.omega_x, p.omega_y)])
+    return prop.evolve(p, seq, ts, "rwa")[:, :, 1]
+
+
 @st.composite
-def dressed_stacks(draw):
-    """Rotating-wave Hamiltonians (m, 3, 3) of one or of 2-12 random dressed
-    systems: fields Ex, Ey and Ez and a second tone whose phase beta
-    differs from alpha."""
+def dressed_systems(draw):
+    """One or 2-12 random dressed systems: fields Ex, Ey and Ez and a second
+    tone omega_y."""
     field = st.floats(-1.0, 1.0)
-    rows = []
+    systems = []
     for _ in range(draw(st.sampled_from([1, 2, 12]))):
         mu, om = draw(st.floats(0.05, 2.0)), draw(st.floats(0.1, 4.0))
-        p = SystemParams(D=500.0, muB=mu, omega_x=om,
-                         Ex=draw(field), Ey=draw(field), Ez=draw(field))
-        alpha = draw(st.floats(-math.pi, math.pi))
-        seg = PulseSegment(0.0, alpha, om, om * draw(field),
-                           beta=alpha + draw(st.floats(0.1, 2.0 * math.pi - 0.1)))
-        rows.append(rwa_hamiltonian(p, seg))
-    return np.array(rows)
+        systems.append(SystemParams(D=500.0, muB=mu, omega_x=om, Ex=draw(field),
+                                    Ey=draw(field), Ez=draw(field), omega_y=om * draw(field)))
+    return systems
 
 
 class TestRwaPropagation:
@@ -81,19 +84,22 @@ class TestBatchedRwaSegment:
     ])
     def test_array_equals_scalar_calls(self, p, seg):
         ts = np.linspace(0.0, 9.0, 37)
-        rwa = prop._rwa_evolver(rwa_hamiltonian(p, seg)[None])
-        batch = rwa(0, ts)
+
+        def program(duration):
+            return PulseSequence([PulseSegment(duration, seg.alpha, seg.omega_x, seg.omega_y,
+                                               seg.beta)])
+
+        batch = prop.evolve(p, program(ts[-1]), ts, "rwa")
         assert batch.shape == (37, 3, 3)
         for t, u in zip(ts, batch):
-            assert np.max(np.abs(u - rwa(0, t))) < 1e-14
-        seq = PulseSequence([PulseSegment(ts[5], seg.alpha, seg.omega_x, seg.omega_y, seg.beta)])
-        assert np.max(np.abs(batch[5] - prop.evolve(p, seq, method="rwa")[-1])) < 1e-14
+            assert np.max(np.abs(u - prop.evolve(p, program(ts[-1]), [t], "rwa")[0])) < 1e-14
+        assert np.max(np.abs(batch[5] - prop.evolve(p, program(ts[5]), method="rwa")[-1])) < 1e-14
 
     @pytest.mark.parametrize("kind", ["plain", "two-tone", "Ex", "Ey"])
     def test_column_equals_full_propagator_column(self, rng, kind):
-        # the grid populations |<a|U(t_k)|0>|^2, for each basis bra <a|, against
-        # the full propagator's |0> column; both round the phases w t, so the
-        # bound grows with max|w| t_max
+        # the grid populations |<a|U(t_k)|0>|^2 of a constant drive at phase 0,
+        # for each basis bra <a|, against evolve's |0> column; both round the
+        # phases w t, so the bound grows with max|w| t_max
         t_max, n_t = 50.0, 64
         ts = np.linspace(0.0, t_max, n_t)
         for _ in range(10):
@@ -103,32 +109,30 @@ class TestBatchedRwaSegment:
                      "Ex": {"Ex": rng.uniform(-1.0, 1.0)},
                      "Ey": {"Ey": rng.uniform(-1.0, 1.0)}}[kind]
             p = SystemParams(D=500.0, muB=mu, omega_x=om, **field)
-            seg = PulseSegment(0.0, rng.uniform(-math.pi, math.pi), p.omega_x, p.omega_y,
-                               beta=rng.uniform(-math.pi, math.pi))
-            h = rwa_hamiltonian(p, seg)
-            column = prop._rwa_evolver(h[None])(0, ts)[:, :, 1]
-            bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(np.linalg.eigvalsh(h))) * t_max)
+            column = drive_column(p, ts)
             for bra in (KET_P1, KET_0, KET_M1):
-                got = prop._grid_populations(*prop._spectral_weights(h[None], bra), t_max, n_t)
+                w, c = prop._drive_weights([p], bra)
+                bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(w)) * t_max)
+                got = prop._grid_populations(w, c, t_max, n_t)
                 assert got.shape == (1, n_t)
                 assert np.max(np.abs(got[0] - np.abs(column @ bra) ** 2)) <= bound
 
     @settings(max_examples=200)
-    @given(dressed_stacks(), st.sampled_from(["plus1", "zero", "minus1", "target"]),
+    @given(dressed_systems(), st.sampled_from(["plus1", "zero", "minus1", "target"]),
            st.sampled_from([2, 3, 7, 64, 65, 6001]), st.floats(0.1, 10.0), st.data())
-    def test_grid_equals_full_propagator(self, h, which, n_t, t_max, data):
-        # the grid populations |<a|U(t_k)|0>|^2 against the full propagator's
-        # |0> column on the same np.linspace grid, row by row
+    def test_grid_equals_full_propagator(self, systems, which, n_t, t_max, data):
+        # the grid populations |<a|U(t_k)|0>|^2 against evolve's |0> column
+        # on the same np.linspace grid, row by row
         if which == "target":
             z = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
                           .filter(lambda z: np.linalg.norm(z) > 0.1))
             bra = np.conj(np.array(z[:3]) + 1j * np.array(z[3:])) / np.linalg.norm(z)
         else:
             bra = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}[which]
-        got = prop._grid_populations(*prop._spectral_weights(h, bra), t_max, n_t)
+        got = prop._grid_populations(*prop._drive_weights(systems, bra), t_max, n_t)
         ts = np.linspace(0.0, t_max, n_t)
-        want = [np.abs(prop._rwa_evolver(row[None])(0, ts)[..., :, 1] @ bra) ** 2 for row in h]
-        assert got.shape == (len(h), n_t)
+        want = [np.abs(drive_column(p, ts) @ bra) ** 2 for p in systems]
+        assert got.shape == (len(systems), n_t)
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
