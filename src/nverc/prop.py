@@ -9,7 +9,8 @@ and decomposed only here, one stack by one batched ``eigh``: ``evolve``'s
 rwa method decomposes a program's segments, and ``_drive_weights`` the
 constant drives of a stack of systems.  From its eigenvalues and weights
 the spectral maps and both calibration scans read <a|U(t)|0> alone, on a
-uniform time grid or at single times, forming no propagator.
+uniform time grid (a map block by block of rows, ``_grid_rows``) or at
+single times, forming no propagator.
 
 Every pulse program runs through one call, ``evolve``, for all three
 methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
@@ -74,22 +75,31 @@ def _population(w, c, t):
 def _grid_populations(w, c, t_max, n_t):
     """|sum_j c_ij e^(-i w_ij t_k)|^2, shape (m, n_t), for eigenvalues ``w``
     and weights ``c`` of shape (m, 3), on the grid t_k = k dt of
-    ``np.linspace(0, t_max, n_t)``.  Writing k = q B + r with
-    B = ceil(sqrt(n_t)) factors each phase as e^(-i w_j q B dt)
-    e^(-i w_j r dt): a row takes 2 sqrt(n_t) exponentials per eigenvalue and
-    one (n_t / B, 3) @ (3, B) product, and the rows are filled one at a
-    time, so no (m, n_t) complex array is built."""
+    ``np.linspace(0, t_max, n_t)``: all the rows of ``_grid_rows``."""
+    return _grid_rows(w, c, t_max, n_t)(0, len(w))
+
+
+def _grid_rows(w, c, t_max, n_t):
+    """The producer ``rows(lo, hi)`` of rows lo..hi-1 of ``_grid_populations``.
+    Writing k = q B + r with B = ceil(sqrt(n_t)) factors each phase as
+    e^(-i w_j q B dt) e^(-i w_j r dt): the phase tables, 2 sqrt(n_t)
+    exponentials per eigenvalue, are made once for all rows, and a row
+    takes one (n_t / B, 3) @ (3, B) product, so only the rows asked for are
+    held, never an (m, n_t) complex array."""
     dt = t_max / (n_t - 1)                       # np.linspace's step
     b = math.isqrt(n_t - 1) + 1                  # ceil(sqrt(n_t))
     n_q = -(-n_t // b)
     # fast[i, j, r] = e^(-i w_ij r dt), slow[i, q, j] = c_ij e^(-i w_ij q B dt)
     fast = np.exp(-1j * w[:, :, None] * (np.arange(b) * dt))
     slow = c[:, None, :] * np.exp(-1j * w[:, None, :] * (np.arange(0, n_q * b, b) * dt)[:, None])
-    out = np.empty((len(w), n_t))
-    for row, s, f in zip(out, slow, fast):
-        a = (s @ f).reshape(-1)[:n_t]            # the amplitude at t_(q B + r)
-        row[:] = a.real * a.real + a.imag * a.imag
-    return out
+
+    def rows(lo, hi):
+        out = np.empty((hi - lo, n_t))
+        for row, s, f in zip(out, slow[lo:hi], fast[lo:hi]):
+            a = (s @ f).reshape(-1)[:n_t]        # the amplitude at t_(q B + r)
+            row[:] = a.real * a.real + a.imag * a.imag
+        return out
+    return rows
 
 
 class _LabStack:

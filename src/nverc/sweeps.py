@@ -4,22 +4,24 @@ calibration runs, with deterministic CSV output.
 CSV files are UTF-8 with '.' decimals, values formatted %.12e, a header
 row, and a leading '#'-prefixed metadata block (schema, parameters,
 characteristic times).  A trace runs its program once (``prop.evolve``);
-a sample at most 1e-15 short of a segment's end gets the state there.  A
-map row is one array operation, and every command runs in one process.
-Every map observable is a population |<a|psi>|^2 with one bra <a|; the
-rows of an ``ey-map`` or ``ratio-map`` come from one ``prop._drive_weights``
-of their systems (one ``eigh`` of their stacked H_rwa), which gives
-<a|U(t)|0> on the map's time grid as a sum of three phases
-(``prop._grid_populations``).
+a sample at most 1e-15 short of a segment's end gets the state there.
+Every command runs in one process.  Every map observable is a population
+|<a|psi>|^2 with one bra <a|; the rows of an ``ey-map`` or ``ratio-map``
+come from one ``prop._drive_weights`` of their systems (one ``eigh`` of
+their stacked H_rwa), which gives <a|U(t)|0> on the map's time grid as a
+sum of three phases (``prop._grid_rows``).
 ``_write_csv`` takes one column per header field, shaped on the map's
 grid, and reuses one row buffer of ``_CSV_BLOCK`` cells per file: a
 column constant along the first axis (the time axis) is laid out in it
 once, the others block by block, and each block goes straight to the
-open file.  ``_format_fields`` lays out the exact ``%.12e`` bytes of +0.0
-and of positive values in [1e-10, 1e13), near-ties decided exactly, four
-digits at a time from a table; every other (slow) field is formatted with
-``%`` once per distinct value and put in front of its own separator, a
-per-row one into all the lines of its row at once.
+open file.  A map's value column is a producer of grid rows, so its
+values are computed block by block as they are written: a map holds one
+block of them, never its whole grid.  ``_format_fields`` lays out the
+exact ``%.12e`` bytes of +0.0 and of positive values in [1e-10, 1e13),
+near-ties and decade carries decided exactly, four digits at a time from
+a table; every other (slow) field is formatted with ``%`` once per
+distinct value and put in front of its own separator, a per-row one into
+all the lines of its row at once.
 
 Every output, CSV or JSON, is opened by ``_output``: it writes over the
 bytes of a file already at the path, without truncating it first, and cuts
@@ -59,7 +61,7 @@ from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .ham import compensation_ratio
-from .prop import _canonical_method, _drive_weights, _grid_populations, evolve
+from .prop import _canonical_method, _drive_weights, _grid_rows, evolve
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -250,11 +252,12 @@ def _format_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     (``uint8``, of a shape ``x.shape + (19,)`` broadcasts to; '.' and the
     separator are left as they are) and return the mask of exact ones: +0.0
     and the x in [1e-10, 1e13) whose 13 digits n = round(x 10^k), k = 12 -
-    floor(log10 x), stay 13.  p = x 10^k rounded is within 2^-10 of the
+    floor(log10 x), stay 13, or carry to n = 10^13, laid out as 10^12 at
+    the next exponent (k - 1).  p = x 10^k rounded is within 2^-10 of the
     product (p < 2^44), so it decides n outside 2^-9 of a tie; inside, the
     exact residual (TwoProduct, Dekker 1971) does, and an exact tie goes to
-    the even n, as in ``%``.  Slow values (a far 2-digit exponent, a decade
-    carry, a sign, nan, inf, a 3-digit exponent) get meaningless bytes."""
+    the even n, as in ``%``.  Slow values (a far 2-digit exponent, a carry
+    to e+13, a sign, nan, inf, a 3-digit exponent) get meaningless bytes."""
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(x))                    # nan/-inf off the fast set
         exact = np.abs(e - 1.0) <= 11.0              # -10 <= e <= 12, so x > 0
@@ -276,6 +279,10 @@ def _format_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
                                         + (xb - hi) * pl)
             nb = np.floor(pb)
             n.put(i, nb + ((d > 0) | ((d == 0) & (nb % 2 == 1))))
+        carry = n == 1e13                            # a decade carry, laid out one
+        if carry.any():                              # exponent up, unless that is e+13
+            carry &= exact & (k > 0)
+            n[carry], k[carry] = 1e12, k[carry] - 1
         exact &= (n >= 1e12) & (n < 1e13)
         exact |= x.view(np.uint64) == 0              # +0.0: n = 0 below
     n = np.where(exact, n, 0.0).astype(np.int64)
@@ -290,27 +297,32 @@ def _format_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     """Write one float column per header field.  The columns broadcast to a
-    grid of at most 2 axes whose cells, in C order, are the rows.  One row
-    buffer of at most ``_CSV_BLOCK`` cells (or one first-axis row) serves
-    the file: '.', separators and the columns constant along the first axis
-    are laid out in it once; each run of adjacent per-row columns is
-    formatted once per file, into a table whose rows are copied into the
-    lines of each block; per block, every other run of adjacent columns
-    alike in shape is formatted into its slots in one call.  A block is
-    written from the buffer itself, or with its slow fields' ``%`` bytes in
-    front of their separators, each distinct slow value formatted once per
-    file: a slow per-row field goes into all the lines of its row at once,
-    as the row's lines are rebuilt at their new width, and every other slow
-    field is spliced on its own.  The file is written over the previous one
-    at ``path`` (``_output``)."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    grid of at most 2 axes whose cells, in C order, are the rows.  A
+    per-cell column of a 2-axis grid may instead be a producer
+    ``rows(lo, hi)`` of its first-axis rows lo..hi-1, shape
+    (hi - lo, inner), called once per block, in order.  One row buffer of
+    at most ``_CSV_BLOCK`` cells (or one first-axis row) serves the file:
+    '.', separators and the columns constant along the first axis are laid
+    out in it once; each run of adjacent per-row columns is formatted once
+    per file, into a table of 18-byte records copied into the lines of each
+    block; per block, every other run of adjacent columns alike in shape is
+    formatted into its slots in one call.  A block is written from the
+    buffer itself, or as pieces with its slow fields' ``%`` bytes in front
+    of their separators, each distinct slow value formatted once per file:
+    a slow per-row field goes into all the lines of its row at once, as the
+    row's lines are rebuilt at their new width, and every other slow field
+    is spliced on its own.  The file is written over the previous one at
+    ``path`` (``_output``)."""
+    cols = [c if callable(c) else np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    shape = np.broadcast_shapes(*(c.shape for c in cols if not callable(c)))
     if len(shape) > 2:
         raise ValueError(f"CSV columns broadcast to {shape}, more than 2 axes")
-    cols = [c.reshape(-1, 1) if len(shape) < 2 else np.atleast_2d(c) for c in cols]
+    cols = [c if callable(c) else c.reshape(-1, 1) if len(shape) < 2 else np.atleast_2d(c)
+            for c in cols]
     n_outer, n_inner = shape if len(shape) == 2 else (math.prod(shape), 1)
+    shapes = [(n_outer, n_inner) if callable(c) else c.shape for c in cols]
     step = max(1, _CSV_BLOCK // max(n_inner, 1))
     buf = np.empty((min(n_outer, step), n_inner, len(cols), 19), np.uint8)
     buf[..., 1], buf[..., 18], buf[:, :, -1, 18] = 46, 44, 10  # '.', ',' and '\n'
@@ -318,15 +330,15 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
         x = run[0][..., None] if len(run) == 1 else np.concatenate([c[..., None] for c in run], -1)
         return x, _format_fields(x, out)
     runs, j = [], 0  # (first, stop, constant along the first axis)
-    for (const, _), run in itertools.groupby((len(c) == 1 < n_outer, c.shape[1]) for c in cols):
+    for (const, _), run in itertools.groupby((m == 1 < n_outer, i) for m, i in shapes):
         runs.append((j, j := j + len(list(run)), const))
     once = {j: lay(cols[j:stop], buf[:, :, j:stop]) for j, stop, const in runs if const}
     tables = {}  # each per-row run formatted once, into a table of one line per row
     for j, stop, const in runs:
-        if not const and cols[j].shape[1] == 1 < n_inner:
+        if not const and shapes[j][1] == 1 < n_inner:
             table = np.empty((n_outer, 1, stop - j, 19), np.uint8)
             table[..., 1] = 46
-            tables[j] = (table, *lay(cols[j:stop], table))
+            tables[j] = (table[..., :18].view("V18"), *lay(cols[j:stop], table))
     texts: dict[int, bytes] = {}  # the % bytes of each slow value, by its bits
     lines = [f"# schema: {CSV_SCHEMA}\n"]
     lines += [f"# {key}: {json.dumps(value, sort_keys=True)}\n" for key, value in meta.items()]
@@ -340,11 +352,12 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
                 if const:
                     x, exact = once[j]
                 elif j in tables:
-                    table, x, exact = tables[j]
-                    rows[:, :, j:stop, :18] = table[k:k + len(rows), :, :, :18]
+                    table, x, exact = tables[j]      # 18-byte records, copied per line
+                    np.copyto(rows[:, :, j:stop, :18].view("V18"), table[k:k + len(rows)])
                     x, exact = x[k:k + len(rows)], exact[k:k + len(rows)]
                 else:
-                    x, exact = lay([c[k:k + len(rows)] for c in cols[j:stop]], rows[:, :, j:stop])
+                    x, exact = lay([c(k, k + len(rows)) if callable(c) else c[k:k + len(rows)]
+                                    for c in cols[j:stop]], rows[:, :, j:stop])
                 if exact.all():
                     continue
                 per_row = x.shape[1] == 1 < n_inner  # the same in every line of a row
@@ -375,18 +388,21 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
                     chunks += [text[done:r * n_inner * width],
                                np.concatenate(pieces + [line[:, prev:]], 1)]
                     done = (r + 1) * n_inner * width
-                text = memoryview(b"".join(chunks + [text[done:]]))
-                widths = width + grow.sum(1)         # each row's line width
-                off = 19 * np.arange(len(cols)) + np.cumsum(grow, 1) - grow  # and field offsets
-                r, i = np.divmod(cells // len(cols), n_inner)
-                cut = (np.r_[0, np.cumsum(n_inner * widths)][r] + i * widths[r]
-                       + off[r, cells % len(cols)])
-            parts, done = [], 0
-            for c, t in zip(cut.tolist(), spelled):
-                parts += [text[done:c], t]
-                done = c + 18                        # the field's own separator follows
-            parts.append(text[done:])
-            fh.write(b"".join(parts))
+                parts = chunks + [text[done:]]
+                if len(cells):  # slow cell fields too: cut into the rebuilt text
+                    text = memoryview(b"".join(parts))
+                    widths = width + grow.sum(1)     # each row's line width
+                    off = 19 * np.arange(len(cols)) + np.cumsum(grow, 1) - grow  # field offsets
+                    r, i = np.divmod(cells // len(cols), n_inner)
+                    cut = (np.r_[0, np.cumsum(n_inner * widths)][r] + i * widths[r]
+                           + off[r, cells % len(cols)])
+            if len(cells):
+                parts, done = [], 0
+                for c, t in zip(cut.tolist(), spelled):
+                    parts += [text[done:c], t]
+                    done = c + 18                    # the field's own separator follows
+                parts.append(text[done:])
+            fh.writelines(parts)                     # the pieces, not a joined copy
 
 
 def _spell(found, texts: dict) -> tuple[np.ndarray, list[bytes]]:
@@ -521,10 +537,15 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     ts = np.linspace(0.0, t_max, n)
     first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
     second = erc._erc_matrix(p, ts, math.pi)
-    # states[i, j] = second[j] @ first[i], each the same 3x3 product as alone
-    states = (second[None] @ first[:, None, :, None])[..., 0]
-    vals = np.abs(states @ bra) ** 2
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = [-1.0, 0, 0]  # the first maximum in C order: value, t1 and t2 index
+
+    def rows(lo, hi):
+        # states[i, j] = second[j] @ first[i], each the same 3x3 product as alone
+        vals = np.abs((second[None] @ first[lo:hi, None, :, None])[..., 0] @ bra) ** 2
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best[0]:
+            best[:] = float(vals.flat[k]), lo + k // n, k % n
+        return vals
     meta = {
         "command": "robustness",
         "params": dataclasses.asdict(p),
@@ -533,20 +554,20 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
                            "T_second": q.T_second, "T_half": q.T_total / 2.0},
         "grid": {"n": n, "t_max": t_max},
     }
-    _write_csv(out_path, meta, ["t1", "t2", _OBS_COLUMN[observable]],
-               [ts[:, None], ts, vals])
-    argmax = {"t1": float(ts[i]), "t2": float(ts[j]), "value": float(vals[i, j])}
-    return {"rows": vals.size, "out": out_path, "argmax": argmax}
+    _write_csv(out_path, meta, ["t1", "t2", _OBS_COLUMN[observable]], [ts[:, None], ts, rows])
+    argmax = {"t1": float(ts[best[1]]), "t2": float(ts[best[2]]), "value": best[0]}
+    return {"rows": n * n, "out": out_path, "argmax": argmax}
 
 
 # ---------------------------------------------------------------- ey map ---
 
-def _ground_state_states(systems, bra, t_max: float, n_t: int) -> np.ndarray:
-    """|<a|U_i(t)|0>|^2, shape (len(systems), n_t), under the constant
-    two-tone drive of each system i, on ``np.linspace(0, t_max, n_t)``:
-    one ``_drive_weights`` (one ``eigh`` of the stacked rotating-wave
-    Hamiltonians) for all rows."""
-    return _grid_populations(*_drive_weights(systems, bra), t_max, n_t)
+def _ground_state_states(systems, bra, t_max: float, n_t: int):
+    """The producer ``rows(lo, hi)`` of |<a|U_i(t)|0>|^2 for the systems
+    i in lo..hi-1, under the constant two-tone drive of each, on
+    ``np.linspace(0, t_max, n_t)``: one ``_drive_weights`` (one ``eigh`` of
+    the stacked rotating-wave Hamiltonians) and one phase table for all
+    rows, evaluated a block of rows at a time (``prop._grid_rows``)."""
+    return _grid_rows(*_drive_weights(systems, bra), t_max, n_t)
 
 
 def _ey_overlay(p) -> tuple[float, float, float]:
@@ -575,7 +596,7 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     eys = np.linspace(0.0, ey_max, n_ey)
     times = np.linspace(0.0, t_max, n_t)
     systems = [p.replace(Ey=ey) for ey in eys]
-    vals = _ground_state_states(systems, bra, t_max, n_t)
+    rows = _ground_state_states(systems, bra, t_max, n_t)
     overlays = np.array([_ey_overlay(q) for q in systems])
     meta = {
         "command": "ey_map",
@@ -587,8 +608,8 @@ def cmd_ey_map(cfg: dict, out_path: str) -> dict:
     _write_csv(out_path, meta,
                ["Ey", "t", _OBS_COLUMN[observable],
                 "T_total_ey", "T_prime_ey", "T_second_ey"],
-               [eys[:, None], times, vals, *overlays.T[..., None]])
-    return {"rows": vals.size, "out": out_path, "validity_boundary": boundary}
+               [eys[:, None], times, rows, *overlays.T[..., None]])
+    return {"rows": n_ey * n_t, "out": out_path, "validity_boundary": boundary}
 
 
 # ------------------------------------------------------------- ratio map ---
@@ -616,7 +637,7 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
     _check_sweep(("t", 0.0, t_max))
     ratios = np.linspace(r_min, r_max, n_r) if n_r > 1 else np.array([r_min])
     times = np.linspace(0.0, t_max, n_t)
-    vals = _ground_state_states([p.replace(omega_y=r * p.omega_x) for r in ratios],
+    rows = _ground_state_states([p.replace(omega_y=r * p.omega_x) for r in ratios],
                                 bra, t_max, n_t)
     meta = {
         "command": "ratio_map",
@@ -628,8 +649,8 @@ def cmd_ratio_map(cfg: dict, out_path: str) -> dict:
         "grid": {"n_ratio": n_r, "n_t": n_t, "t_max": t_max},
     }
     _write_csv(out_path, meta, ["ratio", "t", _OBS_COLUMN[observable]],
-               [ratios[:, None], times, vals])
-    return {"rows": vals.size, "out": out_path, "analytic_ratio": r_star}
+               [ratios[:, None], times, rows])
+    return {"rows": n_r * n_t, "out": out_path, "analytic_ratio": r_star}
 
 
 # ---------------------------------------------------------------- synth ---

@@ -141,6 +141,16 @@ class TestWriteCsv:
         assert sweeps._format_fields(x, out).all()
         assert out.tobytes() == b"".join(b"%.12e," % v for v in x.ravel().tolist())
 
+    def test_decade_carries_are_fast_and_exact(self):
+        # 13 digits that round up to 10^13 are 1.000000000000 at the next
+        # exponent; only the carry to 1.000000000000e+13 stays slow
+        x = np.array(CARRIES)
+        fast = x < 9.9999999999995e12
+        out = np.empty(x.shape + (19,), np.uint8)
+        out[..., 1], out[..., 18] = ord("."), ord(",")
+        assert np.array_equal(sweeps._format_fields(x, out), fast)
+        assert out[fast].tobytes() == b"".join(b"%.12e," % v for v in x[fast].tolist())
+
     def test_slow_values_formatted_once_per_file(self):
         # fig5's shape: per-row overlays, NaN past a boundary, beside 301
         # inner cells; a slow value is spliced into every cell of its row
@@ -422,6 +432,7 @@ class TestRobustness:
 
     @pytest.mark.parametrize("observable", sweeps.OBSERVABLES)
     def test_one_shot_grid_equals_per_row_loop(self, tmp_path, monkeypatch, observable):
+        # the value column is a producer of t1 rows: all 17 rows at once
         written = []
         monkeypatch.setattr(sweeps, "_write_csv", lambda *args: written.append(args[3]))
         cfg = dict(BASE, n=17, observable=observable)
@@ -434,7 +445,32 @@ class TestRobustness:
             np.abs(second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1) @ bra) ** 2
             for t1 in ts
         ])
-        assert np.array_equal(written[0][2], want)
+        assert np.array_equal(written[0][2](0, 17), want)
+
+    @pytest.mark.parametrize("fake", [False, True])
+    def test_argmax_is_the_first_maximum_of_the_grid(self, tmp_path, monkeypatch, fake):
+        # the summary's maximum is kept block by block, one t1 row per block;
+        # the fake first pulse keeps |+1> with amplitude 1 in rows 1, 4 and 7
+        # and 0.5 elsewhere, so the maximum 1.0 ties across blocks and cells
+        if fake:
+            def matrices(p, ts, alpha):
+                u = np.broadcast_to(np.eye(3, dtype=complex), (len(ts), 3, 3)).copy()
+                if alpha == 0.0:
+                    u[:, 0, 0] = np.where(np.arange(len(ts)) % 3 == 1, 1.0, 0.5)
+                return u
+
+            monkeypatch.setattr(erc, "_erc_matrix", matrices)
+        n, cfg = 9, dict(BASE, n=9, observable="pop_plus1")
+        with mock.patch.object(sweeps, "_CSV_BLOCK", n):
+            got = cmd_robustness(cfg, str(tmp_path / "rob.csv"))["argmax"]
+        p = system_from_config(cfg)
+        ts = np.linspace(0.0, characteristic_quantities(p).T_total, n)
+        first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
+        grid = np.abs((erc._erc_matrix(p, ts, math.pi)[None] @ first[:, None, :, None])[..., 0]
+                      @ KET_P1) ** 2
+        i, j = np.unravel_index(np.argmax(grid), grid.shape)
+        assert got == {"t1": ts[i], "t2": ts[j], "value": grid[i, j]}
+        assert not fake or (i, j) == (1, 0)
 
     def test_plot_script_emission(self, tmp_path):
         from nverc.sweeps import write_plot_script
@@ -528,19 +564,33 @@ class TestRatioMap:
         for _, t, p0 in rows:
             assert p0 == pytest.approx((math.cos(obar * t) * wb + wd) ** 2, abs=1e-10)
 
-    def test_peak_memory_within_twice_the_output(self, tmp_path):
-        # rows are evaluated one at a time and written in blocks, so the
-        # (n_ratio, n_t) float output is the one large array of the run
-        cfg = {"units": "muB",
-               "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7, "Ey": -0.7},
-               "n_ratio": 81, "n_t": 6001}
-        tracemalloc.start()
-        try:
-            cmd_ratio_map(cfg, str(tmp_path / "ratio.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 81 * 6001 * 8
+
+class TestMapMemory:
+    EX = {"units": "muB", "system": {"D": 500.0, "muB": 1.0, "omega_x": 4.5, "Ex": 0.7, "Ey": -0.7}}
+
+    @pytest.mark.parametrize("command", ["ratio-map", "ey-map", "robustness"])
+    def test_peak_does_not_grow_with_rows(self, tmp_path, command):
+        # a map's values are made block by block as they are written, so
+        # ten times the rows (four times the side of a robustness grid)
+        # grows the traced peak by less than a quarter of the float grid
+        # it adds: by the per-row phase tables, O(sqrt(n_t)) each
+        run, sizes = {
+            "ratio-map": (lambda m: cmd_ratio_map(dict(self.EX, n_ratio=m, n_t=6001), out),
+                          ((20, 6001), (200, 6001))),
+            "ey-map": (lambda m: cmd_ey_map(dict(BASE, n_ey=m, n_t=6001), out),
+                       ((20, 6001), (200, 6001))),
+            "robustness": (lambda m: cmd_robustness(dict(BASE, n=m), out), ((65, 65), (257, 257))),
+        }[command]
+        out, peaks = str(tmp_path / "map.csv"), []
+        for rows, _ in sizes:
+            tracemalloc.start()
+            try:
+                run(rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        (m0, n0), (m1, n1) = sizes
+        assert peaks[1] - peaks[0] < (m1 * n1 - m0 * n0) * 8 / 4
 
 
 class TestSynthCommand:
