@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import require_resonant, static_hamiltonian
-from .prop import (_canonical_method, _drive_weights, _grid_populations, _LabStack, _lab_local,
+from .prop import (_canonical_method, _drive_weights, _grid_rows, _LabStack, _lab_local,
                    _population)
 from .pulses import PulseSegment
 from .spin import KET_0, SystemParams
@@ -355,7 +355,7 @@ def _min_ground_populations(p: SystemParams, ratios, window: float) -> list[floa
     w, c = _drive_weights([p.replace(omega_y=r * p.omega_x) for r in ratios], KET_0)
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
     out = []
-    for wj, cj, vals in zip(w, c, _grid_populations(w, c, window, _DEPLETION_GRID)):
+    for wj, cj, vals in zip(w, c, _grid_rows(w, c, window, _DEPLETION_GRID)(0, len(w))):
         i = int(np.argmin(vals))
         _, fx = fminbound(partial(_population, wj, cj), ts[max(i - 1, 0)],
                           ts[min(i + 1, _DEPLETION_GRID - 1)], xatol=1e-13)

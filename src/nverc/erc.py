@@ -205,4 +205,4 @@ def dq_rotation(
 
 def not_gate_sequence(p: SystemParams, alpha: float = 0.0) -> PulseSequence:
     """The theta = pi two-pulse program swapping the |+1> and |-1> populations."""
-    return dq_rotation(p, DQRotation(RotationAxis.MINUS_PHI, math.pi), alpha)[1]
+    return PulseSequence(_dq_rotations(p, [RotationAxis.MINUS_PHI], [math.pi], alpha)[1])

@@ -72,15 +72,10 @@ def _population(w, c, t):
     return a.real * a.real + a.imag * a.imag
 
 
-def _grid_populations(w, c, t_max, n_t):
-    """|sum_j c_ij e^(-i w_ij t_k)|^2, shape (m, n_t), for eigenvalues ``w``
-    and weights ``c`` of shape (m, 3), on the grid t_k = k dt of
-    ``np.linspace(0, t_max, n_t)``: all the rows of ``_grid_rows``."""
-    return _grid_rows(w, c, t_max, n_t)(0, len(w))
-
-
 def _grid_rows(w, c, t_max, n_t):
-    """The producer ``rows(lo, hi)`` of rows lo..hi-1 of ``_grid_populations``.
+    """The producer ``rows(lo, hi)`` of rows lo..hi-1, shape (hi - lo, n_t),
+    of |sum_j c_ij e^(-i w_ij t_k)|^2 for eigenvalues ``w`` and weights ``c``
+    of shape (m, 3), on the grid t_k = k dt of ``np.linspace(0, t_max, n_t)``.
     Writing k = q B + r with B = ceil(sqrt(n_t)) factors each phase as
     e^(-i w_j q B dt) e^(-i w_j r dt): the phase tables, 2 sqrt(n_t)
     exponentials per eigenvalue, are made once for all rows, and a row

@@ -142,6 +142,10 @@ def _as_state_array(amps) -> np.ndarray:
     a = np.asarray(amps, dtype=complex)
     if a.shape != (3,):
         raise ValueError(f"state needs exactly 3 amplitudes, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError("non-finite state amplitudes: " + ", ".join(
+            f"a_{m} = {v}" for m, v, ok in zip(("+1", "0", "-1"), a.tolist(), finite) if not ok))
     return a
 
 
@@ -159,7 +163,7 @@ class StateVector3:
     def __init__(self, amps):
         a = _as_state_array(amps)
         n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-8:
+        if not abs(n - 1.0) <= 1e-8:  # also a nan norm
             raise ValueError(f"state norm {n!r} too far from 1 to renormalize safely")
         a = a / n
         a.setflags(write=False)

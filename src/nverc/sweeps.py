@@ -20,8 +20,9 @@ block of them, never its whole grid.  ``_format_fields`` lays out the
 exact ``%.12e`` bytes of +0.0 and of positive values in [1e-10, 1e13),
 near-ties and decade carries decided exactly, four digits at a time from
 a table; every other (slow) field is formatted with ``%`` once per
-distinct value and put in front of its own separator, a per-row one into
-all the lines of its row at once.
+distinct value.  One walk over a block's slow fields, in (row, line,
+field) order, puts each in front of its own separator: a row with a
+per-row one is rebuilt once, the text laid into all its lines at once.
 
 Every output, CSV or JSON, is opened by ``_output``: it writes over the
 bytes of a file already at the path, without truncating it first, and cuts
@@ -307,12 +308,12 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     per file, into a table of 18-byte records copied into the lines of each
     block; per block, every other run of adjacent columns alike in shape is
     formatted into its slots in one call.  A block is written from the
-    buffer itself, or as pieces with its slow fields' ``%`` bytes in front
-    of their separators, each distinct slow value formatted once per file:
-    a slow per-row field goes into all the lines of its row at once, as the
-    row's lines are rebuilt at their new width, and every other slow field
-    is spliced on its own.  The file is written over the previous one at
-    ``path`` (``_output``)."""
+    buffer, or as pieces with its slow fields' ``%`` bytes (formatted once
+    per distinct value and file) in front of their separators, walked in
+    (row, line, field) order: a row with slow per-row fields is rebuilt
+    once, each text laid into all its lines at once, and its slow cell
+    fields are cut into the rebuilt lines; other rows are cut from the
+    buffer.  The file is written over the one at ``path`` (``_output``)."""
     cols = [c if callable(c) else np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(cols)} CSV columns do not fit header {header}")
@@ -326,6 +327,8 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     step = max(1, _CSV_BLOCK // max(n_inner, 1))
     buf = np.empty((min(n_outer, step), n_inner, len(cols), 19), np.uint8)
     buf[..., 1], buf[..., 18], buf[:, :, -1, 18] = 46, 44, 10  # '.', ',' and '\n'
+    offsets = list(range(0, 19 * len(cols) + 1, 19))  # each field's first byte; a line's width
+    stride = n_inner * offsets[-1]           # the bytes of one first-axis row
     def lay(run, out):  # a run's values, shaped (rows, inner, columns), and their mask
         x = run[0][..., None] if len(run) == 1 else np.concatenate([c[..., None] for c in run], -1)
         return x, _format_fields(x, out)
@@ -347,7 +350,7 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
         fh.write("".join(lines).encode("utf-8"))
         for k in range(0, n_outer, step):
             rows = buf[:n_outer - k]                 # the last block: a prefix view
-            cell_slow, row_slow = [], []             # (field indices, values) of slow fields
+            slow = []                                # (rows, lines, fields, values); line -1: per row
             for j, stop, const in runs:
                 if const:
                     x, exact = once[j]
@@ -364,61 +367,42 @@ def _write_csv(path: str, meta: dict, header: list[str], columns) -> None:
                 grid = (len(rows), 1 if per_row else n_inner, stop - j)
                 x, exact = np.broadcast_to(x, grid), np.broadcast_to(exact, grid)
                 r, i, jj = np.nonzero(~exact)
-                (row_slow if per_row else cell_slow).append(
-                    ((r * grid[1] + i) * len(cols) + j + jj, x[r, i, jj]))
-            if not (cell_slow or row_slow):
+                slow.append((r, i - per_row, j + jj, x[r, i, jj]))
+            if not slow:
                 fh.write(rows)
                 continue
-            text, width = memoryview(rows).cast("B"), 19 * len(cols)
-            cells, spelled = _spell(cell_slow, texts)
-            cut = 19 * cells                         # each slow cell field's first byte
-            if row_slow:  # each row with one: its lines rebuilt at their new width
-                fields, row_texts = _spell(row_slow, texts)
-                rr, jj = np.divmod(fields, len(cols))
-                grow = np.zeros((len(rows), len(cols)), np.intp)
-                grow[rr, jj] = [len(t) - 18 for t in row_texts]
-                chunks, done = [], 0
-                for r, group in itertools.groupby(zip(rr.tolist(), jj.tolist(), row_texts),
-                                                  lambda f: f[0]):
-                    line, pieces, prev = rows[r].reshape(n_inner, width), [], 0
-                    for _, j, t in group:            # a text is laid out in every line at once
-                        pieces += [line[:, prev:19 * j],
-                                   np.broadcast_to(np.frombuffer(t, np.uint8), (n_inner, len(t)))]
-                        prev = 19 * j + 18
-                    chunks += [text[done:r * n_inner * width],
-                               np.concatenate(pieces + [line[:, prev:]], 1)]
-                    done = (r + 1) * n_inner * width
-                parts = chunks + [text[done:]]
-                if len(cells):  # slow cell fields too: cut into the rebuilt text
-                    text = memoryview(b"".join(parts))
-                    widths = width + grow.sum(1)     # each row's line width
-                    off = 19 * np.arange(len(cols)) + np.cumsum(grow, 1) - grow  # field offsets
-                    r, i = np.divmod(cells // len(cols), n_inner)
-                    cut = (np.r_[0, np.cumsum(n_inner * widths)][r] + i * widths[r]
-                           + off[r, cells % len(cols)])
-            if len(cells):
-                parts, done = [], 0
-                for c, t in zip(cut.tolist(), spelled):
-                    parts += [text[done:c], t]
-                    done = c + 18                    # the field's own separator follows
-                parts.append(text[done:])
+            r, i, j, x = (np.concatenate(a) for a in zip(*slow))
+            order = np.lexsort((j, i, r))            # (row, line, field) order
+            bits = x[order].view(np.int64).tolist()
+            for b, v in zip(bits, x[order].tolist()):
+                texts[b] = texts.get(b) or (_FLOAT_FMT % v).encode()
+            fields = list(zip(*(a[order].tolist() for a in (r, i, j)), map(texts.get, bits)))
+            rebuilt = {}  # each row with per-row fields: its lines, rebuilt once, and field offsets
+            for r, spread in itertools.groupby([f for f in fields if f[1] < 0], lambda f: f[0]):
+                line, pieces, prev, sizes = rows[r].reshape(n_inner, -1), [], 0, [19] * len(cols)
+                for _, _, j, t in spread:            # a text is laid in all the lines at once
+                    pieces += [line[:, prev:19 * j],
+                               np.broadcast_to(np.frombuffer(t, np.uint8), (n_inner, len(t)))]
+                    prev, sizes[j] = 19 * j + 18, len(t) + 1
+                line = np.concatenate(pieces + [line[:, prev:]], 1)
+                rebuilt[r] = memoryview(line).cast("B"), [0, *itertools.accumulate(sizes)]
+            text = memoryview(rows).cast("B")
+            parts, src, off, cur, row = [], text, offsets, 0, -1  # off[-1]: src's line width
+            for r, i, j, t in fields + [(len(rows), -1, 0, b"")]:  # a last, empty row closes it
+                if r != row:
+                    if src is not text:              # leaving a rebuilt row: back to the text
+                        parts.append(src[cur:])
+                        src, off, cur = text, offsets, (row + 1) * stride
+                    row, at = r, r * stride          # at: the row's first byte in src
+                    if r in rebuilt:                 # the row's rebuilt lines replace its text
+                        parts.append(text[cur:at])
+                        (src, off), cur, at = rebuilt[r], 0, 0
+                if i >= 0:                           # a cell field, cut in at its first byte
+                    c = at + i * off[-1] + off[j]
+                    parts += [src[cur:c], t]
+                    cur = c + 18                     # the field's own separator follows
+            parts.append(text[cur:])
             fh.writelines(parts)                     # the pieces, not a joined copy
-
-
-def _spell(found, texts: dict) -> tuple[np.ndarray, list[bytes]]:
-    """The slow fields of a block, given as pairs of field indices and
-    values, in order, and the ``%`` bytes of each from ``texts`` (keyed by
-    the value's bits), where a value is formatted the first time it comes."""
-    if not found:
-        return np.empty(0, np.intp), []
-    at, values = (np.concatenate(a) for a in zip(*found))
-    order = np.argsort(at)
-    spelled = []
-    for bits, v in zip(values[order].view(np.int64).tolist(), values[order].tolist()):
-        if bits not in texts:
-            texts[bits] = (_FLOAT_FMT % v).encode()
-        spelled.append(texts[bits])
-    return at[order], spelled
 
 
 _PLOT_TEMPLATE = '''\

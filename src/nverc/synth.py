@@ -259,6 +259,8 @@ def synthesize_gate(p: SystemParams, target: np.ndarray) -> SynthesisResult:
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got {target.shape}")
+    if not np.isfinite(target).all():
+        raise ValueError(f"target has non-finite entries: {target.tolist()}")
     if np.linalg.norm(target.conj().T @ target - np.eye(2), 2) > 1e-10:
         raise ValueError("target is not unitary within 1e-10")
 

@@ -103,6 +103,20 @@ class TestExitCodes:
         assert "message" in json.loads(capsys.readouterr().out)["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,doc", [
+        ("trace", dict(BASE_SYSTEM, n_points=3, start_state=[[math.nan, 0], [1, 0], [0, 0]])),
+        ("robustness", dict(BASE_SYSTEM, n=3, observable="dq_fidelity",
+                            target_state=[[math.inf, 0], [0, 0], [1, 0]])),
+        ("synth", dict(BASE_SYSTEM, target=[[[math.nan, 0], [1, 0]], [[1, 0], [0, 0]]])),
+    ], ids=["nan-start-state", "infinite-target-state", "nan-target"])
+    def test_non_finite_state_or_target_is_2(self, tmp_path, capsys, command, doc):
+        # JSON's NaN and Infinity parse; a state or gate made of them is refused
+        out = tmp_path / "o.csv"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert "non-finite" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,doc,named", [
         ("robustness", dict(BASE_SYSTEM, n=3, method="lab"), "'method'"),
         ("robustness", dict(BASE_SYSTEM, n=3, n_pointz=7), "'n_pointz'"),

@@ -113,7 +113,7 @@ class TestBatchedRwaSegment:
             for bra in (KET_P1, KET_0, KET_M1):
                 w, c = prop._drive_weights([p], bra)
                 bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(w)) * t_max)
-                got = prop._grid_populations(w, c, t_max, n_t)
+                got = prop._grid_rows(w, c, t_max, n_t)(0, 1)
                 assert got.shape == (1, n_t)
                 assert np.max(np.abs(got[0] - np.abs(column @ bra) ** 2)) <= bound
 
@@ -129,7 +129,7 @@ class TestBatchedRwaSegment:
             bra = np.conj(np.array(z[:3]) + 1j * np.array(z[3:])) / np.linalg.norm(z)
         else:
             bra = {"plus1": KET_P1, "zero": KET_0, "minus1": KET_M1}[which]
-        got = prop._grid_populations(*prop._drive_weights(systems, bra), t_max, n_t)
+        got = prop._grid_rows(*prop._drive_weights(systems, bra), t_max, n_t)(0, len(systems))
         ts = np.linspace(0.0, t_max, n_t)
         want = [np.abs(drive_column(p, ts) @ bra) ** 2 for p in systems]
         assert got.shape == (len(systems), n_t)

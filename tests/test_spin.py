@@ -81,6 +81,18 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             StateVector3(np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("amps,named", [
+        ([math.nan, 1.0, 0.0], "a_+1 = (nan+0j)"),
+        ([0.0, 1.0, complex(0.0, math.inf)], "a_-1 = infj"),
+        ([math.inf, 0.0, -math.inf], "a_+1 = (inf+0j), a_-1 = (-inf+0j)"),
+    ])
+    def test_state_rejects_non_finite_amplitudes(self, amps, named):
+        # a nan norm is not "too far from 1" by comparison; it is refused
+        for make in (StateVector3, StateVector3.from_unnormalized):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                make(np.array(amps))
+            assert named in str(err.value)
+
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             Unitary3(np.eye(3) * 1.001)

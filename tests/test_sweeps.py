@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -115,6 +116,16 @@ class TestWriteCsv:
               np.where(np.arange(301) % 97 == 5, 1e-17, np.linspace(0.01, 0.99, 45)[:, None]),
               *np.where(np.arange(45) < 37, np.array([[0.5], [1.5], [2.5]]), math.nan)[..., None],
               np.where(np.arange(45) == 39, -math.inf, 1.25)[:, None]], sweeps._CSV_BLOCK)
+    # the walk's order in the last (prefix-view) block of one row: a slow
+    # per-row field between slow cell fields on both sides, in line 2
+    @example([np.arange(5.0)[:, None], np.where(np.arange(15).reshape(5, 3) % 4 == 2, -0.5, 0.25),
+              np.array([[1.5], [2.5], [3.5], [-1.0], [math.nan]]),
+              np.where(np.arange(15).reshape(5, 3) >= 12, 1e-20, 0.75)], 6)
+    # rows with slow cell fields only, cut from the block's text, on both
+    # sides of a row with a slow per-row field
+    @example([np.arange(4.0)[:, None], np.linspace(0.0, 1.0, 3),
+              np.where(np.arange(12).reshape(4, 3) // 3 % 2 == 1, -0.5, 0.5),
+              np.array([[0.5], [0.5], [math.inf], [0.5]])], sweeps._CSV_BLOCK)
     def test_body_equals_percent_format(self, columns, block):
         # st.floats() gives nan, +-inf, -0.0, subnormals and 3-digit exponents
         header = [f"c{j}" for j in range(len(columns))]
@@ -175,6 +186,32 @@ class TestWriteCsv:
                 body = fh.read().split(b"\n", 2)[2]
         assert body == percent_body(columns)
         assert sorted(map(str, calls)) == ["-2.5", "nan"]
+
+    @pytest.mark.parametrize("nan_rows", [1, 9])
+    def test_per_row_slow_fields_are_one_piece_per_row(self, nan_rows):
+        # fig5's shape: NaN overlays beside 301-line rows; each row holding
+        # one goes to the file as one rebuilt piece, so the pieces written
+        # grow with those rows, not with their lines
+        overlay = np.where(np.arange(45) < 45 - nan_rows, 1.5, math.nan)[:, None]
+        columns = [np.arange(45.0)[:, None], np.linspace(0.0, 4.2, 301),
+                   np.linspace(0.01, 0.99, 45)[:, None] + np.zeros(301), overlay, overlay]
+        pieces = []
+        output = sweeps._output
+
+        @contextlib.contextmanager
+        def counted(*paths):
+            with output(*paths) as files:
+                for fh in files:
+                    writelines = fh.writelines
+                    fh.writelines = lambda parts: (pieces.append(len(parts)), writelines(parts))
+                yield files
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sweeps, "_output", counted):
+            _write_csv(f"{tmp}/x.csv", {}, [f"c{j}" for j in range(5)], columns)
+            with open(f"{tmp}/x.csv", "rb") as fh:
+                body = fh.read().split(b"\n", 2)[2]
+        assert body == percent_body(columns)
+        assert pieces and sum(pieces) <= 3 * nan_rows + len(pieces)
 
 
 class TestRewrite:
@@ -364,6 +401,19 @@ class TestProgramWalker:
         _, _, ref = read_csv(tmp_path / "fine.csv")
         assert rows.shape == ref.shape == (501, 4)
         assert np.max(np.abs(rows - ref)) < 1e-4
+
+    def test_fig2_trace_builds_no_unitary(self, tmp_path, monkeypatch):
+        # the default program's segments come from the rotation stack alone
+        built = []
+        init = spin.Unitary3.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spin.Unitary3, "__init__", counted)
+        cmd_trace(json.loads((CONFIGS / "fig2_trace.json").read_text()), str(tmp_path / "t.csv"))
+        assert built == []
 
     def test_robustness_builds_no_unitary_per_cell(self, tmp_path, monkeypatch):
         built = []

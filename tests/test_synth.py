@@ -209,6 +209,12 @@ class TestSynthesizeGate:
         with pytest.raises(ValueError):
             synthesize_gate(P13, 1.001 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, bad):
+        # named as such, not numpy's failed SVD of the unitarity check
+        with pytest.raises(ValueError, match="non-finite"):
+            synthesize_gate(P13, np.array([[bad, 1.0], [1.0, 0.0]]))
+
     def test_deterministic_given_seed(self):
         r1 = synthesize_gate(P_ORTHO, X)
         r2 = synthesize_gate(P_ORTHO, X)
