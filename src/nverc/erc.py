@@ -13,6 +13,7 @@ dressed systems):
 The evolution operator for one constant segment is
 
     U(t, a) = cos(obar t)(P_B + P_+) - i sin(obar t)(|B_a><+| + |+><B_a|) + P_D
+            = e^{-i obar t} P_v+ + e^{i obar t} P_v- + P_D,   v+- = (|+> +- |B_a>)/sqrt 2
 
 and at the two characteristic times it reduces to pure basis exchanges.
 Writing |lam> for the half-angle equatorial family ``phi_state(lam)``:
@@ -32,9 +33,10 @@ axes whose Bloch-vector separation is 4 phi:
 and R(+phi, theta) is the reversed-order analogue.  Both are exactly
 independent of the base phase ``a``.
 
-U(t, a) is evaluated over whole arrays of durations at once.  This module
-holds the closed forms only; pulse programs run in ``nverc.prop``, whose
-analytic method evaluates them.
+U(t, a) is evaluated in its spectral form, G applied to every eigenvector
+(``_spectrum``), over whole arrays of durations at once.  This module holds
+the closed forms only; pulse programs run in ``nverc.prop``, whose analytic
+method takes their spectra.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ham import bright_dark_vectors, dressing_matrix, require_resonant
+from .ham import dressing_matrix, require_resonant
 from .pulses import DQRotation, PulseSegment, PulseSequence, RotationAxis
-from .spin import KET_0, KET_PLUS, StateVector3, SystemParams, Unitary3, _phi_amps
+from .spin import KET_0, KET_MINUS, KET_PLUS, StateVector3, SystemParams, Unitary3, _phi_amps
 
 __all__ = [
     "ErcQuantities",
@@ -97,37 +99,46 @@ def characteristic_quantities(p: SystemParams) -> ErcQuantities:
 
 
 def bright_dark(p: SystemParams, alpha: float) -> tuple[StateVector3, StateVector3]:
-    """Bright/dark pair of the (effective) Raman problem at drive phase alpha.
-
-    For a plain system the dark state is annihilated by the rotating-wave
-    Hamiltonian; dressed systems get the corresponding dressed pair.
-    """
-    require_resonant(p)
-    p.require_regime()
-    b, d = bright_dark_vectors(p.muB_eff(), p.omega_eff(), alpha)
-    if not p.is_plain():
-        g = dressing_matrix(p)
-        b, d = g @ b, g @ d
-    return StateVector3(b), StateVector3(d)
+    """Bright/dark pair G|B_a> = (v_+ - v_-)/sqrt 2, G|D_a> of the (effective)
+    Raman problem at drive phase alpha, from ``_spectrum``'s columns; for a
+    plain system (G = 1) the dark state is annihilated by H_rwa."""
+    v = _spectrum(p, alpha)[1]
+    return StateVector3((v[:, 0] - v[:, 2]) * math.sqrt(0.5)), StateVector3(v[:, 1])
 
 
-def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
-    """U(t, alpha) of one constant segment for a scalar or array of
-    durations t >= 0, shape ``t.shape + (3, 3)``; checks and dressing run
-    once per call, not once per duration."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("segment duration must be non-negative")
+def _spectrum(p: SystemParams, alpha):
+    """Eigenvalues w = (obar, 0, -obar) of H_rwa(p) and eigenvectors v, shape
+    ``alpha.shape + (3, 3)``, at a scalar or array of drive phases a: the
+    columns G v_+, G|D_a>, G v_-, v_+- = (|+> +- |B_a>)/sqrt 2, for
+    |B_a> = (muB |-> + e^{-i a} (omega/2) |0>) / obar and
+    |D_a> = (-muB |0> + e^{i a} (omega/2) |->) / obar (effective muB, omega).
+    Checks and dressing run once per call."""
     require_resonant(p)
     p.require_regime()
     mu, om = p.muB_eff(), p.omega_eff()
     obar = math.sqrt(mu * mu + om * om / 4.0)
-    b, d = bright_dark_vectors(mu, om, alpha)
-    pbp = np.outer(b, b.conj()) + np.outer(KET_PLUS, KET_PLUS.conj())
-    x = np.outer(b, KET_PLUS.conj()) + np.outer(KET_PLUS, b.conj())
-    c = np.cos(obar * t)[..., None, None]
-    s = np.sin(obar * t)[..., None, None]
-    return _dressed(p, c * pbp - 1j * s * x + np.outer(d, d.conj()))
+    if obar == 0.0:
+        raise ValueError("bright/dark states undefined for muB = omega = 0")
+    e = np.exp(-1j * np.asarray(alpha, dtype=float))[..., None] * (om / 2.0)
+    b, d = (mu * KET_MINUS + e * KET_0) / obar, (-mu * KET_0 + e.conj() * KET_MINUS) / obar
+    v = np.stack([(KET_PLUS + b) * math.sqrt(0.5), d, (KET_PLUS - b) * math.sqrt(0.5)], axis=-1)
+    return np.array([obar, 0.0, -obar]), v if p.is_plain() else dressing_matrix(p) @ v
+
+
+def _evolved(w, v, t) -> np.ndarray:
+    """v e^{-i w t} v^dagger at an array of durations t, shape ``t.shape + (3, 3)``,
+    as one (3 t.size, 3) product: as fast as matrix-vector, unlike 3x3 ones."""
+    u = (v * np.exp(-1j * w * t[..., None])[..., None, :]).reshape(-1, 3) @ v.conj().T
+    return u.reshape(t.shape + (3, 3))
+
+
+def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
+    """U(t, alpha) of one constant segment for a scalar or array of
+    durations t >= 0, shape ``t.shape + (3, 3)``, from one ``_spectrum``."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("segment duration must be non-negative")
+    return _evolved(*_spectrum(p, alpha), t)
 
 
 def _dressed(p: SystemParams, u: np.ndarray) -> np.ndarray:
@@ -143,8 +154,8 @@ def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
     """Evolution operator of one constant drive segment, any duration t >= 0.
 
     Exact solution of the rotating-wave Hamiltonian in the interaction
-    frame ``p.interaction_frame``; dressed systems are handled by
-    conjugating the plain solution.
+    frame ``p.interaction_frame``, in spectral form; dressed systems
+    through their dressed eigenvectors.
     """
     return Unitary3(_erc_matrix(p, t, alpha), p.interaction_frame)
 

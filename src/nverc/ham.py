@@ -77,7 +77,6 @@ __all__ = [
     "hamiltonian_rwa_stack",
     "static_hamiltonian",
     "lab_drive_operators",
-    "bright_dark_vectors",
     "residual_detuning",
     "compensation_ratio",
     "require_resonant",
@@ -153,20 +152,6 @@ def hamiltonian_rwa_stack(systems, segments) -> np.ndarray:
     # mu SZ == muB (|-><+| + |+><-|) on the DQ doublet
     h = mu * SZ + (drive + drive.conj().swapaxes(-1, -2)) + ex * (_P_PLUS - _P_MINUS)
     return h + (dq + dq.conj().swapaxes(-1, -2))
-
-
-def bright_dark_vectors(muB: float, omega: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw bright/dark amplitude vectors of the plain Raman problem.
-
-    |B_a> = (muB |-> + e^{-i a} (omega/2) |0>) / obar
-    |D_a> = (-muB |0> + e^{i a} (omega/2) |->) / obar
-    """
-    obar = math.sqrt(muB**2 + omega**2 / 4.0)
-    if obar == 0.0:
-        raise ValueError("bright/dark states undefined for muB = omega = 0")
-    b = (muB * KET_MINUS + np.exp(-1j * alpha) * (omega / 2.0) * KET_0) / obar
-    d = (-muB * KET_0 + np.exp(1j * alpha) * (omega / 2.0) * KET_MINUS) / obar
-    return b, d
 
 
 def residual_detuning(p: SystemParams) -> float:

@@ -13,10 +13,11 @@ uniform time grid (a map block by block of rows, ``_grid_rows``) or at
 single times, forming no propagator.
 
 Every pulse program runs through one call, ``evolve``, for all three
-methods: closed forms (``nverc.erc``), rotating-wave exponentials and lab
-integration.  It returns interaction-frame propagators at any
-non-decreasing array of sample times; traces, the synthesis cross-checks
-and ``sequence_unitary`` are each one call of it.
+methods, which returns interaction-frame propagators at any non-decreasing
+array of sample times.  Analytic and rwa share one spectral expression,
+v e^{-i w t} v^H, with eigenpairs from the closed forms (``nverc.erc``) or
+from one ``eigh``; lab integrates.  Traces, the synthesis cross-checks and
+``sequence_unitary`` are each one call of it.
 
 In a constant-drive segment the carrier-frame Hamiltonian has the period
 P = T_c / 2, half the carrier period T_c = 2 pi / (D + Ez), so a segment
@@ -45,7 +46,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .erc import _erc_matrix
+from .erc import _evolved, _spectrum
 from .errors import ResonanceError
 from .ham import hamiltonian_rwa_stack, lab_drive_operators, static_hamiltonian
 from .pulses import PulseSegment, PulseSequence
@@ -213,10 +214,10 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     array, or hold a NaN or a decrease, are refused with ``ValueError``.
 
     A first pass plans each segment's durations; the second computes their
-    propagators from the segment start: per segment for the closed forms,
-    from one stack of all segments for the others (one ``eigh`` of their
-    H_rwa; ``_LabStack`` and ``_lab_local``), and chains each segment's
-    with u, the propagator at its start, in one product.
+    propagators from the segment start, from one stack of all segments (lab:
+    ``_LabStack`` and ``_lab_local``; analytic and rwa: one spectral
+    expression of their eigenpairs, closed-form or from one ``eigh``), and
+    chains each segment's with u, the propagator at its start, in one product.
     """
     method = _canonical_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
@@ -245,14 +246,10 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
         local = _lab_local(stack, np.repeat(np.arange(len(plan)), counts),
                            np.concatenate([taus for _, _, taus in plan]))
         locals_ = np.split(local, np.cumsum(counts)[:-1])
-    elif method == "rwa_numeric" and plan:
-        w, v = np.linalg.eigh(hamiltonian_rwa_stack([p] * len(segs), segs))
-        # v e^(-i w tau) v^H as one (n * 3, 3) product per segment: as fast
-        # as a matrix-vector form, unlike n 3x3 ones
-        locals_ = (((v[j] * np.exp(-1j * w[j] * taus[:, None])[:, None, :]).reshape(-1, 3)
-                    @ v[j].conj().T).reshape(-1, 3, 3) for j, (_, _, taus) in enumerate(plan))
-    else:
-        locals_ = (_closed_propagators(p, seg, taus) for seg, _, taus in plan)
+    else:  # analytic or rwa (or no segment): one expression of the segments' eigenpairs
+        w, v = (_closed_spectra(p, segs) if method == "analytic"
+                else np.linalg.eigh(hamiltonian_rwa_stack([p] * len(segs), segs)))
+        locals_ = (_evolved(w[j], v[j], taus) for j, (_, _, taus) in enumerate(plan))
     found = np.empty((len(times), 3, 3), dtype=complex)  # one propagator per sample
     u = np.eye(3, dtype=complex)
     done = 0
@@ -271,15 +268,21 @@ def sequence_unitary(p: SystemParams, seq: PulseSequence) -> Unitary3:
     return Unitary3(evolve(p, seq)[0], p.interaction_frame)
 
 
-def _closed_propagators(p, seg, taus):
-    """The closed-form counterpart of ``_lab_local``: the propagators of
-    ``seg`` over each duration in ``taus``."""
-    if seg.omega_y != 0.0 and seg.beta != seg.alpha:
-        raise ResonanceError(
-            "analytic propagation requires beta == alpha on two-tone segments"
-        )
-    ps = p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y)
-    return _erc_matrix(ps, taus, seg.alpha)
+def _closed_spectra(p, segs):
+    """The closed-form counterpart of the rwa ``eigh``: the eigenpairs of the
+    segments' H_rwa, one ``erc._spectrum`` (checks, dressing) per distinct
+    drive; the first offending segment in program order raises."""
+    drives, seen = [(seg.omega_x, seg.omega_y) for seg in segs], set()
+    w, v = np.empty((len(segs), 3)), np.empty((len(segs), 3, 3), dtype=complex)
+    for seg, drive in zip(segs, drives):
+        if seg.omega_y != 0.0 and seg.beta != seg.alpha:
+            raise ResonanceError("analytic propagation requires beta == alpha on two-tone segments")
+        if drive not in seen:
+            seen.add(drive)
+            same = np.array([d == drive for d in drives])
+            w[same], v[same] = _spectrum(p.replace(omega_x=seg.omega_x, omega_y=seg.omega_y),
+                                         np.array([s.alpha for s in segs])[same])
+    return w, v
 
 
 _METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",

@@ -520,12 +520,12 @@ def cmd_robustness(cfg: dict, out_path: str) -> dict:
     _check_sweep(("t", 0.0, t_max))
     ts = np.linspace(0.0, t_max, n)
     first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
-    second = erc._erc_matrix(p, ts, math.pi)
+    r = bra @ erc._erc_matrix(p, ts, math.pi)  # r[j] = <a| U(t2_j, pi)
     best = [-1.0, 0, 0]  # the first maximum in C order: value, t1 and t2 index
 
     def rows(lo, hi):
-        # states[i, j] = second[j] @ first[i], each the same 3x3 product as alone
-        vals = np.abs((second[None] @ first[lo:hi, None, :, None])[..., 0] @ bra) ** 2
+        f = first[lo:hi, None, :]  # cell (i, j) is |r[j] . f[i]|^2, the same bits in any block
+        vals = np.abs(f[..., 0] * r[:, 0] + f[..., 1] * r[:, 1] + f[..., 2] * r[:, 2]) ** 2
         k = int(np.argmax(vals))
         if vals.flat[k] > best[0]:
             best[:] = float(vals.flat[k]), lo + k // n, k % n

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -11,7 +14,8 @@ from nverc import (DQRotation, PulseSegment, PulseSequence, RegimeError,
                    characteristic_quantities, closed_form_unitary,
                    compensation_ratio, dq_rotation, erc, erc_unitary, evolve,
                    not_gate_sequence, phi_state, sequence_unitary)
-from nverc.spin import KET_0, KET_M1, KET_P1, KET_PLUS
+from nverc.ham import dressing_matrix, hamiltonian_rwa_stack
+from nverc.spin import KET_0, KET_M1, KET_MINUS, KET_P1, KET_PLUS
 
 P13 = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
 
@@ -153,6 +157,67 @@ class TestBatchedErcMatrix:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             erc._erc_matrix(P13, np.array([0.0, 1.0, -1e-12]), 0.0)
+
+
+def cos_sin_form(p, t, alpha):
+    """U(t, alpha) as cos(obar t)(P_B + P_+) - i sin(obar t)(|B_a><+| + |+><B_a|)
+    + P_D of the effective plain system, conjugated by the dressing G: the
+    projector form the spectral form replaced, kept as its oracle."""
+    mu, om = p.muB_eff(), p.omega_eff()
+    obar = math.sqrt(mu * mu + om * om / 4.0)
+    b = (mu * KET_MINUS + np.exp(-1j * alpha) * (om / 2.0) * KET_0) / obar
+    d = (-mu * KET_0 + np.exp(1j * alpha) * (om / 2.0) * KET_MINUS) / obar
+    pbp = np.outer(b, b.conj()) + np.outer(KET_PLUS, KET_PLUS.conj())
+    x = np.outer(b, KET_PLUS.conj()) + np.outer(KET_PLUS, b.conj())
+    c = np.cos(obar * t)[..., None, None]
+    s = np.sin(obar * t)[..., None, None]
+    g = dressing_matrix(p)
+    return g @ (c * pbp - 1j * s * x + np.outer(d, d.conj())) @ g.conj().T
+
+
+@st.composite
+def resonant_systems(draw):
+    """A plain system, or a dressed one: a transverse field (Ex, Ey) with the
+    compensating second tone, or a pure-y field with one tone; the drive
+    1.05-8 times its threshold 2 muB_eff."""
+    mu = draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["plain", "compensated", "pure_y"]))
+    ex = 0.0
+    if kind == "compensated":
+        ex = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    ey = 0.0 if kind == "plain" else draw(st.floats(-1.0, 1.0))
+    ratio = compensation_ratio(ex, ey) if ex else 0.0
+    omega = 2.0 * math.sqrt(mu * mu + ex * ex + ey * ey) * draw(st.floats(1.05, 8.0))
+    ox = omega / math.hypot(1.0, ratio)
+    return SystemParams(D=500.0, muB=mu, omega_x=ox, omega_y=ratio * ox, Ex=ex, Ey=ey)
+
+
+class TestSpectrum:
+    @settings(max_examples=60)
+    @given(p=resonant_systems(),
+           alphas=hnp.arrays(float, st.integers(1, 6), elements=st.floats(-7.0, 7.0)),
+           ts=hnp.arrays(float, st.integers(1, 6), elements=st.floats(0.0, 20.0)))
+    def test_eigenpairs_of_the_rotating_wave_hamiltonian(self, p, alphas, ts):
+        w, v = erc._spectrum(p, alphas)
+        assert v.shape == alphas.shape + (3, 3)
+        eye = np.broadcast_to(np.eye(3), v.shape)
+        assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - eye)) < 1e-14
+        h = hamiltonian_rwa_stack([p] * len(alphas),
+                                  [PulseSegment(1.0, a, p.omega_x, p.omega_y) for a in alphas])
+        assert np.max(np.abs(h @ v - v * w)) < 1e-13
+        for alpha in alphas:
+            got = erc._erc_matrix(p, ts, alpha)
+            assert np.max(np.abs(got - cos_sin_form(p, ts, alpha))) < 1e-14
+
+    def test_scalar_phase_and_bright_dark_columns(self):
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.3,
+                         omega_y=compensation_ratio(0.7, -0.3) * 4.5)
+        w, v = erc._spectrum(p, 0.4)
+        q = characteristic_quantities(p)
+        assert v.shape == (3, 3) and w.tolist() == [q.omega_bar, 0.0, -q.omega_bar]
+        b, d = bright_dark(p, 0.4)
+        assert np.max(np.abs(b.amps - (v[:, 0] - v[:, 2]) / math.sqrt(2.0))) < 1e-15
+        assert np.array_equal(d.amps, v[:, 1] / np.linalg.norm(v[:, 1]))
 
 
 class TestClosedForms:

@@ -9,9 +9,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import haar_unitary3, rwa_hamiltonian
-from nverc import (FrameTag, PulseSegment, PulseSequence, SystemParams,
-                   characteristic_quantities, erc_unitary, not_gate_sequence)
-from nverc import _kernels, prop
+from nverc import (FrameTag, PulseSegment, PulseSequence, RegimeError, ResonanceError,
+                   SystemParams, characteristic_quantities, compensation_ratio, erc_unitary,
+                   not_gate_sequence)
+from nverc import _kernels, ham, prop
 from nverc.ham import hamiltonian_lab, lab_drive_operators, static_hamiltonian
 from nverc.spin import KET_0, KET_M1, KET_P1, SZ2
 
@@ -44,6 +45,32 @@ def dressed_systems(draw):
         systems.append(SystemParams(D=500.0, muB=mu, omega_x=om, Ex=draw(field),
                                     Ey=draw(field), Ez=draw(field), omega_y=om * draw(field)))
     return systems
+
+
+@st.composite
+def mixed_drive_programs(draw):
+    """(p, seq, times): a system with its drive off whose 1-6 segments each
+    set their own drive, drawn from a pool of 1-3 so that drives repeat.
+    Plain systems take any single- or two-tone drive (each is resonant
+    without a transverse field), dressed ones (Ex, Ey) their compensated
+    two-tone drive at each pool amplitude; every drive 1.05-4 times its
+    threshold.  Samples at random times inside and past the program."""
+    mu = draw(st.floats(0.2, 1.5))
+    ex, ey = draw(st.sampled_from([(0.0, 0.0), (0.6, -0.3), (-0.4, 0.5)]))
+    ratio = compensation_ratio(ex, ey) if ex else None
+    p = SystemParams(D=500.0, muB=mu, omega_x=0.0, Ex=ex, Ey=ey)
+    drives = []
+    for _ in range(draw(st.integers(1, 3))):
+        om = 2.0 * math.sqrt(mu * mu + ex * ex + ey * ey) * draw(st.floats(1.05, 4.0))
+        angle = (math.atan(ratio) if ratio is not None
+                 else draw(st.sampled_from([0.0, draw(st.floats(-math.pi, math.pi))])))
+        drives.append((om * math.cos(angle), om * math.sin(angle)))
+    segs = [PulseSegment(draw(st.floats(0.0, 2.0)), draw(st.floats(-math.pi, math.pi)),
+                         *draw(st.sampled_from(drives)))
+            for _ in range(draw(st.integers(1, 6)))]
+    seq = PulseSequence(segs)
+    fracs = draw(st.lists(st.floats(0.0, 1.1), min_size=1, max_size=8))
+    return p, seq, np.sort(fracs) * seq.total_duration
 
 
 class TestRwaPropagation:
@@ -487,6 +514,54 @@ class TestProgramEngine:
         assert np.max(np.abs(rwa - ana)) < 1e-12
         err = np.max(np.linalg.norm(lab - ana, 2, axis=(1, 2)))
         assert err < 2.0 * len(segs) * P13.omega_x / P13.carrier
+
+    @settings(max_examples=60)
+    @given(program=mixed_drive_programs())
+    def test_analytic_equals_rwa_on_mixed_drives(self, program):
+        # the closed-form spectra of each distinct drive, against one eigh
+        # of every segment's H_rwa, at samples inside and past the segments
+        p, seq, times = program
+        ana = prop.evolve(p, seq, times, "analytic")
+        assert np.max(np.abs(ana - prop.evolve(p, seq, times, "rwa"))) < 1e-13
+
+    @pytest.mark.parametrize("order,error", [
+        ("good two_tone_bad off", ResonanceError),
+        ("good off two_tone_bad", RegimeError),
+        ("two_tone off two_tone_bad", RegimeError),
+        ("off two_tone_bad good", RegimeError),
+    ])
+    def test_first_offending_segment_decides_the_error(self, order, error):
+        # the checks run once per drive, yet the first segment in program
+        # order that the closed forms refuse decides: beta != alpha on a
+        # two-tone segment, or a drive below the threshold (here off)
+        segs = {"good": PulseSegment(0.5, 0.3, 3.0),
+                "two_tone": PulseSegment(0.5, 0.3, 3.0, 1.0),
+                "two_tone_bad": PulseSegment(0.5, 0.3, 3.0, 1.0, beta=1.3),
+                "off": PulseSegment(0.5, 0.3, 0.0)}
+        seq = PulseSequence([segs[name] for name in order.split()])
+        with pytest.raises(error):
+            prop.evolve(P13, seq, method="analytic")
+        prop.evolve(P13, seq, method="rwa")  # which simulates every segment
+
+    def test_closed_forms_take_no_eigh(self, monkeypatch):
+        # the closed forms supply their eigenpairs: neither an analytic walk
+        # nor erc_unitary builds or decomposes an H_rwa
+        calls = []
+        real_eigh, real_stack = np.linalg.eigh, ham.hamiltonian_rwa_stack
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (calls.append("eigh"), real_eigh(h))[1])
+        for module in (ham, prop):
+            monkeypatch.setattr(module, "hamiltonian_rwa_stack",
+                                lambda *a: (calls.append("stack"), real_stack(*a))[1])
+        p = SystemParams(D=500.0, muB=1.0, omega_x=4.5, Ex=0.7, Ey=-0.3,
+                         omega_y=compensation_ratio(0.7, -0.3) * 4.5)
+        seq = PulseSequence([PulseSegment(0.9, 0.2 * k, f * p.omega_x, f * p.omega_y)
+                             for k, f in enumerate([1.0, 2.0, 1.0, 1.5, 2.0])])
+        times = np.linspace(0.0, seq.total_duration, 7)
+        prop.evolve(p, seq, times, "analytic")
+        erc_unitary(p, 0.7, 0.3)
+        assert calls == []
+        prop.evolve(p, seq, times, "rwa")  # the spies do see the rwa method
+        assert calls == ["stack", "eigh"]
 
     @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
     def test_refuses_decreasing_times(self, method):

@@ -429,6 +429,15 @@ class TestProgramWalker:
         assert len(built) < n * n
 
 
+def robustness_rows(p, ts, bra):
+    """The robustness grid row by row: r[j] = <a|U(t2_j, pi) dotted with
+    U(t1_i, 0)|+1>, three elementwise products and two sums per row."""
+    first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
+    r = bra @ erc._erc_matrix(p, ts, math.pi)
+    return np.array([np.abs(f[0] * r[:, 0] + f[1] * r[:, 1] + f[2] * r[:, 2]) ** 2
+                     for f in first])
+
+
 class TestRobustness:
     def test_minimal_grid_matches_apply_sequence(self, tmp_path):
         out = tmp_path / "rob.csv"
@@ -491,11 +500,12 @@ class TestRobustness:
         bra = sweeps._take_observable(dict(cfg), observable)[1]
         ts = np.linspace(0.0, characteristic_quantities(p).T_total, 17)
         second = erc._erc_matrix(p, ts, math.pi)
-        want = np.array([
-            np.abs(second @ (erc._erc_matrix(p, t1, 0.0) @ KET_P1) @ bra) ** 2
-            for t1 in ts
-        ])
-        assert np.array_equal(written[0][2](0, 17), want)
+        got = written[0][2](0, 17)
+        assert np.array_equal(got, robustness_rows(p, ts, bra))
+        # the same states as one stacked 3x3 product per cell, to rounding
+        first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
+        stacked = np.abs((second[None] @ first[:, None, :, None])[..., 0] @ bra) ** 2
+        assert np.max(np.abs(got - stacked)) < 1e-14
 
     @pytest.mark.parametrize("fake", [False, True])
     def test_argmax_is_the_first_maximum_of_the_grid(self, tmp_path, monkeypatch, fake):
@@ -515,9 +525,7 @@ class TestRobustness:
             got = cmd_robustness(cfg, str(tmp_path / "rob.csv"))["argmax"]
         p = system_from_config(cfg)
         ts = np.linspace(0.0, characteristic_quantities(p).T_total, n)
-        first = erc._erc_matrix(p, ts, 0.0) @ KET_P1
-        grid = np.abs((erc._erc_matrix(p, ts, math.pi)[None] @ first[:, None, :, None])[..., 0]
-                      @ KET_P1) ** 2
+        grid = robustness_rows(p, ts, KET_P1)
         i, j = np.unravel_index(np.argmax(grid), grid.shape)
         assert got == {"t1": ts[i], "t2": ts[j], "value": grid[i, j]}
         assert not fake or (i, j) == (1, 0)
