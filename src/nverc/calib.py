@@ -269,11 +269,13 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
 
 
 def _rabi_period(p: SystemParams) -> float:
-    """Full Rabi period 2 pi / obar of the (effective) resonant drive."""
+    """Full Rabi period 2 pi / obar of the (effective) resonant drive; one
+    below the threshold, a zero one included, has its period too."""
     mu, om = p.muB_eff(), p.omega_eff()
-    if om == 0.0:
-        raise ValueError("drive amplitude must be nonzero")
-    return 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
+    obar = math.sqrt(mu * mu + om * om / 4.0)
+    if obar == 0.0:
+        raise ValueError("Rabi period undefined for muB = omega = 0")
+    return 2.0 * math.pi / obar
 
 
 def phi_from_times(t_prime_meas: float, t_total_meas: float) -> float:

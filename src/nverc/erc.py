@@ -33,10 +33,11 @@ axes whose Bloch-vector separation is 4 phi:
 and R(+phi, theta) is the reversed-order analogue.  Both are exactly
 independent of the base phase ``a``.
 
-U(t, a) is evaluated in its spectral form, G applied to every eigenvector
-(``_spectrum``), over whole arrays of durations at once.  This module holds
-the closed forms only; pulse programs run in ``nverc.prop``, whose analytic
-method takes their spectra.
+Every closed form passes one gate, ``characteristic_quantities``, and is
+dressed one way, G applied to each eigenvector (``_spectrum``) or axis state
+(``_axis_states``); U(t, a) is evaluated in its spectral form over whole
+arrays of durations at once.  This module holds the closed forms only; pulse
+programs run in ``nverc.prop``, whose analytic method takes their spectra.
 """
 
 from __future__ import annotations
@@ -73,29 +74,22 @@ class ErcQuantities:
 
 
 def characteristic_quantities(p: SystemParams) -> ErcQuantities:
-    """Compute (obar, T_total, T_prime, T_second, phi) for a resonant system.
-
-    Raises :class:`ResonanceError` for an uncompensated transverse field and
-    :class:`RegimeError` below the omega_eff >= 2 muB_eff threshold.
-    """
-    if p.omega_eff() == 0.0:
-        raise ValueError("drive amplitude must be nonzero")
-    # resonance first: the closed forms need the reduced Raman form
+    """(obar, T_total, T_prime, T_second, phi) of a resonant system; the one
+    gate of every closed form.  Raises, in this order, :class:`ResonanceError`
+    for an uncompensated transverse field, :class:`RegimeError` below the
+    omega_eff >= 2 muB_eff threshold (a zero drive on a nonzero field too),
+    then ``ValueError`` for a zero drive past both, hence at muB_eff = 0."""
     require_resonant(p)
     p.require_regime()
-    mu = p.muB_eff()
-    om = p.omega_eff()
+    mu, om = p.muB_eff(), p.omega_eff()
+    if om == 0.0:
+        raise ValueError("closed forms undefined for muB = omega = 0")
     obar = math.sqrt(mu * mu + om * om / 4.0)
     t_total = 2.0 * math.pi / obar
     # regime check guarantees the argument lies in [-1, 0]
     t_prime = math.acos(max(-1.0, -4.0 * mu * mu / (om * om))) / obar
-    return ErcQuantities(
-        omega_bar=obar,
-        T_total=t_total,
-        T_prime=t_prime,
-        T_second=t_total - t_prime,
-        phi=math.acos(min(1.0, 2.0 * mu / om)),
-    )
+    return ErcQuantities(omega_bar=obar, T_total=t_total, T_prime=t_prime,
+                         T_second=t_total - t_prime, phi=math.acos(min(1.0, 2.0 * mu / om)))
 
 
 def bright_dark(p: SystemParams, alpha: float) -> tuple[StateVector3, StateVector3]:
@@ -112,13 +106,8 @@ def _spectrum(p: SystemParams, alpha):
     columns G v_+, G|D_a>, G v_-, v_+- = (|+> +- |B_a>)/sqrt 2, for
     |B_a> = (muB |-> + e^{-i a} (omega/2) |0>) / obar and
     |D_a> = (-muB |0> + e^{i a} (omega/2) |->) / obar (effective muB, omega).
-    Checks and dressing run once per call."""
-    require_resonant(p)
-    p.require_regime()
-    mu, om = p.muB_eff(), p.omega_eff()
-    obar = math.sqrt(mu * mu + om * om / 4.0)
-    if obar == 0.0:
-        raise ValueError("bright/dark states undefined for muB = omega = 0")
+    The gate ``characteristic_quantities`` and the dressing run once per call."""
+    obar, mu, om = characteristic_quantities(p).omega_bar, p.muB_eff(), p.omega_eff()
     e = np.exp(-1j * np.asarray(alpha, dtype=float))[..., None] * (om / 2.0)
     b, d = (mu * KET_MINUS + e * KET_0) / obar, (-mu * KET_0 + e.conj() * KET_MINUS) / obar
     v = np.stack([(KET_PLUS + b) * math.sqrt(0.5), d, (KET_PLUS - b) * math.sqrt(0.5)], axis=-1)
@@ -141,13 +130,16 @@ def _erc_matrix(p: SystemParams, t, alpha: float) -> np.ndarray:
     return _evolved(*_spectrum(p, alpha), t)
 
 
-def _dressed(p: SystemParams, u: np.ndarray) -> np.ndarray:
-    """``u`` for a plain system, G u G^dagger with the dressing matrix G
-    otherwise."""
-    if p.is_plain():
-        return u
-    g = dressing_matrix(p)
-    return g @ u @ g.conj().T
+def _axis_states(p: SystemParams, phi: float) -> dict:
+    """Table sign -> (G|sign lam>, G|pi + sign lam>) at lam = 2 phi: the axis
+    state of R(sign phi) and its orthogonal partner, dressed as ``_spectrum``
+    dresses (G v; G leaves |0> alone, so G |x><0| G^dagger = G|x> <0|)."""
+    lam = 2.0 * phi
+    v = [_phi_amps(x) for x in (lam, math.pi + lam, -lam, math.pi - lam)]
+    if not p.is_plain():
+        g = dressing_matrix(p)
+        v = [g @ x for x in v]
+    return {1.0: (v[0], v[1]), -1.0: (v[2], v[3])}
 
 
 def erc_unitary(p: SystemParams, t: float, alpha: float) -> Unitary3:
@@ -169,27 +161,24 @@ def closed_form_unitary(p: SystemParams, which: str, alpha: float) -> Unitary3:
     signs = {"Tprime": 1.0, "Tsecond": -1.0}  # T'' is T' with lam -> -lam
     if which not in signs:
         raise ValueError(f"which must be 'Tprime' or 'Tsecond', got {which!r}")
-    lam = signs[which] * 2.0 * characteristic_quantities(p).phi
+    states = _axis_states(p, characteristic_quantities(p).phi)
+    (a, c), (b, d) = states[signs[which]], states[-signs[which]]
     ea = np.exp(1j * alpha)
-    u = (
-        ea * np.outer(_phi_amps(lam), KET_0.conj())
-        + ea.conjugate() * np.outer(KET_0, _phi_amps(-lam).conj())
-        - np.outer(_phi_amps(math.pi + lam), _phi_amps(math.pi - lam).conj())
-    )
-    return Unitary3(_dressed(p, u), p.interaction_frame)
+    u = ea * np.outer(a, KET_0.conj()) + ea.conjugate() * np.outer(KET_0, b.conj())
+    return Unitary3(u - np.outer(c, d.conj()), p.interaction_frame)
 
 
 def _dq_rotations(p: SystemParams, axes, thetas, alpha: float = 0.0):
     """The rotations R(axes[k], thetas[k]) as one stack (L, 3, 3),
     u_k = e^{-i theta_k} P_0 + e^{i theta_k} P_a + P_o (P_o: the axis
-    state's orthogonal partner), dressed once, and their 2L segments at
-    base phases alpha and alpha + theta_k; checks and projectors run once."""
+    state's orthogonal partner) of the dressed axis states, and their 2L
+    segments at base phases alpha and alpha + theta_k; the gate runs once."""
     q = characteristic_quantities(p)
-    lam = 2.0 * q.phi
+    states = _axis_states(p, q.phi)
     parts = {}  # per axis: P_a, P_o and the two pulse durations
     for axis, sign, durations in ((RotationAxis.MINUS_PHI, -1.0, (q.T_prime, q.T_second)),
                                   (RotationAxis.PLUS_PHI, 1.0, (q.T_second, q.T_prime))):
-        a, o = _phi_amps(sign * lam), _phi_amps(math.pi + sign * lam)
+        a, o = states[sign]
         parts[axis] = np.outer(a, a.conj()), np.outer(o, o.conj()), durations
     pa, po = (np.array([parts[ax][i] for ax in axes]).reshape(-1, 3, 3) for i in (0, 1))
     th = np.asarray(thetas, dtype=float).reshape(-1, 1, 1)
@@ -197,7 +186,7 @@ def _dq_rotations(p: SystemParams, axes, thetas, alpha: float = 0.0):
     segments = [PulseSegment(t, phase, p.omega_x, p.omega_y)
                 for ax, theta in zip(axes, th.ravel().tolist())
                 for t, phase in zip(parts[ax][2], (alpha, alpha + theta))]
-    return _dressed(p, u), segments
+    return u, segments
 
 
 def dq_rotation(

@@ -156,7 +156,7 @@ def _check_sweep(*axes) -> None:
     """Each sweep axis (name, lo, hi) needs a finite increasing range."""
     for name, lo, hi in axes:
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise ConfigError(f"axis {name!r} needs a finite increasing range")
+            raise ConfigError(f"axis {name!r} needs a finite increasing range, got [{lo}, {hi}]")
 
 
 def load_config(path: str) -> dict:
@@ -482,7 +482,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
         characteristic = {"T_total": q.T_total, "T_prime": q.T_prime,
                           "T_second": q.T_second, "phi": q.phi}
         t_default = seq.total_duration or q.T_total
-    except (NvErcError, ValueError):  # no resonant drive (a zero one is a ValueError)
+    except (NvErcError, ValueError):  # no resonant drive; ValueError only at muB = omega = 0
         characteristic = None
         t_default = seq.total_duration
     t_max = _take(cfg, "t_max", t_default)

@@ -94,7 +94,10 @@ class TestExitCodes:
         ("robustness", dict(BASE_SYSTEM, n="abc")),
         ("calibrate", dict(EX_SYSTEM, ratio_grid=[0.8, 0.6, 0.4, 0.2, 0.0])),
         ("calibrate", {"units": "muB", "system": {"D": 500.0, "muB": 0.0, "omega_x": 0.0}}),
-    ], ids=["short-scan", "short-window", "non-integer-n", "descending-grid", "no-drive"])
+        ("calibrate", dict(EX_SYSTEM, system={**EX_SYSTEM["system"], "omega_x": 0.0},
+                           ratio_grid=[0.0, 0.5, 1.0])),
+    ], ids=["short-scan", "short-window", "non-integer-n", "descending-grid", "no-drive",
+            "ratio-grid-no-drive"])
     def test_bad_config_value_is_2(self, tmp_path, capsys, command, doc):
         # values the library rejects with ValueError/TypeError, not ConfigError
         out = tmp_path / "o.csv"
@@ -191,7 +194,6 @@ class TestExitCodes:
         assert err["type"] == "ConfigError" and named in err["message"]
         assert not list(tmp_path.glob("o.out*"))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
     def test_calibrate_t_max_outside_range_is_2(self, tmp_path, capsys, t_max):
         # a NaN or infinite window used to reach the scan and be reported
@@ -204,7 +206,6 @@ class TestExitCodes:
         assert err["type"] == "ValueError" and "scan window" in err["message"]
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_calibrate_ratio_with_infinite_tone_is_2(self, tmp_path, capsys):
         # 1e308 is a finite ratio whose tone 1e308 * omega_x is not: it used
         # to print numpy's overflow warning and then blame omega_y, a key
@@ -219,7 +220,6 @@ class TestExitCodes:
         assert "omega_y" not in err["message"] and "Warning" not in captured.err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("axis, named", [
         ({"ratio_min": 0.5, "ratio_max": 0.1}, "'ratio'"),
         ({"ratio_max": math.inf}, "'ratio'"), ({"ratio_min": math.nan}, "'ratio'"),
@@ -236,6 +236,32 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ConfigError" and named in err["message"]
         assert not out.exists()
+
+    def test_ey_map_at_the_threshold_names_its_empty_range(self, tmp_path, capsys):
+        # at omega = 2 muB the validity boundary is 0, and so is the default
+        # ey_max: the refusal names both bounds of the empty range
+        doc = dict(TINY["ey-map"], system={**BASE_SYSTEM["system"], "omega_x": 2.0})
+        out = tmp_path / "o.csv"
+        rc = main(["ey-map", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and "'Ey'" in err["message"]
+        assert "[0.0, 0.0]" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["robustness", "ey-map", "ratio-map", "synth",
+                                         "calibrate"])
+    def test_zero_drive_is_3(self, tmp_path, capsys, command):
+        # a zero drive on muB = 1 lies below the resonant regime in every
+        # command, as in trace's analytic method; calibrate scans it and finds
+        # no depletion, as for any drive below the threshold
+        doc = dict(TINY[command], system={**TINY[command]["system"], "omega_x": 0.0})
+        out = tmp_path / "o.out"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == ("ExtractionError" if command == "calibrate" else "RegimeError")
+        assert not list(tmp_path.glob("o.out*"))
 
     def test_uncompensated_analytic_calibration_is_3(self, tmp_path, capsys):
         # the analytic closed form is that of the reduced Raman system, so it

@@ -236,6 +236,17 @@ class TestClosedForms:
             prod = closed_form_unitary(p, "Tsecond", alpha).m @ closed_form_unitary(p, "Tprime", alpha).m
             assert np.linalg.norm(prod - np.eye(3), 2) < 1e-12
 
+    @settings(max_examples=100)
+    @given(p=resonant_systems(), alpha=st.floats(-7.0, 7.0))
+    def test_dressed_forms_equal_evolution_and_compose_to_identity(self, p, alpha):
+        # plain, compensated and pure-y systems: the axis states are dressed
+        # as G v, where evolution dresses its eigenvectors
+        q = characteristic_quantities(p)
+        tp, ts = (closed_form_unitary(p, w, alpha).m for w in ("Tprime", "Tsecond"))
+        assert np.max(np.abs(tp - erc_unitary(p, q.T_prime, alpha).m)) < 1e-14
+        assert np.max(np.abs(ts - erc_unitary(p, q.T_second, alpha).m)) < 1e-14
+        assert np.max(np.abs(ts @ tp - np.eye(3))) < 1e-14
+
     def test_zero_field_maps_ground_to_plus(self):
         # muB = 0: the depletion pulse sends |0> to a pure |+> superposition,
         # the 2*phi = pi member of the equatorial family

@@ -9,11 +9,12 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from conftest import rwa_hamiltonian
-from nverc import (DomainError, DQRotation, NvErcError, PulseSegment,
-                   PulseSequence, RegimeError, ResonanceError, RotationAxis,
-                   SystemParams, bright_dark,
-                   characteristic_quantities, compensation_ratio, dq_rotation,
-                   dressing_unitary, effective_params, erc_unitary, evolve,
+from nverc import (DomainError, DQRotation, ExtractionError, NvErcError,
+                   PulseSegment, PulseSequence, RegimeError, ResonanceError,
+                   RotationAxis, SystemParams, bright_dark,
+                   characteristic_quantities, closed_form_unitary,
+                   compensation_ratio, dq_rotation, dressing_unitary,
+                   effective_params, erc_unitary, evolve, not_gate_sequence,
                    phi_from_times, rabi_extract, synthesize_gate)
 from nverc.ham import hamiltonian_lab
 
@@ -173,6 +174,23 @@ RESONANT_ONLY = {
     "synthesize_gate": lambda p: synthesize_gate(p, np.array([[0, 1], [1, 0]], dtype=complex)),
     "rabi_extract": lambda p: rabi_extract(p, 10.0, method="analytic"),
 }
+# every closed-form entry point: all pass one gate, so a drive gets one verdict
+CLOSED_FORMS = {
+    **{name: RESONANT_ONLY[name] for name in ("characteristic_quantities", "erc_unitary",
+                                             "bright_dark", "dq_rotation", "evolve",
+                                             "synthesize_gate")},
+    "closed_form_unitary": lambda p: closed_form_unitary(p, "Tsecond", 0.3),
+    "not_gate_sequence": not_gate_sequence,
+}
+# (system, error), checked in the order resonance, regime, zero drive: a zero or
+# sub-threshold drive on a field is below the regime; only a zero drive on a
+# zero field is a bad value; an uncompensated field is refused first
+VERDICTS = {
+    "zero-drive": ({"muB": 1.0, "omega_x": 0.0}, RegimeError),
+    "below-threshold": ({"muB": 1.0, "omega_x": 1.5}, RegimeError),
+    "no-field-no-drive": ({"muB": 0.0, "omega_x": 0.0}, ValueError),
+    "uncompensated-below-threshold": ({"muB": 1.0, "omega_x": 1.5, "Ex": 0.7}, ResonanceError),
+}
 # relative detuning of omega_y from the compensating ratio: 0 or 1e-6..0.1
 DETUNING = st.one_of(st.just(0.0), st.builds(lambda d, sign: sign * d, st.floats(1e-6, 0.1),
                                              st.sampled_from([-1.0, 1.0])))
@@ -197,6 +215,23 @@ class TestResonanceCheck:
             except NvErcError:  # e.g. AxisDegenerateError: not a resonance verdict
                 raised = False
             assert raised == (delta != 0.0), name
+
+
+class TestRegimeGate:
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_every_closed_form_gives_one_verdict(self, name, verdict):
+        system, error = VERDICTS[verdict]
+        with pytest.raises((NvErcError, ValueError)) as info:
+            CLOSED_FORMS[name](SystemParams(D=500.0, **system))
+        assert type(info.value) is error
+
+    def test_zero_drive_calibration_is_below_the_threshold(self):
+        # calibration's own closed form scans the zero drive like any weak one
+        with pytest.raises(ExtractionError):
+            rabi_extract(SystemParams(D=500.0, muB=1.0, omega_x=0.0), 10.0, method="analytic")
+        with pytest.raises(ValueError, match="muB = omega = 0"):
+            rabi_extract(SystemParams(D=500.0, muB=0.0, omega_x=0.0), 10.0, method="analytic")
 
 
 class TestEzNeutrality:

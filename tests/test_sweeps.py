@@ -535,7 +535,7 @@ class TestRobustness:
         out = tmp_path / "r.csv"
         cmd_robustness(dict(BASE, n=3), str(out))
         script = write_plot_script(str(out))
-        assert "pcolormesh" in open(script).read()
+        assert "pcolormesh" in Path(script).read_text()
 
 
 class TestEyMap:
