@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import require_resonant, static_hamiltonian
-from .prop import (_canonical_method, _drive_weights, _grid_rows, _LabStack, _lab_local,
+from .prop import (_check_method, _drive_weights, _grid_rows, _LabStack, _lab_local,
                    _population)
 from .pulses import PulseSegment
 from .spin import KET_0, SystemParams
@@ -242,7 +242,7 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
     once, at the first call that spans it, and every call then integrates
     only its times' remainders; <0|U|0> is the same in every frame.  The
     rwa form is Re sum_j c_j e^(-i w_j t) of ``_drive_weights``."""
-    method = _canonical_method(method)
+    _check_method(method)
     if method == "analytic":
         # the closed form is the reduced Raman system's, so only on resonance
         require_resonant(p)
@@ -251,7 +251,7 @@ def _ground_amplitude_fn(p: SystemParams, method: str):
         w_b = (om * om / 4.0) / (obar * obar)
         w_d = (mu * mu) / (obar * obar)
         return lambda t: np.cos(obar * t) * w_b + w_d
-    if method == "rwa_numeric":
+    if method == "rwa":
         (w,), (c,) = _drive_weights([p], KET_0)
         return lambda t: (np.exp(-1j * w * np.asarray(t, dtype=float)[..., None]) @ c).real
 
@@ -341,7 +341,7 @@ def rabi_extract(
         T_total=float(t_total),
         T_prime=float(t_prime),
         phi=float(phi_from_times(t_prime, t_total)),
-        method=_canonical_method(method),
+        method=method,
     )
 
 

@@ -3,11 +3,12 @@
 Subcommands: trace, robustness, ey-map, ratio-map, synth, calibrate.
 Global flags: --config PATH, --out PATH, --jobs N, --method, --seed N,
 --plot-script.  ``_TAKES`` says which command takes which of the last
-four; setting one away from its default for any other command is a config
-error, raised before the command runs.  Each command refuses the config
+four; setting one away from its parser default for any other command is a
+config error, raised before the command runs.  Each command refuses the config
 keys it does not consume itself (``sweeps._refuse_rest``).
-Exit codes: 0 success, 2 config error, 3 regime/domain error, 4 numerical
-failure.  Log level comes from the NVERC_LOG environment variable.
+Exit codes (``_EXITS``, by error class): 0 success, 2 config error,
+3 regime/domain error, 4 numerical failure.  ``--method`` takes the names
+in ``prop.METHODS``.  Log level comes from the NVERC_LOG environment variable.
 
 On error a machine-readable JSON document {"error": {...}} is printed to
 stdout in addition to the log message, so scripted callers never need to
@@ -27,6 +28,7 @@ from .errors import (AxisDegenerateError, ConfigError, DomainError,
                      ExtractionError, NoConvergenceError, NvErcError,
                      RegimeError, ResonanceError)
 from . import sweeps
+from .prop import METHODS
 
 log = logging.getLogger("nverc")
 
@@ -52,14 +54,16 @@ _TAKES = {
     "calibrate": {"method"},
 }
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
-EXIT_NUMERIC = 4
-
-_DOMAIN_ERRORS = (RegimeError, DomainError, ResonanceError, ExtractionError,
-                  AxisDegenerateError)
-_NUMERIC_ERRORS = (NoConvergenceError,)
+# (exit code, log format) by error class; an error takes the row of its
+# first class in method resolution order.  A ValueError or TypeError is a
+# config value the library refused where it uses it, not a crash.
+_EXITS = {
+    **dict.fromkeys((ConfigError, ValueError, TypeError), (2, "config error: %s")),
+    **dict.fromkeys((RegimeError, DomainError, ResonanceError, ExtractionError,
+                     AxisDegenerateError), (3, "domain error: %s")),
+    NoConvergenceError: (4, "numerical failure: %s"),
+    NvErcError: (3, "%s"),  # any future toolkit error
+}
 
 
 @functools.cache  # built once per process: every in-process main call reuses it
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kept for old scripts: trace and the maps run in "
                              "one process and ignore it; the others reject "
                              "any value but 1 (default: 1)")
-    parser.add_argument("--method", choices=["analytic", "rwa", "lab"], default=None,
+    parser.add_argument("--method", choices=METHODS, default=None,
                         help="override the propagation method from the config "
                              "(trace, calibrate; rejected by the others)")
     parser.add_argument("--seed", type=int, default=None,
@@ -108,41 +112,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        given = {"jobs": args.jobs != 1, "method": args.method is not None,
-                 "seed": args.seed is not None, "plot_script": args.plot_script}
-        refused = [f for f, on in given.items() if on and f not in _TAKES[args.command]]
+        given = [f for f, v in vars(args).items()
+                 if f in set().union(*_TAKES.values()) and v != parser.get_default(f)]
+        refused = [f for f in given if f not in _TAKES[args.command]]
         if refused:
             raise ConfigError(f"{args.command} does not take "
                               f"--{refused[0].replace('_', '-')} "
                               f"(got {getattr(args, refused[0])!r})")
         cfg = sweeps.load_config(args.config)
-        if args.method is not None:
+        if "method" in given:
             cfg = {**cfg, "method": args.method}
-        seed = {} if args.seed is None else {"seed": args.seed}
+        seed = {"seed": args.seed} if "seed" in given else {}
         summary = _COMMANDS[args.command](cfg, args.out, **seed)
         if args.plot_script:
             sweeps.write_plot_script(args.out)
         log.info("%s finished: %s", args.command, summary)
-        return EXIT_OK
-    except (ConfigError, ValueError, TypeError) as exc:
-        # the library checks a config value where it uses it (a too-short
-        # scan, a descending grid, an unknown method) with the builtin
-        # errors, so one escaping here is a bad config value, not a crash
-        log.error("config error: %s", exc)
+        return 0
+    except (NvErcError, ValueError, TypeError) as exc:
+        code, fmt = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        log.error(fmt, exc)
         print(_error_json(exc))
-        return EXIT_CONFIG
-    except _DOMAIN_ERRORS as exc:
-        log.error("domain error: %s", exc)
-        print(_error_json(exc))
-        return EXIT_DOMAIN
-    except _NUMERIC_ERRORS as exc:
-        log.error("numerical failure: %s", exc)
-        print(_error_json(exc))
-        return EXIT_NUMERIC
-    except NvErcError as exc:  # any future toolkit error: treat as domain
-        log.error("%s", exc)
-        print(_error_json(exc))
-        return EXIT_DOMAIN
+        return code
 
 
 if __name__ == "__main__":

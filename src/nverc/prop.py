@@ -55,6 +55,7 @@ from .spin import SystemParams, Unitary3
 __all__ = ["evolve", "sequence_unitary"]
 
 LAB_STEPS_PER_PERIOD = 8  # Magnus steps per carrier period, by default
+METHODS = ("analytic", "rwa", "lab")  # evolve's methods, named so in every output
 
 
 def _drive_weights(systems, bra):
@@ -202,7 +203,7 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     ``method``: ``analytic`` (closed forms), ``rwa`` (matrix exponentials
     of the segments' rotating-wave Hamiltonians) or ``lab`` (full lab-frame
     integration, counter-rotating terms included, taken to the interaction
-    frame of ``p``); ``rwa_numeric`` and ``lab_numeric`` are accepted too.
+    frame of ``p``).
 
     The program runs once, skipping zero-duration segments: a sample inside
     a segment continues from the propagator at the segment's start t0, and
@@ -219,7 +220,7 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
     expression of their eigenpairs, closed-form or from one ``eigh``), and
     chains each segment's with u, the propagator at its start, in one product.
     """
-    method = _canonical_method(method)
+    _check_method(method)
     if type(steps_per_period) is not int or steps_per_period < 1:  # bools are refused too
         raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
 
@@ -240,7 +241,7 @@ def evolve(p: SystemParams, seq: PulseSequence, times=(math.inf,), method: str =
         plan.append((seg, t0, np.append(taus[taus > 0.0], seg.duration)))
         ends.append(done)
     segs = [seg for seg, _, _ in plan]
-    if method == "lab_numeric" and plan:
+    if method == "lab" and plan:
         stack = _LabStack(p, segs, [t0 for _, t0, _ in plan], steps_per_period)
         counts = [len(taus) for _, _, taus in plan]
         local = _lab_local(stack, np.repeat(np.arange(len(plan)), counts),
@@ -285,12 +286,7 @@ def _closed_spectra(p, segs):
     return w, v
 
 
-_METHODS = {"analytic": "analytic", "rwa": "rwa_numeric", "rwa_numeric": "rwa_numeric",
-            "lab": "lab_numeric", "lab_numeric": "lab_numeric"}
-
-
-def _canonical_method(method: str) -> str:
-    try:
-        return _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; use analytic, rwa or lab") from None
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS[:-1])} "
+                         f"or {METHODS[-1]}")

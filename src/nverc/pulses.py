@@ -127,6 +127,17 @@ def sequence_to_json(seq: PulseSequence, params: SystemParams) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _number_fields(what: str, obj) -> dict:
+    """``obj``, a JSON object of numbers; a value that is not a JSON number
+    (a bool included) is refused naming its key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    for k, v in obj.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{what} field {k!r} must be a JSON number, got {v!r}")
+    return obj
+
+
 def sequence_from_json(text: str) -> tuple[PulseSequence, SystemParams]:
     try:
         doc = json.loads(text)
@@ -138,19 +149,13 @@ def sequence_from_json(text: str) -> tuple[PulseSequence, SystemParams]:
         raise ConfigError(
             f"unsupported sequence schema {doc.get('schema')!r}, expected {SEQUENCE_SCHEMA!r}"
         )
+    if extra := set(doc) - {"schema", "frame", "params", "segments"}:
+        raise ConfigError(f"sequence document key {sorted(extra)[0]!r} is not read")
     try:
-        params = SystemParams(**doc["params"])
-        segments = [
-            PulseSegment(
-                duration=s["duration"],
-                alpha=s["alpha"],
-                beta=s.get("beta", s["alpha"]),
-                omega_x=s["omega_x"],
-                omega_y=s.get("omega_y", 0.0),
-            )
-            for s in doc["segments"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        # the constructors refuse a missing or unknown field by name
+        params = SystemParams(**_number_fields("params", doc["params"]))
+        segments = [PulseSegment(**_number_fields("segment", s)) for s in doc["segments"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed sequence document: {exc}") from exc
     frame = params.interaction_frame.value
     if doc.get("frame", frame) != frame:

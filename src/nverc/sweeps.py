@@ -62,7 +62,7 @@ from . import erc, synth
 from .calib import ROOT_XTOL, _rabi_period, rabi_extract, ratio_scan, simulate_odmr
 from .errors import ConfigError, NvErcError
 from .ham import compensation_ratio
-from .prop import _canonical_method, _drive_weights, _grid_rows, evolve
+from .prop import METHODS, _drive_weights, _grid_rows, evolve
 from .pulses import PulseSegment, PulseSequence, sequence_to_json
 from .spin import KET_0, KET_M1, KET_P1, StateVector3, SystemParams
 
@@ -474,7 +474,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     """Population time series of a pulse program (three columns of
     populations against time)."""
     cfg, p, factor = _take_system(cfg)
-    method = _take(cfg, "method", "analytic", kind=str)
+    method = _take(cfg, "method", "analytic", kind=METHODS)
     seq = _take_sequence(cfg, p, factor)
     n = _take(cfg, "n_points", 401, int, lo=0)
     try:
@@ -498,7 +498,7 @@ def cmd_trace(cfg: dict, out_path: str) -> dict:
     meta = {
         "command": "trace",
         "params": dataclasses.asdict(p),
-        "method": _canonical_method(method),
+        "method": method,
         "characteristic": characteristic,
     }
     _write_csv(out_path, meta, ["t", "p_plus1", "p_0", "p_minus1"], [times, *pops.T])
@@ -689,7 +689,7 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
 def cmd_calibrate(cfg: dict, out_path: str) -> dict:
     """Run the simulated calibration pipeline and write the result JSON."""
     cfg, p, _ = _take_system(cfg)
-    method = _take(cfg, "method", "analytic", kind=str)
+    method = _take(cfg, "method", "analytic", kind=METHODS)
     grid = _take(cfg, "ratio_grid", None, kind=list)
     grid = None if grid is None else _numbers("ratio_grid", grid)
     scan = dict(_take(cfg, "scan", {}, kind=dict))

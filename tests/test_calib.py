@@ -69,7 +69,7 @@ class TestRabiExtract:
         bound = P13.omega_x / P13.carrier
         ana = rabi_extract(P13, t_max=1.5 * q.T_total, n_points=64)
         lab = rabi_extract(P13, t_max=1.5 * q.T_total, n_points=64, method="lab")
-        assert lab.method == "lab_numeric"
+        assert lab.method == "lab"
         assert abs(lab.T_prime - ana.T_prime) < bound * ana.T_prime
         assert abs(lab.T_total - ana.T_total) < bound * ana.T_total
 

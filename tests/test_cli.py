@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_ENV
+from nverc import cli, errors, sweeps
 from nverc.cli import build_parser, main
+from nverc.prop import METHODS
+from nverc.pulses import sequence_from_json, sequence_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -375,6 +380,109 @@ class TestExitCodes:
         assert err["error"]["type"] == "AxisDegenerateError"
 
 
+class LocalToolkitError(errors.NvErcError):
+    """A toolkit error the exit-code table does not list."""
+
+
+# (exit code, log prefix) of every error the CLI maps; None: the message alone
+EXIT_TABLE = {
+    errors.ConfigError: (2, "config error"), ValueError: (2, "config error"),
+    TypeError: (2, "config error"), json.JSONDecodeError: (2, "config error"),
+    errors.RegimeError: (3, "domain error"), errors.DomainError: (3, "domain error"),
+    errors.ResonanceError: (3, "domain error"), errors.ExtractionError: (3, "domain error"),
+    errors.AxisDegenerateError: (3, "domain error"),
+    errors.NoConvergenceError: (4, "numerical failure"),
+    errors.NvErcError: (3, None), LocalToolkitError: (3, None),
+}
+ERROR_ARGS = {errors.RegimeError: (1.0, 1.0), errors.NoConvergenceError: (0.5, 3),
+              json.JSONDecodeError: ("boom", "{", 0)}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception)]
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("cls", sorted(set(ERROR_CLASSES) | set(EXIT_TABLE),
+                                           key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_exit_code_json_and_log_prefix(self, tmp_path, capsys, caplog, monkeypatch, cls):
+        # ConfigError is an NvErcError, yet its own row (2) comes first in
+        # its method resolution order; an unlisted toolkit error gets 3.  A
+        # class of nverc.errors missing from EXIT_TABLE fails its case here.
+        exc = cls(*ERROR_ARGS.get(cls, ("boom",)))
+
+        def stub(cfg, out_path):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "trace", stub)
+        with caplog.at_level(logging.ERROR, logger="nverc"):
+            rc = main(["trace", "--config", write_cfg(tmp_path, BASE_SYSTEM),
+                       "--out", str(tmp_path / "o.csv")])
+        code, prefix = EXIT_TABLE[cls]
+        assert rc == code
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": cls.__name__,
+                                                                "message": str(exc)}
+        assert [r.getMessage() for r in caplog.records] == [
+            str(exc) if prefix is None else f"{prefix}: {exc}"]
+
+
+class TestConfigMethod:
+    @pytest.mark.parametrize("command", ["trace", "calibrate"])
+    @pytest.mark.parametrize("method", ["rwa_numeric", "lab_numeric", "bogus"])
+    def test_name_outside_the_table_is_2(self, tmp_path, capsys, monkeypatch, command,
+                                         method):
+        # refused where the config is read: calibrate's ratio scan never runs
+        scans = []
+        monkeypatch.setattr(sweeps, "ratio_scan", lambda *a: scans.append(a))
+        doc = dict(EX_SYSTEM, ratio_grid=[0.0, 0.5, 1.0]) if command == "calibrate" else TINY[command]
+        doc = dict(doc, method=method)
+        out = tmp_path / "o.out"
+        rc = main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and str(list(METHODS)) in err["message"]
+        assert not list(tmp_path.glob("o.out*")) and scans == []
+
+    @pytest.mark.parametrize("command", ["trace", "calibrate"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_output_records_the_name_as_given(self, tmp_path, command, method):
+        out = tmp_path / "o.out"
+        doc = dict(TINY[command], method=method)
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert (f"# method: \"{method}\"" in text.splitlines() if command == "trace"
+                else json.loads(text)["method"] == method)
+
+
+class TestPlotScript:
+    @pytest.mark.parametrize("command,doc,grid", [
+        ("trace", TINY["trace"], None),
+        ("robustness", TINY["robustness"], (3, 3)),
+        ("ey-map", TINY["ey-map"], (2, 3)),
+        ("ratio-map", dict(TINY["ratio-map"], n_ratio=3), (3, 3)),
+        ("ratio-map", dict(TINY["ratio-map"], n_ratio=1), (1, 3)),
+    ], ids=["trace", "robustness", "ey-map", "ratio-map", "ratio-map-one-ratio"])
+    def test_plot_script_runs(self, tmp_path, monkeypatch, capsys, command, doc, grid):
+        # matplotlib is not a dependency: a stub records the script's calls
+        calls = []
+
+        class Pyplot:
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: calls.append((name, args, kwargs))
+        pyplot = Pyplot()
+        monkeypatch.setitem(sys.modules, "matplotlib", types.SimpleNamespace(pyplot=pyplot))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                     "--plot-script"]) == 0
+        runpy.run_path(str(tmp_path / "o.csv.plot.py"), run_name="__main__")
+        names = [name for name, _, _ in calls]
+        assert names[-1] == "savefig" and calls[-1][1] == (str(out) + ".png",)
+        if grid is None:
+            assert names.count("plot") == 3
+        else:
+            (_, args, _), = [c for c in calls if c[0] == "pcolormesh"]
+            assert args[2].shape == grid
+
+
 def documented_keys():
     """{command: [(path, JSON type, default cell)]} from the README's
     config-key tables; the keys every command reads are filed under None."""
@@ -642,6 +750,21 @@ class TestCheckedInConfigs:
         # a config missing from the tool's table would escape the byte check
         runs = runpy.run_path(str(ROOT / "tools" / "config_digests.py"))["RUNS"]
         assert {name for _, name, _ in runs} == {p.stem for p in CONFIGS.glob("*.json")}
+
+    def test_digests_run_every_method(self):
+        # a method missing from the tool's table would escape the byte check
+        runs = runpy.run_path(str(ROOT / "tools" / "config_digests.py"))["RUNS"]
+        targets = {(c, n) for c, n, _ in runs if c in ("trace", "calibrate")}
+        assert {c for c, _ in targets} == {"trace", "calibrate"}
+        for target in targets:
+            assert {m for c, n, m in runs if (c, n) == target} == set(METHODS)
+
+    @pytest.mark.parametrize("name", ["synth_x", "synth_haar_orthogonal_axes"])
+    def test_synth_program_loads_unchanged(self, tmp_path, name):
+        out = tmp_path / "s.json"
+        assert main(["synth", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert sequence_to_json(*sequence_from_json(text)) == text
 
     def test_runtime_dependencies_name_no_scipy(self):
         tomllib = pytest.importorskip("tomllib")

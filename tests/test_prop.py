@@ -577,6 +577,12 @@ class TestProgramEngine:
         with pytest.raises(ValueError, match="NaN"):
             prop.evolve(P13, not_gate_sequence(P13), times, method)
 
+    @pytest.mark.parametrize("method", ["lab_numeric", "rwa_numeric", "bogus"])
+    def test_refuses_a_method_not_in_the_table(self, method):
+        # the long names once accepted as aliases are refused like any other
+        with pytest.raises(ValueError, match="use analytic, rwa or lab"):
+            prop.evolve(P13, not_gate_sequence(P13), method=method)
+
     @pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]]])
     def test_refuses_times_that_are_not_1d(self, times):
         with pytest.raises(ValueError, match="1-D"):

@@ -96,3 +96,22 @@ class TestSerialization:
                 sequence_from_json(text)
         with pytest.raises(ConfigError):
             sequence_from_json('{"schema": "nverc-seq/1", "segments": [{}], "params": {}}')
+
+    @pytest.mark.parametrize("change,named", [
+        ({"params": {"D": True, "muB": False, "omega_x": 3}}, "'D'"),
+        ({"params": {"D": 500.0, "muB": 1.0, "omega_x": "3"}}, "'omega_x'"),
+        ({"segments": [{"duration": True, "alpha": False, "omega_x": 3.0}]}, "'duration'"),
+        ({"segments": [{"duration": 1.0, "alpha": None, "omega_x": 3.0}]}, "'alpha'"),
+        ({"segments": [{"duration": 1.0, "alpha": 0.0, "omega_x": 3.0, "omega_z": 1}]},
+         "'omega_z'"),
+        ({"params": {"D": 10 ** 400, "muB": 1.0, "omega_x": 3.0}}, "too large"),
+        ({"extra": 1}, "'extra'"),
+    ], ids=["params-bools", "params-string", "segment-bools", "segment-null",
+            "segment-unknown-key", "params-huge-integer", "document-unknown-key"])
+    def test_refuses_what_the_config_readers_refuse(self, change, named):
+        # bools loaded as numbers and unread keys were dropped, where a
+        # config file refuses both
+        p = SystemParams(D=500.0, muB=1.0, omega_x=3.0)
+        doc = json.loads(sequence_to_json(PulseSequence([PulseSegment(1.0, 0.2, 3.0)]), p))
+        with pytest.raises(ConfigError, match=named):
+            sequence_from_json(json.dumps({**doc, **change}))

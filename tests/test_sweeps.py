@@ -299,7 +299,7 @@ class TestTrace:
                    n_points=9, method="lab")
         cmd_trace(cfg, str(out))
         meta, _, rows = read_csv(out)
-        assert meta["method"] == "lab_numeric"
+        assert meta["method"] == "lab"
         assert abs(rows[-1, 3] - 1.0) < 5e-3
 
     @pytest.mark.parametrize("method", ["analytic", "rwa", "lab"])
