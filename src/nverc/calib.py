@@ -12,12 +12,12 @@ the value that best depletes the ground state.
 Zero crossings are located on the continuous model (bracketing plus
 refinement by ``brentq``, Brent's root finder, on the real ground-state
 amplitude), not by interpolating sampled points, so extraction error is set
-by the root-finder tolerance rather than the sample count.  The depletion
-minimum and the best ratio are refined by ``fminbound``, Brent's bounded
-minimizer.  Both are in-package ports of scipy's implementations and return
-the same bits.  The rwa Rabi scan and the ratio scan read the |0> amplitude
-from the eigenvalues and weights of ``prop._drive_weights``, which builds
-and decomposes their constant drives' H_rwa; neither forms a propagator.
+by the root-finder tolerance rather than the sample count; ``brentq`` is a
+port of scipy's that returns its bits.  Both scans read the |0> amplitude
+from eigenpairs that ``prop`` decomposes, forming no propagator.  The ratio
+scan refines each grid row's depletion dip by Newton steps in time, and the
+best ratio by damped Gauss-Newton on the complex amplitude over ratio and
+time jointly (``prop._ground_jet`` gives its derivatives in closed form).
 Measurements are exact populations; no shot noise or contrast model.
 """
 
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ExtractionError
 from .ham import require_resonant, static_hamiltonian
-from .prop import (_check_method, _drive_weights, _grid_rows, _LabStack, _lab_local,
-                   _population)
+from .prop import _check_method, _drive_weights, _grid_rows, _ground_jet, _LabStack, _lab_local
 from .pulses import PulseSegment
 from .spin import KET_0, SystemParams
 
@@ -73,10 +71,10 @@ class RatioScanResult:
     depletion: tuple[float, ...]
 
 
-# Brent's root finder and bounded minimizer (Brent, "Algorithms for
-# Minimization Without Derivatives", 1973, ch. 4-5), ported statement for
-# statement from scipy's brentq.c and _minimize_scalar_bounded (scipy is
-# BSD-3-licensed) so that they take the same iterates and return the same bits.
+# Brent's root finder (Brent, "Algorithms for Minimization Without
+# Derivatives", 1973, ch. 4), ported statement for statement from scipy's
+# brentq.c (scipy is BSD-3-licensed) so that it takes the same iterates and
+# returns the same bits.
 def brentq(f, xa, xb, xtol, rtol):
     """Root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
 
@@ -142,84 +140,6 @@ def brentq(f, xa, xb, xtol, rtol):
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
-
-
-def _sign(v):
-    return (v > 0) - (v < 0)
-
-
-def fminbound(func, a, b, xatol):
-    """(x, func(x)) at a local minimum of ``func`` on [a, b], to within
-    ``xatol`` plus sqrt(2.2e-16) |x|: parabolic interpolation steps, with a
-    golden-section step whenever the parabola is unacceptable.  After 500
-    evaluations the best point so far is returned."""
-    a, b = float(a), float(b)
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = float(func(x))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            # is the parabola acceptable?
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    si = _sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        si = _sign(rat) + (rat == 0)
-        x = xf + si * max(abs(rat), tol1)
-        fu = float(func(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
 
 
 def simulate_odmr(p: SystemParams) -> OdmrResult:
@@ -300,12 +220,8 @@ def phi_from_times(t_prime_meas: float, t_total_meas: float) -> float:
     return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
 
 
-def rabi_extract(
-    p: SystemParams,
-    t_max: float,
-    n_points: int = 256,
-    method: str = "analytic",
-) -> RabiExtraction:
+def rabi_extract(p: SystemParams, t_max: float, n_points: int = 256,
+                 method: str = "analytic") -> RabiExtraction:
     """Extract (T_total, T_prime, phi) from a simulated Rabi scan of |0>.
 
     The scan grid brackets sign changes of the ground-state amplitude; the
@@ -345,24 +261,59 @@ def rabi_extract(
     )
 
 
-# time samples per ratio whose argmin brackets the depletion minimum
-_DEPLETION_GRID = 512
+_DEPLETION_GRID = 512  # time samples per ratio whose argmin brackets the dip
+_DIP_STEPS = 6         # Newton steps in t that refine every row's dip at once
+_RATIO_STEPS = 50      # Gauss-Newton steps in (r, t), at most
 
 
-def _min_ground_populations(p: SystemParams, ratios, window: float) -> list[float]:
-    """Minimum over time of the |0> population under the two-tone drive,
-    for each amplitude ratio: |sum_j c_j e^(-i w_j t)|^2 from one
-    ``_drive_weights`` of the ratios' systems, on a grid whose argmin
-    brackets a bounded minimization of the same sum."""
+def _depletion_dips(p: SystemParams, ratios, window: float):
+    """(t, P0) of the minimum |0> population P0 = |a|^2, a = sum_j c_j
+    e^(-i w_j t), for each ratio, from one ``_drive_weights`` of the ratios'
+    systems: Newton steps on dP0/dt = 0, all rows at once, refine each row's
+    grid argmin inside the bracket of its two neighbours."""
     w, c = _drive_weights([p.replace(omega_y=r * p.omega_x) for r in ratios], KET_0)
     ts = np.linspace(0.0, window, _DEPLETION_GRID)
-    out = []
-    for wj, cj, vals in zip(w, c, _grid_rows(w, c, window, _DEPLETION_GRID)(0, len(w))):
-        i = int(np.argmin(vals))
-        _, fx = fminbound(partial(_population, wj, cj), ts[max(i - 1, 0)],
-                          ts[min(i + 1, _DEPLETION_GRID - 1)], xatol=1e-13)
-        out.append(min(fx, float(vals[i])))
-    return out
+    vals = _grid_rows(w, c, window, _DEPLETION_GRID)(0, len(w))
+    k = np.argmin(vals, axis=1)
+    lo, hi = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, _DEPLETION_GRID - 1)]
+    t = ts[k]
+    for _ in range(_DIP_STEPS):
+        e = c * np.exp(-1j * w * t[:, None])
+        a, a1, a2 = e.sum(-1), -1j * (w * e).sum(-1), -(w * w * e).sum(-1)
+        # P0' = 2 Re(a* a') over P0'' = 2 (|a'|^2 + Re(a* a'')), made positive: downhill
+        t = np.clip(t - (a.conj() * a1).real / np.abs(abs(a1) ** 2 + (a.conj() * a2).real),
+                    lo, hi)
+    a = (c * np.exp(-1j * w * t[:, None])).sum(-1)
+    p0 = a.real * a.real + a.imag * a.imag
+    sampled = vals[np.arange(len(k)), k]
+    return np.where(p0 < sampled, t, ts[k]), np.minimum(p0, sampled)
+
+
+def _min_ground_populations(p: SystemParams, ratios, window: float):
+    """The minimum |0> population over the window for each ratio."""
+    return _depletion_dips(p, ratios, window)[1]
+
+
+def _refine_ratio(p: SystemParams, r: float, t: float, lo: float, hi: float) -> float:
+    """The ratio in [lo, hi] of the least |a(r, t)|^2 near (r, t), by damped
+    Gauss-Newton on the complex |0> amplitude a over (r, t): each step is
+    halved until it lowers |a|.  Stops at the lowest point seen once a step
+    would move r by at most 4 ulp, or after ``_RATIO_STEPS`` steps."""
+    jet = _ground_jet(p, r, t)
+    for _ in range(_RATIO_STEPS):
+        a, da_dr, da_dt = jet
+        step = np.linalg.lstsq([[da_dr.real, da_dt.real], [da_dr.imag, da_dt.imag]],
+                               [-a.real, -a.imag], rcond=None)[0]
+        while True:
+            r_next = min(max(r + step[0], lo), hi)
+            if abs(r_next - r) <= 4.0 * math.ulp(r):
+                return float(r)
+            jet = _ground_jet(p, r_next, t + step[1])
+            if abs(jet[0]) < abs(a):
+                break
+            step = step / 2.0
+        r, t = r_next, t + step[1]
+    return float(r)
 
 
 def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
@@ -370,10 +321,10 @@ def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
 
     For each ratio the score is the minimum |0> population over a window
     covering at least one full Rabi cycle, from one decomposed stack of the
-    grid's H_rwa; the best ratio refines the grid argmin by a bounded scalar
-    minimization of the same score between its two neighbours (interior
-    argmin only - a boundary argmin is returned as the closest grid point).
-    A grid must be strictly increasing, and each tone r omega_x finite.
+    grid's H_rwa.  From its row's dip, the grid argmin is refined between
+    its two neighbours by ``_refine_ratio`` (interior argmin only - a
+    boundary argmin is returned as the closest grid point).  A grid must be
+    strictly increasing, and each tone r omega_x finite.
     """
     if p.Ex == 0.0:
         raise ValueError("ratio_scan expects a transverse-x field to compensate")
@@ -388,17 +339,11 @@ def ratio_scan(p: SystemParams, ratio_grid) -> RatioScanResult:
         raise ValueError("ratio_grid holds a ratio r whose tone r * omega_x is not finite")
     mu, om = p.muB, p.omega_x
     window = 1.5 * 2.0 * math.pi / math.sqrt(mu * mu + om * om / 4.0)
-    depletion = np.array(_min_ground_populations(p, ratios, window))
+    times, depletion = _depletion_dips(p, ratios, window)
     i = int(np.argmin(depletion))
     best = float(ratios[i])
     # an essentially exact zero IS the resonance; refining would only add
     # optimizer noise on top of it
     if depletion[i] > 1e-12 and 0 < i < len(ratios) - 1:
-        x, _ = fminbound(lambda r: _min_ground_populations(p, [r], window)[0],
-                         ratios[i - 1], ratios[i + 1], xatol=1e-10)
-        best = float(x)
-    return RatioScanResult(
-        best_ratio=best,
-        ratios=tuple(float(r) for r in ratios),
-        depletion=tuple(float(d) for d in depletion),
-    )
+        best = _refine_ratio(p, best, float(times[i]), float(ratios[i - 1]), float(ratios[i + 1]))
+    return RatioScanResult(best, tuple(ratios.tolist()), tuple(depletion.tolist()))

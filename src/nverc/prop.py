@@ -6,11 +6,12 @@ retained) by fixed-step fourth-order Magnus in the frame of the carrier
 (``nverc._kernels``), and propagates the rotating-wave Hamiltonians by
 exact matrix exponentiation.  H_rwa is built (``ham.hamiltonian_rwa_stack``)
 and decomposed only here, one stack by one batched ``eigh``: ``evolve``'s
-rwa method decomposes a program's segments, and ``_drive_weights`` the
-constant drives of a stack of systems.  From its eigenvalues and weights
-the spectral maps and both calibration scans read <a|U(t)|0> alone, on a
-uniform time grid (a map block by block of rows, ``_grid_rows``) or at
-single times, forming no propagator.
+rwa method decomposes a program's segments, ``_drive_weights`` the
+constant drives of a stack of systems, and ``_ground_jet`` one two-tone
+drive, for <0|U(t)|0> with its derivatives in time and tone ratio.  From
+its eigenvalues and weights the spectral maps and both calibration scans
+read <a|U(t)|0> alone, on a uniform time grid (a map block by block of
+rows, ``_grid_rows``) or at single times, forming no propagator.
 
 Every pulse program runs through one call, ``evolve``, for all three
 methods, which returns interaction-frame propagators at any non-decreasing
@@ -68,10 +69,21 @@ def _drive_weights(systems, bra):
     return w, (bra @ v) * v[..., 1, :].conj()
 
 
-def _population(w, c, t):
-    """|sum_j c_j e^(-i w_j t)|^2 of one row of ``_drive_weights``."""
-    a = c @ np.exp(-1j * w * t)
-    return a.real * a.real + a.imag * a.imag
+def _ground_jet(p, r, t):
+    """a = <0|U(t)|0> under the constant drive (omega_x, r omega_x) at phase
+    0, with da/dr and da/dt, from one (1, 3, 3) ``eigh`` of H = H_rwa(r).
+    H_rwa is linear in the y tone, so dH/dr = H(r + 1) - H(r), and da/dr is
+    the first-order sum over the eigenpairs (Daleckii-Krein):
+    sum_jk <0|v_j><v_j|dH/dr|v_k><v_k|0> (-i t) e^(-i (w_j + w_k) t / 2)
+    sinc((w_j - w_k) t / 2)."""
+    segs = [PulseSegment(0.0, 0.0, p.omega_x, s * p.omega_x) for s in (r, r + 1.0)]
+    h = hamiltonian_rwa_stack([p, p], segs)
+    (w,), (v,) = np.linalg.eigh(h[:1])
+    b = v[1]
+    c = b * b.conj() * np.exp(-1j * w * t)
+    kernel = np.exp(-0.5j * (w[:, None] + w) * t) * np.sinc((w[:, None] - w) * t / (2 * math.pi))
+    da_dr = -1j * t * (b @ (v.conj().T @ (h[1] - h[0]) @ v * kernel) @ b.conj())
+    return c.sum(), da_dr, -1j * (w @ c)
 
 
 def _grid_rows(w, c, t_max, n_t):

@@ -687,8 +687,9 @@ def cmd_synth(cfg: dict, out_path: str, seed: int = 0) -> dict:
 # ------------------------------------------------------------ calibrate ---
 
 def cmd_calibrate(cfg: dict, out_path: str) -> dict:
-    """Run the simulated calibration pipeline and write the result JSON."""
-    cfg, p, _ = _take_system(cfg)
+    """Run the simulated calibration pipeline and write the result JSON.
+    With a ratio grid the scan sets omega_y, so the system may not."""
+    cfg, p, _ = _take_system(cfg, swept=("omega_y",) if "ratio_grid" in cfg else ())
     method = _take(cfg, "method", "analytic", kind=METHODS)
     grid = _take(cfg, "ratio_grid", None, kind=list)
     grid = None if grid is None else _numbers("ratio_grid", grid)
@@ -710,7 +711,7 @@ def cmd_calibrate(cfg: dict, out_path: str) -> dict:
         **dataclasses.asdict(odmr),
         **dataclasses.asdict(extraction),
         "best_ratio": best_ratio,
-        "tolerances": {"root_xtol": ROOT_XTOL, "ratio_refine": "bounded_minimize"},
+        "tolerances": {"root_xtol": ROOT_XTOL, "ratio_refine": "gauss_newton"},
     }
     with _output(out_path) as [fh]:
         fh.write(json.dumps(result, indent=2, sort_keys=True).encode())

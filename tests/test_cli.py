@@ -211,6 +211,32 @@ class TestExitCodes:
         assert err["type"] == "ValueError" and "scan window" in err["message"]
         assert not out.exists()
 
+    def test_calibrate_ratio_grid_refuses_omega_y(self, tmp_path, capsys, monkeypatch):
+        # the scan sets the y tone itself: a system omega_y was taken and
+        # ignored (exit 0, best_ratio 0.4142135618375952 on this grid)
+        scans = []
+        monkeypatch.setattr(sweeps, "ratio_scan", lambda *a: scans.append(a))
+        doc = dict(EX_SYSTEM, system={**EX_SYSTEM["system"], "omega_y": 1.0},
+                   ratio_grid=[0.0, 0.4, 0.8])
+        out = tmp_path / "cal.json"
+        rc = main(["calibrate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and "'omega_y'" in err["message"]
+        assert scans == [] and not out.exists()
+
+    def test_calibrate_without_grid_drives_omega_y(self, tmp_path):
+        # without a ratio grid the system's omega_y is the drive's y tone
+        outs = {}
+        for oy in (0.0, 0.5):
+            doc = dict(BASE_SYSTEM, system={**BASE_SYSTEM["system"], "omega_y": oy},
+                       method="rwa")
+            outs[oy] = tmp_path / f"cal{oy}.json"
+            assert main(["calibrate", "--config", write_cfg(tmp_path, doc),
+                         "--out", str(outs[oy])]) == 0
+        t_prime = {oy: json.loads(out.read_text())["T_prime"] for oy, out in outs.items()}
+        assert t_prime[0.5] != pytest.approx(t_prime[0.0], abs=1e-3)
+
     def test_calibrate_ratio_with_infinite_tone_is_2(self, tmp_path, capsys):
         # 1e308 is a finite ratio whose tone 1e308 * omega_x is not: it used
         # to print numpy's overflow warning and then blame omega_y, a key
@@ -687,6 +713,16 @@ class TestCheckedInConfigs:
         assert doc["T_prime"] == pytest.approx(1.1267904202609405, abs=1e-8)
         assert doc["T_total"] == pytest.approx(3.485284122811993, abs=1e-8)
         assert doc["phi"] == pytest.approx(0.8410686705679303, abs=1e-8)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_calibrate_ex_compensation_lands_on_the_ratio(self, tmp_path, method):
+        out = tmp_path / "cal.json"
+        rc = main(["calibrate", "--config", str(CONFIGS / "calibrate_ex_compensation.json"),
+                   "--out", str(out), "--method", method])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert abs(doc["best_ratio"] - (math.sqrt(2.0) - 1.0)) <= 1e-14
+        assert doc["tolerances"]["ratio_refine"] == "gauss_newton"
 
     def test_calibrate_reports_shifted_carrier(self, tmp_path):
         doc = {"units": "muB",
